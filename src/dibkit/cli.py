@@ -33,7 +33,14 @@ from .estimators import (
     estimator_id,
 )
 from .montecarlo import SimPlan, bootstrap_ci, ks_distance, simulate
-from .risk import QuadratureError, NodeEvaluationError, integrated_srmse, srmse_curve, table_priors
+from .risk import (
+    MIN_NODES,
+    NodeEvaluationError,
+    QuadratureError,
+    integrated_srmse,
+    srmse_curve,
+    table_priors,
+)
 from .summaries import BinomialRaw, TwoSampleSummary, from_raw_binomial, standardized_two_sample
 from .svg import Series, emit_plot
 from .testing import AllDelta, DeltaBounded, DeltaZero, TestSpec
@@ -53,6 +60,14 @@ KS_ESTIMATORS = ("mle", "pooled", "ttpool", "ammse", "ebpp", "hdpp")
 
 class ConfigError(ValueError):
     pass
+
+
+def _from_config(factory: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Build a library object from config values; its validation errors are config errors."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -248,7 +263,8 @@ def _estimator_configs(cfg: dict[str, Any], *, oracle_tracks_delta: bool) -> lis
     out = []
     for name in cfg["estimators"]:
         out.append(
-            config_from_id(
+            _from_config(
+                config_from_id,
                 name,
                 c=cfg.get("c", 3.84),
                 tau=cfg.get("tau", 0.25),
@@ -270,7 +286,7 @@ def _cmd_estimate(cfg: dict[str, Any]) -> None:
     for key in ("theta_hat", "n", "beta_hat", "m"):
         if cfg.get(key) is None:
             raise ConfigError(f"estimate requires --{key.replace('_', '-')}")
-    s = TwoSampleSummary(cfg["theta_hat"], cfg["n"], cfg["beta_hat"], cfg["m"])
+    s = _from_config(TwoSampleSummary, cfg["theta_hat"], cfg["n"], cfg["beta_hat"], cfg["m"])
     rows = []
     from .estimators import estimate as run_estimate
 
@@ -284,10 +300,17 @@ def _cmd_estimate(cfg: dict[str, Any]) -> None:
     print(f"wrote {path}")
 
 
+def _nodes(cfg: dict[str, Any]) -> int | None:
+    nodes = cfg["nodes"] or None
+    if nodes is not None and nodes < MIN_NODES:
+        raise ConfigError(f"nodes must be 0 (per-estimator default) or >= {MIN_NODES}, got {nodes}")
+    return nodes
+
+
 def _cmd_srmse_curve(cfg: dict[str, Any]) -> None:
     n, m = cfg["n"], cfg["m"]
     grid = np.linspace(0.0, cfg["sqrt_n_delta_max"], cfg["grid_points"]) / math.sqrt(n)
-    nodes = cfg["nodes"] or None
+    nodes = _nodes(cfg)
     rows = []
     series = []
     for config in _estimator_configs(cfg, oracle_tracks_delta=True):
@@ -311,7 +334,7 @@ def _cmd_bayes_risk_table(cfg: dict[str, Any]) -> None:
     unknown = set(cfg["priors"]) - set(priors)
     if unknown:
         raise ConfigError(f"unknown priors: {sorted(unknown)}")
-    nodes = cfg["nodes"] or None
+    nodes = _nodes(cfg)
     rows = []
     for config in _estimator_configs(cfg, oracle_tracks_delta=True):
         for pname in cfg["priors"]:
@@ -333,7 +356,7 @@ def _convention(cfg: dict[str, Any]):
     if name == "delta-zero":
         return DeltaZero()
     if name == "delta-bounded":
-        return DeltaBounded(cfg["delta0"])
+        return _from_config(DeltaBounded, cfg["delta0"])
     raise ConfigError(f"unknown convention {name!r}")
 
 
@@ -349,7 +372,7 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
     rows = []
     series = []
     for config in _estimator_configs(cfg, oracle_tracks_delta=True):
-        spec = TestSpec(cfg["theta0"], cfg["alpha"], conv, config, n, m)
+        spec = _from_config(TestSpec, cfg["theta0"], cfg["alpha"], conv, config, n, m)
         curve = testing.power_curve(spec, theta, grid, seed=cfg["seed"])
         for d, p in zip(curve.delta, curve.rejection_prob):
             rows.append([curve.estimator, curve.convention, theta, d, curve.critical, p])
@@ -375,8 +398,8 @@ def _cmd_densities(cfg: dict[str, Any]) -> None:
     quantile_rows = []
     for scen_i, snd in enumerate(cfg["sqrt_n_delta"]):
         delta = snd / math.sqrt(n)
-        plan = SimPlan(
-            n=n, m=m, theta=0.0, delta=delta, replicates=cfg["replicates"],
+        plan = _from_config(
+            SimPlan, n=n, m=m, theta=0.0, delta=delta, replicates=cfg["replicates"],
             seed=cfg["seed"] + scen_i, estimators=tuple(configs),
         )
         dists = simulate(plan, workers=cfg["workers"])
@@ -402,9 +425,9 @@ def _cmd_densities(cfg: dict[str, Any]) -> None:
 
 
 def _cmd_example_prams(cfg: dict[str, Any]) -> None:
-    current = BinomialRaw(cfg["successes"], cfg["trials"])
+    current = _from_config(BinomialRaw, cfg["successes"], cfg["trials"])
     ext_events = round(cfg["external_rate"] * cfg["external_size"])
-    external = BinomialRaw(int(ext_events), cfg["external_size"])
+    external = _from_config(BinomialRaw, int(ext_events), cfg["external_size"])
     raw, (cur_st, ext_st) = from_raw_binomial(current, external)
     s_st = standardized_two_sample(cur_st, ext_st)
     sens = cfg["sens"]
@@ -477,9 +500,9 @@ def _cmd_asymptotics_check(cfg: dict[str, Any]) -> None:
     draws = cfg["draws"]
     rows = []
     for hi, h in enumerate(cfg["h"]):
-        sc = LocalScenario(h=h, p=p)
-        plan = SimPlan(
-            n=n, m=m, theta=0.0, delta=h / math.sqrt(n), replicates=draws,
+        sc = _from_config(LocalScenario, h=h, p=p)
+        plan = _from_config(
+            SimPlan, n=n, m=m, theta=0.0, delta=h / math.sqrt(n), replicates=draws,
             seed=cfg["seed"] + hi, estimators=tuple(configs),
         )
         finite = simulate(plan, workers=cfg["workers"])
@@ -530,3 +553,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -53,6 +53,7 @@ __all__ = [
 
 DEFAULT_NODES = 128
 LSTP_NODES = 96
+MIN_NODES = 64
 _TAIL_SPAN = 8.0  # effective support of unbounded priors, in scale units
 
 
@@ -212,8 +213,8 @@ def _mse_many(
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    if nodes < 64:
-        raise ValueError("nodes must be >= 64")
+    if nodes < MIN_NODES:
+        raise ValueError(f"nodes must be >= {MIN_NODES}")
     deltas = np.asarray(deltas, dtype=float)
     x, w = _gh_nodes(nodes)
     u = math.sqrt(2.0 / n) * x  # theta_hat - theta

@@ -149,6 +149,9 @@ def convention_id(conv: Convention) -> str:
 # ---------------------------------------------------------------------------
 
 
+_PANEL_RULE = leggauss(12)  # Gauss-Legendre rule on each conflict panel
+
+
 def _conflict_panels(spec: TestSpec, delta: float, span: float = 9.5) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes/weights over the conflict-statistic range, split at kinks."""
     s = math.sqrt(1.0 / spec.n + 1.0 / spec.m)
@@ -158,7 +161,7 @@ def _conflict_panels(spec: TestSpec, delta: float, span: float = 9.5) -> tuple[n
         if lo < b < hi:
             edges.add(b)
     edges = sorted(edges)
-    xg, wg = leggauss(12)
+    xg, wg = _PANEL_RULE
     xs, ws = [], []
     max_width = 0.5 * s
     for a, b in zip(edges[:-1], edges[1:]):
@@ -473,8 +476,9 @@ def tipping_point(
 ) -> float:
     """Conflict bound at which the bounded-conflict p-value reaches ``target_p``.
 
-    Common random numbers across the conflict grid plus isotonic smoothing
-    tame the Monte Carlo noise before the crossing is interpolated.
+    Common random numbers across the conflict grid plus a running-maximum
+    envelope (the p-values made nondecreasing in the bound) tame the Monte
+    Carlo noise before the crossing is interpolated.
     """
     if not 0.0 < target_p < 1.0:
         raise ValueError("target_p must lie in (0, 1)")

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dibkit
 from dibkit.cli import run
 
 
@@ -186,3 +191,40 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
 
 def test_unknown_subcommand_is_config_error():
     assert run(["no-such-command"]) == 2
+
+
+_ESTIMATE = ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1", "--m", "400"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, error, message",
+    [
+        (_ESTIMATE + ["--estimators", "ttpool", "--c", "-1"], 2, "ConfigError", "threshold c"),
+        (_ESTIMATE + ["--n", "0"], 2, "ConfigError", "sample sizes"),
+        (["power", "--alpha", "1.5"], 2, "ConfigError", "alpha"),
+        (["bayes-risk-table", "--nodes", "10"], 2, "ConfigError", "nodes"),
+        (_ESTIMATE + ["--theta-hat", "nan"], 2, "ConfigError", "finite"),
+        (
+            ["srmse-curve", "--n", "1", "--m", "1", "--estimators", "lstp",
+             "--grid-points", "2", "--sqrt-n-delta-max", "1e300"],
+            3, "NodeEvaluationError", "non-finite estimate",
+        ),
+    ],
+)
+def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, message):
+    assert run(argv + ["--out-dir", str(tmp_path)]) == code
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == error
+    assert message in record["message"]
+
+
+@pytest.mark.parametrize("module", ["dibkit", "dibkit.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(dibkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "--help"], capture_output=True, text=True, env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "densities" in proc.stdout
