@@ -27,19 +27,7 @@ from typing import Literal, Union
 import numpy as np
 
 from . import streams
-from .estimators import (
-    AdaptiveMmse,
-    EmpiricalBayesPowerPrior,
-    EstimatorConfig,
-    GeneralizedBorrow,
-    HellingerPowerPrior,
-    Mle,
-    OracleMmse,
-    Pooled,
-    SensitivityMmse,
-    TestThenPool,
-    estimator_id,
-)
+from .estimators import EstimatorConfig, Mle, Pooled
 
 __all__ = [
     "LocalScenario",
@@ -99,45 +87,10 @@ def limit_value(
     z1 = np.asarray(zeta1, dtype=float)
     z2 = np.asarray(zeta2, dtype=float)
     p = sc.p
-    xi = _xi(sc, z1, z2)
-
     if kind == EXTERNAL_MLE:
         return math.sqrt(p / (1.0 - p)) * z2 + sc.h
-    if isinstance(kind, Mle):
-        return z1.copy()
-    if isinstance(kind, Pooled):
-        return p * z1 + math.sqrt(p * (1.0 - p)) * z2 + (1.0 - p) * sc.h
-    if isinstance(kind, TestThenPool):
-        pooled = p * z1 + math.sqrt(p * (1.0 - p)) * z2 + (1.0 - p) * sc.h
-        # joint indicator form from the proof, not an independent two-point mixture
-        return np.where(xi * xi >= kind.c, z1, pooled)
-
-    scaled_conflict = xi / math.sqrt(1.0 - p)
-    if isinstance(kind, OracleMmse):
-        w = (1.0 - p) / (1.0 + (1.0 - p) * sc.h * sc.h)
-        return z1 + w * scaled_conflict
-    if isinstance(kind, AdaptiveMmse):
-        w = (1.0 - p) / (1.0 + xi * xi)
-        return z1 + w * scaled_conflict
-    if isinstance(kind, SensitivityMmse):
-        w = (1.0 - p) / (1.0 + kind.sens * xi * xi)
-        return z1 + w * scaled_conflict
-    if isinstance(kind, GeneralizedBorrow):
-        w = np.asarray(kind.g(kind.sens * xi * xi / (1.0 - p)), dtype=float)
-        if np.any(w < 0.0) or np.any(w > 1.0):
-            raise ValueError("invalid mixing function: g must map into [0, 1]")
-        return z1 + w * scaled_conflict
-    if isinstance(kind, EmpiricalBayesPowerPrior):
-        gamma = p / (np.maximum(xi * xi, 1.0) - 1.0 + p)
-        w = (1.0 - p) / ((1.0 - p) + p / gamma)
-        return z1 + w * scaled_conflict
-    if isinstance(kind, HellingerPowerPrior):
-        gamma = (1.0 - np.sqrt(1.0 - np.exp(-xi * xi / (8.0 - 8.0 * p)))) ** 2
-        w = (1.0 - p) / ((1.0 - p) + p / gamma)
-        return z1 + w * scaled_conflict
-
-    name = kind if isinstance(kind, str) else estimator_id(kind)
-    raise ValueError(f"no closed limit law implemented for {name!r}")
+    xi = _xi(sc, z1, z2)
+    return z1 + kind.limit_weight(xi, p, sc.h) * (xi / math.sqrt(1.0 - p))
 
 
 def limit_draw(kind: LimitKind, sc: LocalScenario, rng: np.random.Generator) -> LimitDraw:

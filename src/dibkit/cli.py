@@ -29,6 +29,7 @@ from .asymptotics import LocalScenario, limit_sample
 from .estimators import (
     EstimatorConfig,
     OracleMmse,
+    SensitivityMmse,
     config_from_id,
     estimator_id,
 )
@@ -224,10 +225,17 @@ def _effective_config(subcommand: str, namespace: argparse.Namespace) -> dict[st
             elif opt.type in (_floats, _names) and isinstance(value, (list, tuple)):
                 merged[key] = opt.type(",".join(str(v) for v in value))
             else:
-                merged[key] = opt.type(value)
+                try:
+                    merged[key] = opt.type(value)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"config key {key!r}: {exc}") from exc
     for key in options:
         if hasattr(namespace, key):
             merged[key] = getattr(namespace, key)
+    for key, opt in options.items():
+        if opt.type in (float, _floats) and merged[key] is not None:
+            if not np.all(np.isfinite(merged[key])):
+                raise ConfigError(f"{key} must be finite, got {merged[key]}")
     if merged.get("out_dir") is None:
         merged["out_dir"] = os.environ.get(ENV_OUT_DIR, ".")
     merged["subcommand"] = subcommand
@@ -428,14 +436,16 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
     current = _from_config(BinomialRaw, cfg["successes"], cfg["trials"])
     ext_events = round(cfg["external_rate"] * cfg["external_size"])
     external = _from_config(BinomialRaw, int(ext_events), cfg["external_size"])
+    config = _from_config(SensitivityMmse, cfg["sens"])
+    for d0 in cfg["delta0_list"]:  # each is a bounded-conflict null: reject before any work
+        _from_config(DeltaBounded, d0)
     raw, (cur_st, ext_st) = from_raw_binomial(current, external)
     s_st = standardized_two_sample(cur_st, ext_st)
-    sens = cfg["sens"]
+    sens = config.sens
     theta0 = cfg["theta0"]
     theta0_st = theta0 / cur_st.sd
-    from .estimators import est_ammse_s
 
-    est_st = est_ammse_s(s_st, sens)
+    est_st = config.result(s_st)
     estimate_raw = est_st.theta_est * cur_st.sd
 
     resamples = 10_000_000 if cfg["full_fidelity"] else cfg["resamples"]

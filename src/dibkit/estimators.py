@@ -2,10 +2,13 @@
 
 Every estimator here can be written as ``theta_hat + q(delta_hat)`` where
 ``delta_hat = beta_hat - theta_hat`` is the observed conflict and ``q`` is an
-estimator-specific correction.  The vectorized corrections
-(:func:`conflict_correction`) are the workhorse shared by the risk, testing
-and Monte Carlo modules; the public ``est_*`` functions wrap them for single
-summaries and report the realized mixing weight where one exists.
+estimator-specific correction.  Each configuration class carries its own
+formulas: the vectorized correction (or the mixing weight ``w`` where
+``q = w * delta_hat``), the kinks of the correction, the closed limit weight
+where one exists, and the fields it reports on a single summary.
+:func:`conflict_correction` is the vectorized workhorse shared by the risk,
+testing and Monte Carlo modules; the public ``est_*`` functions run the same
+kernel on one summary.
 
 Families
 --------
@@ -22,8 +25,8 @@ Families
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Union, get_args
 
 import numpy as np
 
@@ -68,10 +71,100 @@ __all__ = [
     "est_lstp",
     "est_ltr",
     "lstp_delta_mode",
-    "lstp_delta_mode_scan",
     "lstp_profile_objective",
     "alasso_delta",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Shared formulas and estimator families
+# ---------------------------------------------------------------------------
+
+
+_REPORTED = ("delta_est", "gamma_est", "weight")  # the optional EstimateResult fields
+
+
+def _pooled_weight(n: int, m: int) -> float:
+    return m / (n + m)
+
+
+def _power_prior_limit_weight(gamma: np.ndarray, p: float) -> np.ndarray:
+    return (1.0 - p) / ((1.0 - p) + p / gamma)
+
+
+def _mixing(values: np.ndarray) -> np.ndarray:
+    """A user mixing function's values, checked to lie in [0, 1]."""
+    w = np.asarray(values, dtype=float)
+    if np.any(w < 0.0) or np.any(w > 1.0):
+        raise ValueError("invalid mixing function: g must map into [0, 1]")
+    return w
+
+
+def _ltr_constants(n: int, m: int) -> tuple[float, float]:
+    big_m = math.sqrt(1.0 / n + 1.0 / m)
+    big_c = big_m * (2.0 * m + n) / (m + n)
+    return big_m, big_c
+
+
+class _Estimator:
+    """What a configuration knows about its estimator.
+
+    A kind sets ``id``, the short stable identifier used in CSV output and CLI
+    flags, and defines its vectorized correction: ``correction(d, n, m,
+    delta_true)`` itself or, where ``q = w * d``, the mixing weight
+    ``weight(d, n, m, delta_true)``.  Its methods named after optional
+    :class:`EstimateResult` fields (``delta_est``, ``gamma_est``, ``weight``)
+    are the fields it reports.
+    """
+
+    id: ClassVar[str]
+
+    def correction(self, d: np.ndarray, n: int, m: int, delta_true: float | None = None):
+        return self.weight(d, n, m, delta_true) * d
+
+    def result(self, s: TwoSampleSummary) -> EstimateResult:
+        """``theta_hat + q(delta_hat)`` on one summary, with the fields the kind reports."""
+        d = np.asarray(s.delta_hat)
+        reported = {f: float(getattr(self, f)(d, s.n, s.m)) for f in _REPORTED if hasattr(self, f)}
+        return EstimateResult(s.theta_hat + float(self.correction(d, s.n, s.m)), **reported)
+
+    def breakpoints(self, n: int, m: int) -> tuple[float, ...]:
+        """Conflict values where the correction is non-smooth (for quadrature splits)."""
+        return ()
+
+    def limit_weight(self, xi: np.ndarray, p: float, h: float) -> np.ndarray:
+        """Limit of the mixing weight, given the limit ``xi`` of the conflict z-statistic."""
+        raise ValueError(f"no closed limit law implemented for {self.id!r}")
+
+
+class _Mmse(_Estimator):
+    """MSE-optimal mixing weight with the conflict's pull scaled by ``sens``."""
+
+    def weight(self, d, n, m, delta_true=None):
+        return m / (n + m + m * n * d * d * self.sens)
+
+    def limit_weight(self, xi, p, h):
+        return (1.0 - p) / (1.0 + self.sens * xi * xi)
+
+
+class _PowerPrior(_Estimator):
+    """Power prior: the external likelihood raised to the power ``gamma_est``."""
+
+    def weight(self, d, n, m, delta_true=None):
+        gamma = self.gamma_est(d, n, m)
+        # m/(m + n/gamma), written to stay finite as gamma -> 0
+        return m * gamma / (m * gamma + n)
+
+
+class _ConflictMode(_Estimator):
+    """Estimate the conflict as ``delta_est``, then pool the corrected external mean.
+
+    ``theta_est = (n theta_hat + m (beta_hat - delta_est)) / (n + m)``, i.e.
+    ``q = m/(n+m) * (delta_hat - delta_est)``.
+    """
+
+    def correction(self, d, n, m, delta_true=None):
+        return _pooled_weight(n, m) * (d - self.delta_est(d, n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -80,28 +173,58 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Mle:
+class Mle(_Estimator):
     """Current-data mean only; never borrows."""
 
+    id: ClassVar[str] = "mle"
+
+    def weight(self, d, n, m, delta_true=None):
+        return 0.0
+
+    def limit_weight(self, xi, p, h):
+        return 0.0
+
 
 @dataclass(frozen=True)
-class Pooled:
+class Pooled(_Estimator):
     """Precision-weighted combination of both means; optimal at zero conflict."""
 
+    id: ClassVar[str] = "pooled"
+
+    def weight(self, d, n, m, delta_true=None):
+        return _pooled_weight(n, m)
+
+    def limit_weight(self, xi, p, h):
+        return 1.0 - p
+
 
 @dataclass(frozen=True)
-class TestThenPool:
+class TestThenPool(_Estimator):
     """Pool unless the squared conflict z-statistic reaches ``c`` (default 3.84)."""
 
+    id: ClassVar[str] = "ttpool"
     c: float = 3.84
 
     def __post_init__(self) -> None:
         if not self.c > 0:
             raise ValueError("test-then-pool threshold c must be positive")
 
+    def weight(self, d, n, m, delta_true=None):
+        # ties resolve to rejection
+        xi2 = d * d / (1.0 / n + 1.0 / m)
+        return np.where(xi2 >= self.c, 0.0, _pooled_weight(n, m))
+
+    def breakpoints(self, n, m):
+        b = math.sqrt(self.c * (1.0 / n + 1.0 / m))
+        return (-b, b)
+
+    def limit_weight(self, xi, p, h):
+        # joint indicator form from the proof, not an independent two-point mixture
+        return np.where(xi * xi >= self.c, 0.0, 1.0 - p)
+
 
 @dataclass(frozen=True)
-class OracleMmse:
+class OracleMmse(_Mmse):
     """MSE-optimal mixing weight computed at a known conflict value.
 
     ``delta_true=None`` means "track the true conflict of the evaluation
@@ -110,22 +233,41 @@ class OracleMmse:
     estimator :func:`est_ommse` always requires an explicit value.
     """
 
+    id: ClassVar[str] = "ommse"
+    sens: ClassVar[float] = 1.0  # the adaptive weight, evaluated at the true conflict
     delta_true: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.delta_true is not None and not math.isfinite(self.delta_true):
+            raise ValueError("delta_true must be finite")
+
+    def weight(self, d, n, m, delta_true=None):
+        dt = self.delta_true if self.delta_true is not None else delta_true
+        if dt is None:
+            raise ValueError("oracle MMSE needs a conflict value (delta_true)")
+        return super().weight(dt, n, m)
+
+    def limit_weight(self, xi, p, h):
+        return (1.0 - p) / (1.0 + (1.0 - p) * h * h)
+
 
 @dataclass(frozen=True)
-class AdaptiveMmse:
+class AdaptiveMmse(_Mmse):
     """Oracle MMSE weight with the observed conflict plugged in."""
 
+    id: ClassVar[str] = "ammse"
+    sens: ClassVar[float] = 1.0  # the sens = 1 member of the sensitivity family
+
 
 @dataclass(frozen=True)
-class SensitivityMmse:
+class SensitivityMmse(_Mmse):
     """Adaptive MMSE family indexed by a sensitivity-to-conflict ``sens >= 0``.
 
     ``sens=0`` always pools, ``sens=1`` recovers the plain adaptive MMSE and
     larger values suppress external data more aggressively.
     """
 
+    id: ClassVar[str] = "ammse-s"
     sens: float
 
     def __post_init__(self) -> None:
@@ -134,12 +276,13 @@ class SensitivityMmse:
 
 
 @dataclass(frozen=True)
-class GeneralizedBorrow:
+class GeneralizedBorrow(_Estimator):
     """User-supplied mixing function ``g`` applied to ``n * delta_hat^2 * sens``.
 
     ``g`` must map non-negative reals into [0, 1].
     """
 
+    id: ClassVar[str] = "gdib"
     g: Callable[[np.ndarray], np.ndarray]
     sens: float
 
@@ -147,58 +290,124 @@ class GeneralizedBorrow:
         if not self.sens >= 0:
             raise ValueError("sensitivity must be non-negative")
 
+    def weight(self, d, n, m, delta_true=None):
+        return _mixing(self.g(n * d * d * self.sens))
+
+    def limit_weight(self, xi, p, h):
+        return _mixing(self.g(self.sens * xi * xi / (1.0 - p)))
+
 
 @dataclass(frozen=True)
-class AdaptiveLasso:
+class AdaptiveLasso(_ConflictMode):
     """Penalized likelihood with an adaptive L1 penalty on the conflict."""
 
+    id: ClassVar[str] = "alasso"
     tau: float = 0.25
 
     def __post_init__(self) -> None:
         if not 0 < self.tau < 0.5:
             raise ValueError("tau must lie in (0, 0.5)")
 
+    def delta_est(self, d, n, m):
+        return alasso_delta(d, n, m, self.tau)
+
+    def breakpoints(self, n, m):
+        b = math.sqrt((n + m) ** (1.0 + self.tau) / (2.0 * n * m))
+        return (-b, b)
+
 
 @dataclass(frozen=True)
-class FixedPowerPrior:
+class FixedPowerPrior(_PowerPrior):
     """External likelihood raised to a fixed power ``gamma`` in (0, 1]."""
 
+    id: ClassVar[str] = "power-prior"
     gamma: float
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
 
+    def gamma_est(self, d, n, m):
+        return np.asarray(self.gamma)
+
 
 @dataclass(frozen=True)
-class HellingerPowerPrior:
+class HellingerPowerPrior(_PowerPrior):
     """Power prior with gamma estimated from the Hellinger distance."""
 
+    id: ClassVar[str] = "hdpp"
+
+    def gamma_est(self, d, n, m):
+        return (1.0 - np.sqrt(1.0 - np.exp(-n * d * d / 8.0))) ** 2
+
+    def limit_weight(self, xi, p, h):
+        gamma = (1.0 - np.sqrt(1.0 - np.exp(-xi * xi / (8.0 - 8.0 * p)))) ** 2
+        return _power_prior_limit_weight(gamma, p)
+
 
 @dataclass(frozen=True)
-class EmpiricalBayesPowerPrior:
+class EmpiricalBayesPowerPrior(_PowerPrior):
     """Power prior with gamma estimated by marginal-likelihood maximization."""
 
+    id: ClassVar[str] = "ebpp"
+
+    def gamma_est(self, d, n, m):
+        return (1.0 / m) / (np.maximum(d * d, 1.0 / n + 1.0 / m) - 1.0 / n)
+
+    def limit_weight(self, xi, p, h):
+        gamma = p / (np.maximum(xi * xi, 1.0) - 1.0 + p)
+        return _power_prior_limit_weight(gamma, p)
+
 
 @dataclass(frozen=True)
-class NormalPriorBayes:
+class NormalPriorBayes(_Estimator):
     """Posterior mode under a N(0, 1/n) prior on the conflict."""
 
+    id: ClassVar[str] = "np"
+
+    def weight(self, d, n, m, delta_true=None):
+        return m / (2.0 * m + n)
+
+    def delta_est(self, d, n, m):
+        return self.weight(d, n, m) * d
+
 
 @dataclass(frozen=True)
-class StudentTPriorBayes:
+class StudentTPriorBayes(_ConflictMode):
     """Posterior mode under a location-scale t prior (scale 1/sqrt(n)) on the conflict."""
 
+    id: ClassVar[str] = "lstp"
     v: int = 3
 
     def __post_init__(self) -> None:
         if self.v < 3:
             raise ValueError("degrees of freedom v must be >= 3")
 
+    def delta_est(self, d, n, m):
+        return lstp_delta_mode(d, n, m, self.v)
+
 
 @dataclass(frozen=True)
-class LimitedTranslation:
+class LimitedTranslation(_Estimator):
     """Normal-prior Bayes rule with the translation capped at the testing boundary."""
+
+    id: ClassVar[str] = "ltr"
+
+    def correction(self, d, n, m, delta_true=None):
+        big_m, big_c = _ltr_constants(n, m)
+        cap = big_m * m / (m + n)
+        inner = m / (2.0 * m + n) * d
+        # outer-branch signs continue the inner rule at |delta_hat| = C; the
+        # translation is capped at the value it attains on that boundary
+        return np.where(d > big_c, cap, np.where(d < -big_c, -cap, inner))
+
+    def delta_est(self, d, n, m):
+        big_m, big_c = _ltr_constants(n, m)
+        return np.where(d > big_c, d - big_m, np.where(d < -big_c, d + big_m, m / (2.0 * m + n) * d))
+
+    def breakpoints(self, n, m):
+        _, big_c = _ltr_constants(n, m)
+        return (-big_c, big_c)
 
 
 EstimatorConfig = Union[
@@ -219,28 +428,9 @@ EstimatorConfig = Union[
 ]
 
 
-_ID_TO_KIND: dict[str, type] = {
-    "mle": Mle,
-    "pooled": Pooled,
-    "ttpool": TestThenPool,
-    "ommse": OracleMmse,
-    "ammse": AdaptiveMmse,
-    "ammse-s": SensitivityMmse,
-    "gdib": GeneralizedBorrow,
-    "alasso": AdaptiveLasso,
-    "power-prior": FixedPowerPrior,
-    "hdpp": HellingerPowerPrior,
-    "ebpp": EmpiricalBayesPowerPrior,
-    "np": NormalPriorBayes,
-    "lstp": StudentTPriorBayes,
-    "ltr": LimitedTranslation,
-}
-_KIND_TO_ID = {v: k for k, v in _ID_TO_KIND.items()}
-
-
 def estimator_id(config: EstimatorConfig) -> str:
     """Short stable identifier used in CSV output and CLI flags."""
-    return _KIND_TO_ID[type(config)]
+    return config.id
 
 
 def config_from_id(
@@ -253,25 +443,18 @@ def config_from_id(
     v: int = 3,
     delta_true: float | None = None,
 ) -> EstimatorConfig:
-    """Build a configuration from its CLI identifier and tuning flags."""
-    kind = _ID_TO_KIND.get(name)
+    """Build a configuration from its CLI identifier and tuning flags.
+
+    Each flag is named after the configuration field it sets.
+    """
+    kinds = get_args(EstimatorConfig)
+    kind = next((k for k in kinds if k.id == name), None)
     if kind is None:
-        raise ValueError(f"unknown estimator id {name!r}; known: {sorted(_ID_TO_KIND)}")
-    if kind is TestThenPool:
-        return TestThenPool(c=c)
-    if kind is OracleMmse:
-        return OracleMmse(delta_true=delta_true)
-    if kind is SensitivityMmse:
-        return SensitivityMmse(sens=sens)
+        raise ValueError(f"unknown estimator id {name!r}; known: {sorted(k.id for k in kinds)}")
     if kind is GeneralizedBorrow:
         raise ValueError("gdib needs a mixing function and cannot be built from the CLI")
-    if kind is AdaptiveLasso:
-        return AdaptiveLasso(tau=tau)
-    if kind is FixedPowerPrior:
-        return FixedPowerPrior(gamma=gamma)
-    if kind is StudentTPriorBayes:
-        return StudentTPriorBayes(v=v)
-    return kind()
+    flags = {"c": c, "tau": tau, "sens": sens, "gamma": gamma, "v": v, "delta_true": delta_true}
+    return kind(**{f.name: flags[f.name] for f in fields(kind)})
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +481,6 @@ class EstimateResult:
 # ---------------------------------------------------------------------------
 # Vectorized correction kernels: T = theta_hat + q(delta_hat)
 # ---------------------------------------------------------------------------
-
-
-def _pooled_weight(n: int, m: int) -> float:
-    return m / (n + m)
 
 
 def alasso_delta(delta_hat: np.ndarray, n: int, m: int, tau: float) -> np.ndarray:
@@ -335,52 +514,6 @@ def lstp_profile_objective(
     return 0.5 * (v + 1) * np.log(v + n * d * d) + a * (delta_hat - d) ** 2
 
 
-def lstp_delta_mode_scan(
-    delta_hat: np.ndarray,
-    n: int,
-    m: int,
-    v: int = 3,
-    *,
-    coarse: int = 1000,
-    chunk: int = 262_144,
-) -> np.ndarray:
-    """Conflict value at the joint posterior mode, by bracketed global search.
-
-    Minimizes :func:`lstp_profile_objective` over the bracket
-    ``[min(0, delta_hat), max(0, delta_hat)]`` padded by five conflict SDs.
-    The objective can be bimodal at moderate conflict, so a coarse global
-    scan precedes bisection of f' on the winning cell; the refinement drives
-    the bracket below 1e-10.
-    """
-    d = np.asarray(delta_hat, dtype=float)
-    flat = d.ravel()
-    out = np.empty_like(flat)
-    pad = 5.0 * math.sqrt(1.0 / n + 1.0 / m)
-    a = n * m / (2.0 * (n + m))
-
-    def fprime(x: np.ndarray, dh: np.ndarray) -> np.ndarray:
-        return (v + 1.0) * n * x / (v + n * x * x) - 2.0 * a * (dh - x)
-
-    t = np.linspace(0.0, 1.0, coarse)
-    for start in range(0, flat.size, chunk):
-        dh = flat[start : start + chunk]
-        lo = np.minimum(0.0, dh) - pad
-        hi = np.maximum(0.0, dh) + pad
-        grid = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-        f = lstp_profile_objective(grid, dh[:, None], n, m, v)
-        k = np.clip(np.argmin(f, axis=1), 1, coarse - 2)
-        left = np.take_along_axis(grid, (k - 1)[:, None], axis=1).ravel()
-        right = np.take_along_axis(grid, (k + 1)[:, None], axis=1).ravel()
-        # 64 bisection steps shrink the cell by 2^-64, far below 1e-10
-        for _ in range(64):
-            mid = 0.5 * (left + right)
-            neg = fprime(mid, dh) < 0.0
-            left = np.where(neg, mid, left)
-            right = np.where(neg, right, mid)
-        out[start : start + chunk] = 0.5 * (left + right)
-    return out.reshape(d.shape)
-
-
 def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = 3) -> np.ndarray:
     """Conflict value at the joint posterior mode, by exact stationary points.
 
@@ -391,9 +524,8 @@ def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = 3) -> np.nda
 
     with ``a = n m / (2 (n+m))``.  Its real roots are the stationary points;
     the global mode is the root with the smallest objective (the objective is
-    coercive, so the minimum is never at a bracket edge).  Agrees with the
-    scan-and-refine search to floating-point accuracy and is used by the
-    vectorized risk/simulation paths where millions of solves are needed.
+    coercive, so the minimum is never at a bracket edge).  Agrees with a
+    bracketed scan-and-bisect global search to floating-point accuracy.
     """
     d = np.asarray(delta_hat, dtype=float)
     dh = d.ravel()
@@ -434,26 +566,6 @@ def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = 3) -> np.nda
     return out.reshape(d.shape)
 
 
-def _gamma_hd(delta_hat: np.ndarray, n: int) -> np.ndarray:
-    return (1.0 - np.sqrt(1.0 - np.exp(-n * delta_hat * delta_hat / 8.0))) ** 2
-
-
-def _gamma_eb(delta_hat: np.ndarray, n: int, m: int) -> np.ndarray:
-    d2 = delta_hat * delta_hat
-    return (1.0 / m) / (np.maximum(d2, 1.0 / n + 1.0 / m) - 1.0 / n)
-
-
-def _power_prior_weight(gamma: np.ndarray, n: int, m: int) -> np.ndarray:
-    # m/(m + n/gamma), written to stay finite as gamma -> 0
-    return m * gamma / (m * gamma + n)
-
-
-def _ltr_constants(n: int, m: int) -> tuple[float, float]:
-    big_m = math.sqrt(1.0 / n + 1.0 / m)
-    big_c = big_m * (2.0 * m + n) / (m + n)
-    return big_m, big_c
-
-
 def conflict_correction(
     config: EstimatorConfig,
     delta_hat: np.ndarray,
@@ -467,64 +579,12 @@ def conflict_correction(
     ``delta_true`` feeds the oracle MMSE weight when the configuration left it
     unspecified (risk evaluation at a known scenario conflict).
     """
-    d = np.asarray(delta_hat, dtype=float)
-    w_pool = _pooled_weight(n, m)
-
-    if isinstance(config, Mle):
-        return np.zeros_like(d)
-    if isinstance(config, Pooled):
-        return w_pool * d
-    if isinstance(config, TestThenPool):
-        xi2 = d * d / (1.0 / n + 1.0 / m)
-        return np.where(xi2 >= config.c, 0.0, w_pool * d)
-    if isinstance(config, OracleMmse):
-        dt = config.delta_true if config.delta_true is not None else delta_true
-        if dt is None:
-            raise ValueError("oracle MMSE needs a conflict value (delta_true)")
-        return m / (n + m + n * m * dt * dt) * d
-    if isinstance(config, AdaptiveMmse):
-        return m / (n + m + n * m * d * d) * d
-    if isinstance(config, SensitivityMmse):
-        return m / (n + m + m * n * d * d * config.sens) * d
-    if isinstance(config, GeneralizedBorrow):
-        gval = np.asarray(config.g(n * d * d * config.sens), dtype=float)
-        if np.any(gval < 0.0) or np.any(gval > 1.0):
-            raise ValueError("invalid mixing function: g must map into [0, 1]")
-        return gval * d
-    if isinstance(config, AdaptiveLasso):
-        return w_pool * (d - alasso_delta(d, n, m, config.tau))
-    if isinstance(config, FixedPowerPrior):
-        return _power_prior_weight(np.asarray(config.gamma), n, m) * d
-    if isinstance(config, HellingerPowerPrior):
-        return _power_prior_weight(_gamma_hd(d, n), n, m) * d
-    if isinstance(config, EmpiricalBayesPowerPrior):
-        return _power_prior_weight(_gamma_eb(d, n, m), n, m) * d
-    if isinstance(config, NormalPriorBayes):
-        return m / (2.0 * m + n) * d
-    if isinstance(config, StudentTPriorBayes):
-        return w_pool * (d - lstp_delta_mode(d, n, m, config.v))
-    if isinstance(config, LimitedTranslation):
-        big_m, big_c = _ltr_constants(n, m)
-        cap = big_m * m / (m + n)
-        inner = m / (2.0 * m + n) * d
-        # outer-branch signs continue the inner rule at |delta_hat| = C; the
-        # translation is capped at the value it attains on that boundary
-        return np.where(d > big_c, cap, np.where(d < -big_c, -cap, inner))
-    raise TypeError(f"unknown estimator configuration: {config!r}")
+    return config.correction(np.asarray(delta_hat, dtype=float), n, m, delta_true)
 
 
 def correction_breakpoints(config: EstimatorConfig, n: int, m: int) -> tuple[float, ...]:
     """Conflict values where the correction is non-smooth (for quadrature splits)."""
-    if isinstance(config, TestThenPool):
-        b = math.sqrt(config.c * (1.0 / n + 1.0 / m))
-        return (-b, b)
-    if isinstance(config, LimitedTranslation):
-        _, big_c = _ltr_constants(n, m)
-        return (-big_c, big_c)
-    if isinstance(config, AdaptiveLasso):
-        b = math.sqrt((n + m) ** (1.0 + config.tau) / (2.0 * n * m))
-        return (-b, b)
-    return ()
+    return config.breakpoints(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -532,141 +592,90 @@ def correction_breakpoints(config: EstimatorConfig, n: int, m: int) -> tuple[flo
 # ---------------------------------------------------------------------------
 
 
-def _weight_result(s: TwoSampleSummary, weight: float, gamma: float | None = None,
-                   delta_est: float | None = None) -> EstimateResult:
-    return EstimateResult(
-        theta_est=s.theta_hat + weight * s.delta_hat,
-        delta_est=delta_est,
-        gamma_est=gamma,
-        weight=weight,
-    )
-
-
 def est_mle(s: TwoSampleSummary) -> EstimateResult:
     """Current-data mean; ignores the external sample entirely."""
-    return _weight_result(s, 0.0)
+    return Mle().result(s)
 
 
 def est_pooled(s: TwoSampleSummary) -> EstimateResult:
     """Both samples pooled with precision weights."""
-    return _weight_result(s, _pooled_weight(s.n, s.m))
+    return Pooled().result(s)
 
 
 def est_ttpool(s: TwoSampleSummary, c: float = 3.84) -> EstimateResult:
     """Pool unless the conflict test rejects; ties resolve to rejection."""
-    if not c > 0:
-        raise ValueError("threshold c must be positive")
-    xi2 = s.delta_hat**2 / (1.0 / s.n + 1.0 / s.m)
-    if xi2 >= c:
-        return _weight_result(s, 0.0)
-    return _weight_result(s, _pooled_weight(s.n, s.m))
+    return TestThenPool(c).result(s)
 
 
 def est_ommse(s: TwoSampleSummary, delta_true: float) -> EstimateResult:
     """MSE-optimal mixing weight at a known conflict (not usable in practice)."""
-    if not math.isfinite(delta_true):
-        raise ValueError("delta_true must be finite")
-    w = s.m / (s.n + s.m + s.n * s.m * delta_true**2)
-    return _weight_result(s, w)
+    return OracleMmse(delta_true).result(s)
 
 
 def est_ammse(s: TwoSampleSummary) -> EstimateResult:
     """Oracle weight with the observed conflict plugged in."""
-    w = s.m / (s.n + s.m + s.n * s.m * s.delta_hat**2)
-    return _weight_result(s, w)
+    return AdaptiveMmse().result(s)
 
 
 def est_ammse_s(s: TwoSampleSummary, sens: float) -> EstimateResult:
     """Sensitivity-indexed adaptive MMSE; sens=0 pools, sens=1 is plain adaptive."""
-    if not sens >= 0:
-        raise ValueError("sensitivity must be non-negative")
-    w = s.m / (s.n + s.m + s.m * s.n * s.delta_hat**2 * sens)
-    return _weight_result(s, w)
+    return SensitivityMmse(sens).result(s)
 
 
 def est_gdib(
     s: TwoSampleSummary, g: Callable[[np.ndarray], np.ndarray], sens: float
 ) -> EstimateResult:
     """Generalized borrowing with a user-supplied mixing function."""
-    q = conflict_correction(GeneralizedBorrow(g=g, sens=sens), np.asarray(s.delta_hat), s.n, s.m)
-    w = float(np.asarray(g(np.asarray(s.n * s.delta_hat**2 * sens)), dtype=float))
-    return EstimateResult(theta_est=s.theta_hat + float(q), weight=w)
+    return GeneralizedBorrow(g, sens).result(s)
 
 
 def est_alasso(s: TwoSampleSummary, tau: float = 0.25) -> EstimateResult:
     """Adaptive-lasso estimate: soft-threshold the conflict, then re-pool."""
-    if not 0 < tau < 0.5:
-        raise ValueError("tau must lie in (0, 0.5)")
-    d_star = float(alasso_delta(np.asarray(s.delta_hat), s.n, s.m, tau))
-    theta = (s.n * s.theta_hat + s.m * (s.beta_hat - d_star)) / (s.n + s.m)
-    return EstimateResult(theta_est=theta, delta_est=d_star)
+    return AdaptiveLasso(tau).result(s)
 
 
 def power_prior_mean(s: TwoSampleSummary, gamma: float) -> EstimateResult:
     """Posterior mean when the external likelihood is tempered by ``gamma``."""
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    w = float(_power_prior_weight(np.asarray(gamma), s.n, s.m))
-    return _weight_result(s, w, gamma=gamma)
+    return FixedPowerPrior(gamma).result(s)
 
 
 def gamma_hd(s: TwoSampleSummary) -> float:
     """Hellinger-distance power-prior weight (normal-likelihood closed form)."""
-    return float(_gamma_hd(np.asarray(s.delta_hat), s.n))
+    return float(HellingerPowerPrior().gamma_est(np.asarray(s.delta_hat), s.n, s.m))
 
 
 def gamma_eb(s: TwoSampleSummary) -> float:
     """Empirical-Bayes power-prior weight; clamps to 1 for small conflicts."""
-    return float(_gamma_eb(np.asarray(s.delta_hat), s.n, s.m))
+    return float(EmpiricalBayesPowerPrior().gamma_est(np.asarray(s.delta_hat), s.n, s.m))
 
 
 def est_hdpp(s: TwoSampleSummary) -> EstimateResult:
-    g = gamma_hd(s)
-    w = float(_power_prior_weight(np.asarray(g), s.n, s.m))
-    return _weight_result(s, w, gamma=g)
+    return HellingerPowerPrior().result(s)
 
 
 def est_ebpp(s: TwoSampleSummary) -> EstimateResult:
-    g = gamma_eb(s)
-    w = float(_power_prior_weight(np.asarray(g), s.n, s.m))
-    return _weight_result(s, w, gamma=g)
+    return EmpiricalBayesPowerPrior().result(s)
 
 
 def est_np(s: TwoSampleSummary) -> EstimateResult:
     """Posterior mode under a N(0, 1/n) conflict prior and flat location prior."""
-    w = s.m / (2.0 * s.m + s.n)
-    return _weight_result(s, w, delta_est=w * s.delta_hat)
+    return NormalPriorBayes().result(s)
 
 
 def est_lstp(s: TwoSampleSummary, v: int = 3) -> EstimateResult:
     """Posterior mode under the location-scale t conflict prior.
 
     The location parameter is profiled out in closed form, leaving a
-    one-dimensional global search over the conflict
-    (:func:`lstp_delta_mode_scan`: coarse bracketed scan plus refinement).
+    one-dimensional problem in the conflict whose stationary points are the
+    real roots of a cubic; :func:`lstp_delta_mode` solves it exactly and
+    keeps the root with the smallest objective.
     """
-    if v < 3:
-        raise ValueError("degrees of freedom v must be >= 3")
-    d_star = float(lstp_delta_mode_scan(np.asarray(s.delta_hat), s.n, s.m, v))
-    theta = (s.n * s.theta_hat + s.m * (s.beta_hat - d_star)) / (s.n + s.m)
-    return EstimateResult(theta_est=theta, delta_est=d_star)
+    return StudentTPriorBayes(v).result(s)
 
 
 def est_ltr(s: TwoSampleSummary) -> EstimateResult:
     """Limited-translation rule: the normal-prior Bayes estimate with a capped move."""
-    big_m, big_c = _ltr_constants(s.n, s.m)
-    d = s.delta_hat
-    w_np = s.m / (2.0 * s.m + s.n)
-    if d > big_c:
-        delta_est = d - big_m
-        theta = s.theta_hat + big_m * s.m / (s.m + s.n)
-    elif d < -big_c:
-        delta_est = d + big_m
-        theta = s.theta_hat - big_m * s.m / (s.m + s.n)
-    else:
-        delta_est = w_np * d
-        theta = s.theta_hat + w_np * d
-    return EstimateResult(theta_est=theta, delta_est=delta_est)
+    return LimitedTranslation().result(s)
 
 
 _DISPATCH: dict[type, Callable[[EstimatorConfig, TwoSampleSummary], EstimateResult]] = {
@@ -689,8 +698,6 @@ _DISPATCH: dict[type, Callable[[EstimatorConfig, TwoSampleSummary], EstimateResu
 
 def estimate(config: EstimatorConfig, s: TwoSampleSummary) -> EstimateResult:
     """Single dispatch entry point routing a configuration to its estimator."""
-    if isinstance(config, OracleMmse) and config.delta_true is None:
-        raise ValueError("oracle MMSE needs delta_true for point estimation")
     fn = _DISPATCH.get(type(config))
     if fn is None:
         raise TypeError(f"unknown estimator configuration: {config!r}")

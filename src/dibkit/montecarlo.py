@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import streams
-from .estimators import EstimatorConfig, conflict_correction, estimator_id
+from .estimators import EstimatorConfig, SensitivityMmse, conflict_correction, estimator_id
 from .summaries import BinomialRaw
 
 __all__ = [
@@ -182,7 +182,7 @@ class BootstrapInterval:
 def _bootstrap_block(
     current: BinomialRaw,
     external: BinomialRaw,
-    sens: float,
+    config: SensitivityMmse,
     seed: int,
     block_index: int,
     count: int,
@@ -217,8 +217,7 @@ def _bootstrap_block(
     sd_ext = np.sqrt(r_ext * (1.0 - r_ext))
     th_st = r_cur / sd_cur
     dh_st = r_ext / sd_ext - th_st
-    weight = m / (n + m + m * n * dh_st * dh_st * sens)
-    est_raw = (th_st + weight * dh_st) * sd_cur  # back to the rate scale
+    est_raw = (th_st + conflict_correction(config, dh_st, n, m)) * sd_cur  # back to the rate scale
     return est_raw, redraws
 
 
@@ -247,7 +246,8 @@ def bootstrap_ci(
         raise ValueError("resamples must be >= 1")
     n_blocks = (resamples + _BOOT_BLOCK - 1) // _BOOT_BLOCK
     sizes = [min(_BOOT_BLOCK, resamples - i * _BOOT_BLOCK) for i in range(n_blocks)]
-    args = [(current, external, sens, seed, i, sizes[i], scheme) for i in range(n_blocks)]
+    config = SensitivityMmse(sens)
+    args = [(current, external, config, seed, i, sizes[i], scheme) for i in range(n_blocks)]
     if workers == 1 or n_blocks == 1:
         parts = [_bootstrap_block(*a) for a in args]
     else:

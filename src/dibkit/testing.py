@@ -37,10 +37,10 @@ from scipy.stats import norm
 from . import streams
 from .estimators import (
     EstimatorConfig,
+    SensitivityMmse,
     StudentTPriorBayes,
     conflict_correction,
     correction_breakpoints,
-    est_ammse_s,
     est_pooled,
     estimator_id,
 )
@@ -156,6 +156,8 @@ def _conflict_panels(spec: TestSpec, delta: float, span: float = 9.5) -> tuple[n
     """Quadrature nodes/weights over the conflict-statistic range, split at kinks."""
     s = math.sqrt(1.0 / spec.n + 1.0 / spec.m)
     lo, hi = delta - span * s, delta + span * s
+    if not lo < hi:
+        raise ValueError(f"conflict span {delta:g} +/- {span:g} * {s:g} rounds to a single point")
     edges = {lo, hi}
     for b in correction_breakpoints(spec.estimator, spec.n, spec.m):
         if lo < b < hi:
@@ -194,14 +196,16 @@ def sampling_cdf(
 
 
 def _mc_statistic_draws(
-    spec: TestSpec, theta: float, delta: float, draws: int, seed: int, stream: int
+    config: EstimatorConfig, n: int, m: int, theta0: float, theta: float, delta: float,
+    draws: int, seed: int, stream: int,
 ) -> np.ndarray:
+    """Seeded draws of ``sqrt(n) * (estimate - theta0)`` at the given truth."""
     z1 = streams.addressed_normals(seed, stream, 0, draws)
     z2 = streams.addressed_normals(seed, stream, draws, draws)
-    theta_hat = theta + z1 / math.sqrt(spec.n)
-    beta_hat = theta + delta + z2 / math.sqrt(spec.m)
-    q = conflict_correction(spec.estimator, beta_hat - theta_hat, spec.n, spec.m, delta_true=delta)
-    return math.sqrt(spec.n) * (theta_hat + q - spec.theta0)
+    theta_hat = theta + z1 / math.sqrt(n)
+    beta_hat = theta + delta + z2 / math.sqrt(m)
+    q = conflict_correction(config, beta_hat - theta_hat, n, m, delta_true=delta)
+    return math.sqrt(n) * (theta_hat + q - theta0)
 
 
 def _needs_mc(config: EstimatorConfig) -> bool:
@@ -220,7 +224,9 @@ def null_quantile(
     """(1-alpha) quantile of Z under ``theta = theta0`` at the given conflict."""
     prob = 1.0 - spec.alpha if prob is None else prob
     if _needs_mc(spec.estimator):
-        zs = _mc_statistic_draws(spec, spec.theta0, delta, mc_draws, seed, stream)
+        zs = _mc_statistic_draws(
+            spec.estimator, spec.n, spec.m, spec.theta0, spec.theta0, delta, mc_draws, seed, stream
+        )
         return float(np.quantile(zs, prob))
     t, _ = _conflict_panels(spec, delta)
     q = conflict_correction(spec.estimator, t, spec.n, spec.m, delta_true=delta)
@@ -306,7 +312,9 @@ def power(
     if math.isinf(crit):
         return 0.0
     if _needs_mc(spec.estimator):
-        zs = _mc_statistic_draws(spec, theta, delta, mc_draws, seed, stream)
+        zs = _mc_statistic_draws(
+            spec.estimator, spec.n, spec.m, spec.theta0, theta, delta, mc_draws, seed, stream
+        )
         return float(np.mean(zs > crit))
     return 1.0 - float(sampling_cdf(spec, crit, theta, delta))
 
@@ -451,14 +459,9 @@ def pvalue(
     if option == "dib-deltabounded":
         if delta0 is None or sens is None:
             raise ValueError("bounded-conflict option needs delta0 and sens")
-        z_obs = math.sqrt(n) * (est_ammse_s(s, sens).theta_est - theta0)
-        z1 = streams.addressed_normals(seed, 0, 0, mc_draws)
-        z2 = streams.addressed_normals(seed, 0, mc_draws, mc_draws)
-        theta_hat = theta0 + z1 / math.sqrt(n)
-        beta_hat = theta0 + delta0 + z2 / math.sqrt(m)
-        dh = beta_hat - theta_hat
-        w = m / (n + m + m * n * dh * dh * sens)
-        z_null = math.sqrt(n) * (theta_hat + w * dh - theta0)
+        config = SensitivityMmse(sens)
+        z_obs = math.sqrt(n) * (config.result(s).theta_est - theta0)
+        z_null = _mc_statistic_draws(config, n, m, theta0, theta0, delta0, mc_draws, seed, 0)
         return float(np.mean(z_null > z_obs))
     raise ValueError(f"unknown p-value option {option!r}")
 

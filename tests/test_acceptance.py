@@ -7,6 +7,7 @@ carries the measured value and the reason in its marker.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,7 +411,40 @@ def test_criterion_7_p3_at_tipping_published_value(prams_pipeline):
 # ---------------------------------------------------------------------------
 
 
+GOLDEN = Path(__file__).parent / "golden"
+_ESTIMATE_ALL = "mle,pooled,ttpool,ommse,ammse,ammse-s,alasso,power-prior,hdpp,ebpp,np,lstp,ltr"
+# lstp's posterior mode is a root of a cubic; its estimate columns may move in
+# the last digits when the root finder's float order changes
+_LSTP_REL_TOL = 1e-10
+
+
+def _matches_golden(produced: str, got: bytes, want: bytes) -> bool:
+    """Byte equality, except lstp's theta_est/delta_est in estimates.csv (relative 1e-10)."""
+    if produced != "estimates.csv" or got == want:
+        return got == want
+    got_rows = got.decode().splitlines()
+    want_rows = want.decode().splitlines()
+    if len(got_rows) != len(want_rows):
+        return False
+    for g, w in zip(got_rows, want_rows):
+        if g == w:
+            continue
+        gf, wf = g.split(","), w.split(",")
+        if gf[0] != "lstp" or wf[0] != "lstp" or gf[3:] != wf[3:]:
+            return False
+        for a, b in zip(gf[1:3], wf[1:3]):
+            if abs(float(a) - float(b)) > _LSTP_REL_TOL * abs(float(b)):
+                return False
+    return True
+
+
 def test_criterion_8_cli_determinism(tmp_path):
+    """Reruns and worker counts give the same bytes, and the first run the golden bytes.
+
+    ``tests/golden/<case>/`` holds the first-run directory of each case below
+    (seed 9, one worker), so a numerics drift fails here even when it is
+    deterministic.
+    """
     cases = {
         "srmse-curve": [
             "srmse-curve", "--n", "300", "--m", "3000", "--estimators", "mle,pooled,ammse,lstp",
@@ -436,14 +470,32 @@ def test_criterion_8_cli_determinism(tmp_path):
             "asymptotics-check", "--n", "300", "--m", "3000", "--estimators", "mle,pooled,ammse",
             "--h", "0,1.58", "--draws", "20000",
         ],
+        "estimate-small-conflict": [
+            "estimate", "--theta-hat", "0.1", "--n", "100", "--beta-hat", "0.13", "--m", "400",
+            "--estimators", _ESTIMATE_ALL, "--delta-true", "0.05", "--sens", "0.4",
+            "--gamma", "0.5",
+        ],
+        "estimate-large-conflict": [
+            "estimate", "--theta-hat", "0.1", "--n", "100", "--beta-hat", "1.1", "--m", "400",
+            "--estimators", _ESTIMATE_ALL, "--delta-true", "0.05", "--sens", "0.4",
+            "--gamma", "0.5",
+        ],
     }
     for name, args in cases.items():
         dirs = [tmp_path / f"{name}-{tag}" for tag in ("a", "b", "w8")]
         assert cli_run(args + ["--seed", "9", "--out-dir", str(dirs[0]), "--workers", "1"]) == 0
         assert cli_run(args + ["--seed", "9", "--out-dir", str(dirs[1]), "--workers", "1"]) == 0
         assert cli_run(args + ["--seed", "9", "--out-dir", str(dirs[2]), "--workers", "8"]) == 0
-        for produced in sorted(p.name for p in dirs[0].iterdir()):
+        produced_names = sorted(p.name for p in dirs[0].iterdir())
+        golden_names = sorted(p.name for p in (GOLDEN / name).iterdir())
+        report("8", f"{name} golden files", produced_names == golden_names, f"{produced_names}")
+        for produced in produced_names:
             a = (dirs[0] / produced).read_bytes()
+            report(
+                "8", f"{name}/{produced} golden",
+                _matches_golden(produced, a, (GOLDEN / name / produced).read_bytes()),
+                f"{len(a)} bytes",
+            )
             b = (dirs[1] / produced).read_bytes()
             w = (dirs[2] / produced).read_bytes()
             report("8", f"{name}/{produced} repeat", a == b, f"{len(a)} bytes")

@@ -209,9 +209,22 @@ _ESTIMATE = ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1", "-
              "--grid-points", "2", "--sqrt-n-delta-max", "1e300"],
             3, "NodeEvaluationError", "non-finite estimate",
         ),
+        (["estimate", "--config", "{bad_config}"], 2, "ConfigError", "config key 'n'"),
+        (["densities", "--sqrt-n-delta", "nan", "--estimators", "ammse"], 2, "ConfigError", "finite"),
+        (["srmse-curve", "--sqrt-n-delta-max", "nan"], 2, "ConfigError", "finite"),
+        (["power", "--theta", "inf"], 2, "ConfigError", "finite"),
+        (["example-prams", "--delta0-list", "0"], 2, "ConfigError", "delta0 must be positive"),
+        (["example-prams", "--sens", "-1"], 2, "ConfigError", "sensitivity"),
+        (
+            ["power", "--delta-max", "1e308", "--grid-points", "2", "--estimators", "mle"],
+            3, "ValueError", "conflict span",
+        ),
     ],
 )
 def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, message):
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps({"n": "abc"}))  # a value that fails conversion
+    argv = [a.format(bad_config=bad_config) for a in argv]
     assert run(argv + ["--out-dir", str(tmp_path)]) == code
     record = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert record["error"] == error

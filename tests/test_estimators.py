@@ -1,4 +1,5 @@
 import math
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from dibkit.estimators import (
     AdaptiveLasso,
     AdaptiveMmse,
     EmpiricalBayesPowerPrior,
+    FixedPowerPrior,
+    GeneralizedBorrow,
     HellingerPowerPrior,
     LimitedTranslation,
     Mle,
@@ -21,8 +24,8 @@ from dibkit.estimators import (
     TestThenPool as TtPool,
     conflict_correction,
     estimate,
+    estimator_id,
     lstp_delta_mode,
-    lstp_delta_mode_scan,
     lstp_profile_objective,
 )
 
@@ -248,6 +251,53 @@ def test_lstp_zero_conflict():
     assert res.theta_est == pytest.approx(0.4)
 
 
+def lstp_delta_mode_scan(
+    delta_hat: np.ndarray,
+    n: int,
+    m: int,
+    v: int = 3,
+    *,
+    coarse: int = 1000,
+    chunk: int = 262_144,
+) -> np.ndarray:
+    """Conflict value at the joint posterior mode, by bracketed global search.
+
+    The oracle for the exact cubic solver :func:`lstp_delta_mode`.  Minimizes
+    :func:`lstp_profile_objective` over the bracket
+    ``[min(0, delta_hat), max(0, delta_hat)]`` padded by five conflict SDs.
+    The objective can be bimodal at moderate conflict, so a coarse global
+    scan precedes bisection of f' on the winning cell; the refinement drives
+    the bracket below 1e-10.
+    """
+    d = np.asarray(delta_hat, dtype=float)
+    flat = d.ravel()
+    out = np.empty_like(flat)
+    pad = 5.0 * math.sqrt(1.0 / n + 1.0 / m)
+    a = n * m / (2.0 * (n + m))
+
+    def fprime(x: np.ndarray, dh: np.ndarray) -> np.ndarray:
+        return (v + 1.0) * n * x / (v + n * x * x) - 2.0 * a * (dh - x)
+
+    t = np.linspace(0.0, 1.0, coarse)
+    for start in range(0, flat.size, chunk):
+        dh = flat[start : start + chunk]
+        lo = np.minimum(0.0, dh) - pad
+        hi = np.maximum(0.0, dh) + pad
+        grid = lo[:, None] + (hi - lo)[:, None] * t[None, :]
+        f = lstp_profile_objective(grid, dh[:, None], n, m, v)
+        k = np.clip(np.argmin(f, axis=1), 1, coarse - 2)
+        left = np.take_along_axis(grid, (k - 1)[:, None], axis=1).ravel()
+        right = np.take_along_axis(grid, (k + 1)[:, None], axis=1).ravel()
+        # 64 bisection steps shrink the cell by 2^-64, far below 1e-10
+        for _ in range(64):
+            mid = 0.5 * (left + right)
+            neg = fprime(mid, dh) < 0.0
+            left = np.where(neg, mid, left)
+            right = np.where(neg, right, mid)
+        out[start : start + chunk] = 0.5 * (left + right)
+    return out.reshape(d.shape)
+
+
 def test_lstp_solvers_agree():
     rng = np.random.default_rng(11)
     for n, m in ((1000, 100_000), (50, 200), (94, 20_000)):
@@ -401,13 +451,60 @@ def test_ammse_s_monotone_toward_mle(s):
         assert b <= a + 1e-12
 
 
-def test_alasso_correction_vectorized_matches_scalar():
-    rng = np.random.default_rng(1)
-    dh = rng.normal(0, 0.4, 100)
-    vec = conflict_correction(AdaptiveLasso(0.25), dh, 120, 600)
-    for i in range(0, 100, 17):
-        s = TwoSampleSummary(0.0, 120, dh[i], 600)
-        assert vec[i] == pytest.approx(dk.est_alasso(s, 0.25).theta_est, abs=1e-12)
+def _g_half_reciprocal(x):
+    return 0.5 / (1.0 + np.asarray(x, dtype=float))
+
+
+ALL_KINDS = [
+    Mle(),
+    Pooled(),
+    TtPool(2.5),
+    OracleMmse(0.3),
+    AdaptiveMmse(),
+    SensitivityMmse(0.7),
+    GeneralizedBorrow(g=_g_half_reciprocal, sens=1.5),
+    AdaptiveLasso(0.3),
+    FixedPowerPrior(0.4),
+    HellingerPowerPrior(),
+    EmpiricalBayesPowerPrior(),
+    NormalPriorBayes(),
+    StudentTPriorBayes(4),
+    LimitedTranslation(),
+]
+
+# which optional EstimateResult fields each estimator reports
+REPORTED_FIELDS = {
+    "mle": {"weight"},
+    "pooled": {"weight"},
+    "ttpool": {"weight"},
+    "ommse": {"weight"},
+    "ammse": {"weight"},
+    "ammse-s": {"weight"},
+    "gdib": {"weight"},
+    "alasso": {"delta_est"},
+    "power-prior": {"gamma_est", "weight"},
+    "hdpp": {"gamma_est", "weight"},
+    "ebpp": {"gamma_est", "weight"},
+    "np": {"delta_est", "weight"},
+    "lstp": {"delta_est"},
+    "ltr": {"delta_est"},
+}
+
+
+def test_every_kind_is_covered():
+    ids = sorted(k.id for k in get_args(dk.EstimatorConfig))
+    assert sorted(estimator_id(c) for c in ALL_KINDS) == ids == sorted(REPORTED_FIELDS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=summaries())
+def test_scalar_estimate_equals_vector_kernel(s):
+    for config in ALL_KINDS:
+        res = estimate(config, s)
+        q = conflict_correction(config, np.array([s.delta_hat]), s.n, s.m)[0]
+        assert abs(res.theta_est - (s.theta_hat + q)) <= 1e-12 * (1.0 + abs(res.theta_est))
+        reported = {f for f in ("delta_est", "gamma_est", "weight") if getattr(res, f) is not None}
+        assert reported == REPORTED_FIELDS[estimator_id(config)]
 
 
 def test_lstp_profile_objective_stationary_at_mode():
