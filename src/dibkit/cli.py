@@ -95,6 +95,8 @@ _COMMON = [
     Option("full_fidelity", bool, False, "paper-scale replicate counts instead of desk scale"),
 ]
 
+_COUNTS = ("n", "m", "grid_points", "replicates", "draws", "resamples", "mc_draws", "workers")
+
 _SUBCOMMANDS: dict[str, list[Option]] = {
     "estimate": [
         Option("theta_hat", float, None, "current-data mean"),
@@ -236,6 +238,8 @@ def _effective_config(subcommand: str, namespace: argparse.Namespace) -> dict[st
         if opt.type in (float, _floats) and merged[key] is not None:
             if not np.all(np.isfinite(merged[key])):
                 raise ConfigError(f"{key} must be finite, got {merged[key]}")
+        if key in _COUNTS and merged[key] is not None and merged[key] < 1:
+            raise ConfigError(f"sample sizes and counts must be >= 1, got {key} = {merged[key]}")
     if merged.get("out_dir") is None:
         merged["out_dir"] = os.environ.get(ENV_OUT_DIR, ".")
     merged["subcommand"] = subcommand
@@ -381,7 +385,7 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
     series = []
     for config in _estimator_configs(cfg, oracle_tracks_delta=True):
         spec = _from_config(TestSpec, cfg["theta0"], cfg["alpha"], conv, config, n, m)
-        curve = testing.power_curve(spec, theta, grid, seed=cfg["seed"])
+        curve = testing.power_curve(spec, theta, grid)
         for d, p in zip(curve.delta, curve.rejection_prob):
             rows.append([curve.estimator, curve.convention, theta, d, curve.critical, p])
         series.append(
@@ -449,8 +453,9 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
     estimate_raw = est_st.theta_est * cur_st.sd
 
     resamples = 10_000_000 if cfg["full_fidelity"] else cfg["resamples"]
-    ci = bootstrap_ci(
-        current, external, sens, resamples, cfg["level"], cfg["seed"], workers=cfg["workers"]
+    ci = _from_config(
+        bootstrap_ci, current, external, sens, resamples, cfg["level"], cfg["seed"],
+        workers=cfg["workers"],
     )
 
     p1 = testing.pvalue("mle-alldelta", s_st, theta0_st)

@@ -543,9 +543,9 @@ def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = 3) -> np.nda
 
     one = disc > 0.0
     if np.any(one):
-        s = np.sqrt(disc[one])
-        t_single = np.cbrt(-q[one] / 2.0 + s) + np.cbrt(-q[one] / 2.0 - s)
-        roots[one, 0] = t_single - B[one] / 3.0
+        # the larger-magnitude Cardano term; the other is -p/(3u), without cancellation
+        u = np.cbrt(-q[one] / 2.0 - np.copysign(np.sqrt(disc[one]), q[one]))
+        roots[one, 0] = u - p[one] / (3.0 * u) - B[one] / 3.0
     three = ~one
     if np.any(three):
         pp = p[three]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -330,66 +330,51 @@ def _panel_breakpoints(prior: ConflictPrior, n: int) -> np.ndarray:
     return np.array(sorted(pts))
 
 
-def _integrate_panels(
-    config: EstimatorConfig,
-    prior: ConflictPrior,
-    theta: float,
-    n: int,
-    m: int,
-    nodes: int,
-    edges: np.ndarray,
-    points_per_panel: int,
-    metric: str,
-) -> float:
-    xg, wg = leggauss(points_per_panel)
-    xs_all = []
-    ws_all = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        xs_all.append(half * xg + 0.5 * (a + b))
-        ws_all.append(half * wg)
-    xs = np.concatenate(xs_all)
-    ws = np.concatenate(ws_all)
-    if metric == "srmse":
-        vals = srmse_batch(config, theta, xs, n, m, nodes)
-    else:
-        vals = _mse_many(config, theta, xs, n, m, nodes)
-    return float(np.sum(ws * vals * prior.pdf(xs)))
+def _legendre_panels(
+    edges: np.ndarray, rule: tuple[np.ndarray, np.ndarray], max_width: float = math.inf
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``rule`` on every panel between sorted ``edges``.
+
+    Each panel is cut into the fewest equal pieces no wider than
+    ``max_width``, at the points ``np.linspace`` would give.
+    """
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    pieces = np.maximum(1, np.ceil((b - a) / max_width)).astype(int)
+    panel = np.repeat(np.arange(a.size), pieces)
+    k = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    step = (b - a) / pieces
+    lo = k * step[panel] + a[panel]
+    hi = np.where(k + 1 == pieces[panel], b[panel], (k + 1) * step[panel] + a[panel])
+    half = 0.5 * (hi - lo)
+    xg, wg = rule
+    return (half[:, None] * xg + 0.5 * (lo + hi)[:, None]).ravel(), (half[:, None] * wg).ravel()
 
 
 def _integrate_prior(
     config: EstimatorConfig,
     prior: ConflictPrior,
-    theta: float,
     n: int,
-    m: int,
-    nodes: int | None,
-    metric: str,
+    integrand: Callable[[np.ndarray], np.ndarray],
     rel_tol: float,
 ) -> float:
+    """Integral of ``integrand`` against the prior, halving the panels until two passes agree."""
     if isinstance(prior, PointMassPrior):
-        if metric == "srmse":
-            return srmse(config, theta, prior.delta, n, m, nodes)
-        return mse_numeric(config, theta, prior.delta, n, m, nodes)
-
-    nodes = default_nodes(config) if nodes is None else nodes
+        return float(integrand(np.asarray([prior.delta]))[0])
     edges = _panel_breakpoints(prior, n)
-    coarse = _integrate_panels(config, prior, theta, n, m, nodes, edges, 24, metric)
-    refined_edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    fine = _integrate_panels(config, prior, theta, n, m, nodes, refined_edges, 24, metric)
-    scale = max(abs(fine), 1e-12)
-    if abs(fine - coarse) > rel_tol * scale:
-        edges3 = np.unique(
-            np.concatenate([refined_edges, 0.5 * (refined_edges[:-1] + refined_edges[1:])])
-        )
-        finest = _integrate_panels(config, prior, theta, n, m, nodes, edges3, 24, metric)
-        if abs(finest - fine) > rel_tol * max(abs(finest), 1e-12):
-            raise QuadratureError(
-                f"prior integration did not converge for {estimator_id(config)}",
-                achieved=abs(finest - fine) / max(abs(finest), 1e-12),
-            )
-        return finest
-    return fine
+    rule = leggauss(24)
+    previous = math.nan  # the first pass has nothing to agree with
+    for _ in range(3):
+        xs, ws = _legendre_panels(edges, rule)
+        value = float(np.sum(ws * integrand(xs) * prior.pdf(xs)))
+        change, scale = abs(value - previous), max(abs(value), 1e-12)
+        if change <= rel_tol * scale:
+            return value
+        previous = value
+        edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    raise QuadratureError(
+        f"prior integration did not converge for {estimator_id(config)}", achieved=change / scale
+    )
 
 
 def integrated_srmse(
@@ -408,7 +393,8 @@ def integrated_srmse(
     change under panel refinement; its default sits above the inner
     quadrature's error floor for estimators with indicator-type corrections.
     """
-    return _integrate_prior(config, prior, 0.0, n, m, nodes, "srmse", rel_tol)
+    nodes = default_nodes(config) if nodes is None else nodes
+    return _integrate_prior(config, prior, n, lambda d: srmse_batch(config, 0.0, d, n, m, nodes), rel_tol)
 
 
 def imse(
@@ -422,4 +408,5 @@ def imse(
     rel_tol: float = 5e-4,
 ) -> float:
     """Raw MSE averaged against the conflict prior (posterior-mean optimal metric)."""
-    return _integrate_prior(config, prior, theta, n, m, nodes, "mse", rel_tol)
+    nodes = default_nodes(config) if nodes is None else nodes
+    return _integrate_prior(config, prior, n, lambda d: _mse_many(config, theta, d, n, m, nodes), rel_tol)

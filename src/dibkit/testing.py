@@ -11,15 +11,19 @@ known moments, so
         E_t[ Phi( sqrt(n+m) * (z/sqrt(n) - (theta-theta0) - q(t)
                                + m/(n+m) * (t - delta)) ) ]
 
-with ``t ~ N(delta, 1/n + 1/m)``.  Quantiles invert this CDF numerically.
-The heavy-tailed-prior estimator has no closed-form correction cheap enough
-to use everywhere, so its per-conflict quantiles come from seeded Monte
-Carlo instead.
+with ``t ~ N(delta, 1/n + 1/m)``.  Every estimator, the heavy-tailed-prior
+posterior mode included, takes this one deterministic path: the law at one
+truth is built once (Gauss-Legendre panels over ``delta +/- 9.5`` sd, split
+at the correction's breakpoints) and evaluated at any number of ``z``;
+quantiles invert it numerically.  The panels resolve a smooth correction
+to rounding, so ``breakpoints`` must name every kink and jump of ``q``.
 
 Critical values depend on what is assumed about the conflict under the null:
 exactly zero, bounded by a known value, or unrestricted.  In the unrestricted
 convention the per-conflict quantiles of non-suppressing estimators grow
-without bound and the critical value is reported as infinite.
+without bound and the critical value is reported as infinite.  Only the
+worked example's bounded-conflict p-value and its tipping point use seeded
+Monte Carlo.
 """
 
 from __future__ import annotations
@@ -38,12 +42,12 @@ from . import streams
 from .estimators import (
     EstimatorConfig,
     SensitivityMmse,
-    StudentTPriorBayes,
     conflict_correction,
     correction_breakpoints,
     est_pooled,
     estimator_id,
 )
+from .risk import _legendre_panels
 from .summaries import TwoSampleSummary
 
 __all__ = [
@@ -107,6 +111,8 @@ class TestSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.n < 1 or self.m < 1:
+            raise ValueError("sample sizes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -150,49 +156,45 @@ def convention_id(conv: Convention) -> str:
 
 
 _PANEL_RULE = leggauss(12)  # Gauss-Legendre rule on each conflict panel
+_PANEL_WIDTH = 0.5  # widest panel, in sd units of the conflict statistic
+_SPAN = 9.5  # half-width of the integrated conflict range, in the same units
 
 
-def _conflict_panels(spec: TestSpec, delta: float, span: float = 9.5) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes/weights over the conflict-statistic range, split at kinks."""
-    s = math.sqrt(1.0 / spec.n + 1.0 / spec.m)
-    lo, hi = delta - span * s, delta + span * s
-    if not lo < hi:
-        raise ValueError(f"conflict span {delta:g} +/- {span:g} * {s:g} rounds to a single point")
-    edges = {lo, hi}
-    for b in correction_breakpoints(spec.estimator, spec.n, spec.m):
-        if lo < b < hi:
-            edges.add(b)
-    edges = sorted(edges)
-    xg, wg = _PANEL_RULE
-    xs, ws = [], []
-    max_width = 0.5 * s
-    for a, b in zip(edges[:-1], edges[1:]):
-        pieces = max(1, math.ceil((b - a) / max_width))
-        sub = np.linspace(a, b, pieces + 1)
-        for aa, bb in zip(sub[:-1], sub[1:]):
-            half = 0.5 * (bb - aa)
-            xs.append(half * xg + 0.5 * (aa + bb))
-            ws.append(half * wg)
-    return np.concatenate(xs), np.concatenate(ws)
+class _ConditionalLaw:
+    """Law of Z at one truth, as a fixed quadrature over the conflict statistic.
+
+    Holds, per panel node ``t``, its weight times the normal density of
+    ``t``, the correction ``q(t)`` (whose range brackets the quantiles) and
+    the shift ``m/(n+m) (t - delta) - q(t) - (theta - theta0)`` of the
+    standardized conditional mean; panels split at every breakpoint of the
+    correction.
+    """
+
+    def __init__(self, spec: TestSpec, theta: float, delta: float) -> None:
+        n, m = spec.n, spec.m
+        s = math.sqrt(1.0 / n + 1.0 / m)
+        lo, hi = delta - _SPAN * s, delta + _SPAN * s
+        if not lo < hi:
+            raise ValueError(f"conflict span {delta:g} +/- {_SPAN:g} * {s:g} rounds to a single point")
+        kinks = [b for b in correction_breakpoints(spec.estimator, n, m) if lo < b < hi]
+        t, w = _legendre_panels(sorted({lo, hi, *kinks}), _PANEL_RULE, _PANEL_WIDTH * s)
+        self.q = conflict_correction(spec.estimator, t, n, m, delta_true=delta)
+        self.weights = w * (np.exp(-((t - delta) ** 2) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi)))
+        self.inner = -(theta - spec.theta0) - self.q + (m / (n + m)) * (t - delta)
+        self.root_n, self.root_nm = math.sqrt(n), math.sqrt(n + m)
+
+    def cdf(self, z: float | np.ndarray) -> float | np.ndarray:
+        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        u = self.root_nm * (zs[:, None] / self.root_n + self.inner)
+        out = np.sum(self.weights * ndtr(u), axis=-1)
+        return out if np.ndim(z) else float(out[0])
 
 
 def sampling_cdf(
     spec: TestSpec, z: float | np.ndarray, theta: float, delta: float
 ) -> float | np.ndarray:
     """P(Z <= z) for ``Z = sqrt(n)(estimate - theta0)`` at the given truth."""
-    n, m = spec.n, spec.m
-    s = math.sqrt(1.0 / n + 1.0 / m)
-    t, w = _conflict_panels(spec, delta)
-    q = conflict_correction(spec.estimator, t, n, m, delta_true=delta)
-    dens = np.exp(-((t - delta) ** 2) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi))
-    shift = theta - spec.theta0
-    root_nm = math.sqrt(n + m)
-    zs = np.atleast_1d(np.asarray(z, dtype=float))
-    inner = -shift - q + (m / (n + m)) * (t - delta)
-    out = np.array(
-        [float(np.sum(w * dens * ndtr(root_nm * (zz / math.sqrt(n) + inner)))) for zz in zs]
-    )
-    return out if np.ndim(z) else float(out[0])
+    return _ConditionalLaw(spec, theta, delta).cdf(z)
 
 
 def _mc_statistic_draws(
@@ -208,32 +210,13 @@ def _mc_statistic_draws(
     return math.sqrt(n) * (theta_hat + q - theta0)
 
 
-def _needs_mc(config: EstimatorConfig) -> bool:
-    return isinstance(config, StudentTPriorBayes)
-
-
-def null_quantile(
-    spec: TestSpec,
-    delta: float,
-    prob: float | None = None,
-    *,
-    mc_draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
-    stream: int = 0,
-) -> float:
+def null_quantile(spec: TestSpec, delta: float, prob: float | None = None) -> float:
     """(1-alpha) quantile of Z under ``theta = theta0`` at the given conflict."""
     prob = 1.0 - spec.alpha if prob is None else prob
-    if _needs_mc(spec.estimator):
-        zs = _mc_statistic_draws(
-            spec.estimator, spec.n, spec.m, spec.theta0, spec.theta0, delta, mc_draws, seed, stream
-        )
-        return float(np.quantile(zs, prob))
-    t, _ = _conflict_panels(spec, delta)
-    q = conflict_correction(spec.estimator, t, spec.n, spec.m, delta_true=delta)
-    qn = math.sqrt(spec.n)
-    lo = qn * float(np.min(q)) - 9.0
-    hi = qn * float(np.max(q)) + 9.0
-    return float(brentq(lambda z: sampling_cdf(spec, z, spec.theta0, delta) - prob, lo, hi, xtol=1e-10))
+    law = _ConditionalLaw(spec, spec.theta0, delta)
+    lo = law.root_n * float(np.min(law.q)) - 9.0
+    hi = law.root_n * float(np.max(law.q)) + 9.0
+    return float(brentq(lambda z: law.cdf(z) - prob, lo, hi, xtol=1e-10))
 
 
 def _default_grid(spec: TestSpec, points: int) -> np.ndarray:
@@ -249,8 +232,6 @@ def critical_value(
     delta_grid: np.ndarray | None = None,
     *,
     points: int = 41,
-    mc_draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
 ) -> CriticalValue:
     """Critical Z under the spec's conflict convention (sup of per-conflict quantiles).
 
@@ -260,7 +241,7 @@ def critical_value(
     """
     conv = spec.convention
     if isinstance(conv, DeltaZero):
-        return CriticalValue(null_quantile(spec, 0.0, mc_draws=mc_draws, seed=seed), sup_at=0.0)
+        return CriticalValue(null_quantile(spec, 0.0), sup_at=0.0)
 
     if delta_grid is None:
         if isinstance(conv, DeltaBounded):
@@ -268,12 +249,7 @@ def critical_value(
         else:
             delta_grid = _default_grid(spec, points)
     grid = np.asarray(delta_grid, dtype=float)
-    quants = np.array(
-        [
-            null_quantile(spec, d, mc_draws=mc_draws, seed=seed, stream=i)
-            for i, d in enumerate(grid)
-        ]
-    )
+    quants = np.array([null_quantile(spec, d) for d in grid])
     k = int(np.argmax(quants))
     sup_val, sup_at = float(quants[k]), float(grid[k])
 
@@ -286,11 +262,8 @@ def critical_value(
     if isinstance(conv, AllDelta):
         # probe beyond the grid: quantiles still rising -> no finite sup
         top = grid[-1] if grid[-1] > 0 else 1.0
-        probe = [
-            null_quantile(spec, 2.0 * top, mc_draws=mc_draws, seed=seed, stream=grid.size),
-            null_quantile(spec, 4.0 * top, mc_draws=mc_draws, seed=seed, stream=grid.size + 1),
-        ]
-        tol = 1e-6 + 0.02 * (1.0 if _needs_mc(spec.estimator) else 0.0)
+        probe = [null_quantile(spec, 2.0 * top), null_quantile(spec, 4.0 * top)]
+        tol = 1e-6
         if probe[0] > sup_val + tol and probe[1] > probe[0] + tol:
             return CriticalValue(math.inf, sup_at=None)
         sup_val = max(sup_val, *probe)
@@ -302,20 +275,11 @@ def power(
     critical: float | CriticalValue,
     theta: float,
     delta: float,
-    *,
-    mc_draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
-    stream: int = 0,
 ) -> float:
     """Rejection probability P(Z > critical) at the given truth."""
     crit = float(critical)
     if math.isinf(crit):
         return 0.0
-    if _needs_mc(spec.estimator):
-        zs = _mc_statistic_draws(
-            spec.estimator, spec.n, spec.m, spec.theta0, theta, delta, mc_draws, seed, stream
-        )
-        return float(np.mean(zs > crit))
     return 1.0 - float(sampling_cdf(spec, crit, theta, delta))
 
 
@@ -325,8 +289,6 @@ def power_curve(
     delta_grid: np.ndarray | None = None,
     *,
     points: int = 33,
-    mc_draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
 ) -> PowerCurve:
     """Rejection probability over a conflict grid at the spec's critical value."""
     if delta_grid is None:
@@ -336,13 +298,8 @@ def power_curve(
             np.linspace(0.0, top, points) if top is not None else _default_grid(spec, points)
         )
     grid = np.asarray(delta_grid, dtype=float)
-    crit = critical_value(spec, mc_draws=mc_draws, seed=seed)
-    probs = np.array(
-        [
-            power(spec, crit, theta, d, mc_draws=mc_draws, seed=seed, stream=5000 + i)
-            for i, d in enumerate(grid)
-        ]
-    )
+    crit = critical_value(spec)
+    probs = np.array([power(spec, crit, theta, d) for d in grid])
     return PowerCurve(
         estimator=estimator_id(spec.estimator),
         convention=convention_id(spec.convention),
@@ -369,8 +326,6 @@ def sweet_spot(
     theta: float,
     *,
     points: int = 61,
-    mc_draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
 ) -> SweetSpot:
     """Locate conflicts below the bound where the borrowing test has higher power.
 
@@ -380,15 +335,10 @@ def sweet_spot(
     conv = spec.convention
     if not isinstance(conv, DeltaBounded):
         raise ValueError("sweet spot is defined for the bounded-conflict convention")
-    crit = critical_value(spec, mc_draws=mc_draws, seed=seed)
+    crit = critical_value(spec)
     mle_power = 1.0 - float(ndtr(ndtri(1.0 - spec.alpha) - math.sqrt(spec.n) * (theta - spec.theta0)))
     grid = np.linspace(0.0, conv.delta0, points)
-    gain = np.array(
-        [
-            power(spec, crit, theta, d, mc_draws=mc_draws, seed=seed, stream=1000 + i) - mle_power
-            for i, d in enumerate(grid)
-        ]
-    )
+    gain = np.array([power(spec, crit, theta, d) - mle_power for d in grid])
     positive = gain > 0.0
     if not np.any(positive):
         interval = None

@@ -283,10 +283,10 @@ def test_criterion_6_testing_properties():
 
     for cfg in DIB_SET:
         spec = Spec(0.0, alpha, AllDelta(), cfg, N, M)
-        crit = critical_value(spec, seed=3, mc_draws=100_000)
+        crit = critical_value(spec)
         worst = max(
-            power(spec, crit, theta, d, seed=3, stream=100 + i, mc_draws=100_000)
-            for i, d in enumerate(grid)
+            power(spec, crit, theta, d)
+            for d in grid
         )
         report("6", f"all-delta mle dominates {estimator_id(cfg)}",
                worst <= mle_power + 0.01, f"max {worst:.4f} <= {mle_power:.4f} + 0.01")
@@ -297,18 +297,18 @@ def test_criterion_6_testing_properties():
         if isinstance(cfg, Pooled):
             continue
         spec = Spec(0.0, alpha, DeltaZero(), cfg, N, M)
-        crit = critical_value(spec, seed=5, mc_draws=100_000)
-        pw = power(spec, crit, theta, 0.0, seed=5, stream=500, mc_draws=100_000)
+        crit = critical_value(spec)
+        pw = power(spec, crit, theta, 0.0)
         report("6", f"delta-zero pooled dominates {estimator_id(cfg)}",
                pw <= pooled_power0 + 0.01, f"{pw:.4f} <= {pooled_power0:.4f} + 0.01")
 
     delta0 = 0.0636
     for cfg in (AdaptiveMmse(), EmpiricalBayesPowerPrior(), StudentTPriorBayes()):
         spec = Spec(0.0, alpha, DeltaBounded(delta0), cfg, N, M)
-        crit = critical_value(spec, seed=7, mc_draws=100_000)
+        crit = critical_value(spec)
         t1er = [
-            power(spec, crit, 0.0, d, seed=7, stream=900 + i, mc_draws=100_000)
-            for i, d in enumerate(np.linspace(0.0, delta0, 9))
+            power(spec, crit, 0.0, d)
+            for d in np.linspace(0.0, delta0, 9)
         ]
         name = estimator_id(cfg)
         report("6", f"bounded t1er ceiling {name}", max(t1er) <= alpha + 0.005,

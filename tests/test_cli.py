@@ -219,6 +219,15 @@ _ESTIMATE = ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1", "-
             ["power", "--delta-max", "1e308", "--grid-points", "2", "--estimators", "mle"],
             3, "ValueError", "conflict span",
         ),
+        (["bayes-risk-table", "--n", "0"], 2, "ConfigError", "n = 0"),
+        (["power", "--n", "0"], 2, "ConfigError", "n = 0"),
+        (["srmse-curve", "--m", "0"], 2, "ConfigError", "m = 0"),
+        (["srmse-curve", "--n", "-5"], 2, "ConfigError", "n = -5"),
+        (["srmse-curve", "--grid-points", "-1"], 2, "ConfigError", "grid_points = -1"),
+        (["example-prams", "--resamples", "0"], 2, "ConfigError", "resamples = 0"),
+        (["example-prams", "--level", "1.5"], 2, "ConfigError", "level"),
+        (["example-prams", "--mc-draws", "0"], 2, "ConfigError", "mc_draws = 0"),
+        (["densities", "--workers", "0"], 2, "ConfigError", "workers = 0"),
     ],
 )
 def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, message):

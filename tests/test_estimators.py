@@ -309,6 +309,34 @@ def test_lstp_solvers_agree():
         assert np.max(np.abs(fast - slow)) < 1e-8
 
 
+def lstp_delta_mode_mpmath(delta_hat: float, n: int, m: int, v: int = 3):
+    """Global mode by 60-digit roots of the stationary cubic (the oracle of the cubic solver)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        dh, n, m = mpmath.mpf(delta_hat), mpmath.mpf(n), mpmath.mpf(m)
+        a = n * m / (2 * (n + m))
+        roots = mpmath.polyroots(
+            [2 * a * n, -2 * a * n * dh, 2 * a * v + (v + 1) * n, -2 * a * v * dh],
+            maxsteps=200, extraprec=200,
+        )
+        real = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** -40]
+        return min(real, key=lambda d: (v + 1) * mpmath.log(v + n * d * d) / 2 + a * (dh - d) ** 2)
+
+
+def test_lstp_delta_mode_matches_mpmath_roots():
+    # (1539, 70794) is where the summed Cardano cube roots lost 1.5e-10
+    rng = np.random.default_rng(23)
+    cases = [(1539, 70_794, np.concatenate([[0.11753], rng.uniform(0.05, 0.3, 300)]))]
+    for n, m in ((1000, 100_000), (50, 200), (94, 20_000), (300, 3000), (1, 1), (5, 10**6)):
+        s = math.sqrt(1.0 / n + 1.0 / m)
+        cases.append((n, m, np.concatenate([rng.normal(0.0, 3.0 * s, 20), np.linspace(-12 * s, 12 * s, 25)])))
+    for n, m, dh in cases:
+        got = lstp_delta_mode(dh, n, m)
+        for d, g in zip(dh, got):
+            want = float(lstp_delta_mode_mpmath(d, n, m))
+            assert abs(g - want) <= 1e-14 * max(1.0, abs(want)), (n, m, d, g, want)
+
+
 def _joint_log_posterior(tg, dgrid, s: TwoSampleSummary, v: int):
     TT, DD = np.meshgrid(tg, dgrid, indexing="ij")
     return (

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from dibkit import testing
 from dibkit.estimators import (
+    AdaptiveLasso,
     AdaptiveMmse,
+    LimitedTranslation,
     Mle,
     NormalPriorBayes,
     Pooled,
     StudentTPriorBayes,
+    TestThenPool as TtPool,
 )
 from dibkit.summaries import TwoSampleSummary
 from dibkit.testing import (
@@ -18,6 +22,7 @@ from dibkit.testing import (
     DeltaBounded,
     DeltaZero,
     TestSpec as Spec,
+    _mc_statistic_draws,
     alasso_local_power_decay,
     critical_value,
     null_quantile,
@@ -96,10 +101,34 @@ def test_pooled_t1er_explodes_with_conflict_under_delta_zero_critical():
 
 
 def test_lstp_quantile_close_to_smooth_neighbors():
-    # Monte Carlo path: sane value between the MLE and pooled extremes
+    # sane value between the MLE and pooled extremes
     spec = spec_for(StudentTPriorBayes(), DeltaZero())
-    q = null_quantile(spec, 0.0, mc_draws=40_000, seed=2)
+    q = null_quantile(spec, 0.0)
     assert math.sqrt(N / (N + M)) * Z975 - 0.2 < q < Z975 + 0.2
+
+
+def test_lstp_sampling_cdf_matches_seeded_draws(monkeypatch):
+    spec = spec_for(StudentTPriorBayes(), DeltaZero())
+    zs, deltas, draws = (-1.0, 0.5, 2.0), (0.0, 0.03, 0.1), 400_000
+    exact = np.array([sampling_cdf(spec, np.array(zs), 0.0, d) for d in deltas])
+    for i, delta in enumerate(deltas):
+        stats = _mc_statistic_draws(spec.estimator, N, M, 0.0, 0.0, delta, draws, 13, i)
+        for z, p in zip(zs, exact[i]):
+            assert abs(np.mean(stats <= z) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / draws)
+    monkeypatch.setattr(testing, "_PANEL_WIDTH", 0.5 * testing._PANEL_WIDTH)
+    finer = np.array([sampling_cdf(spec, np.array(zs), 0.0, d) for d in deltas])
+    assert np.any(finer != exact)  # other nodes, so the width took effect
+    assert np.max(np.abs(finer - exact)) <= 1e-10
+
+
+@pytest.mark.parametrize("estimator", [TtPool(), AdaptiveLasso(), LimitedTranslation()])
+def test_sampling_cdf_vector_equals_scalar_calls(estimator):
+    spec = spec_for(estimator, DeltaZero())
+    zs = np.linspace(-3.0, 5.0, 41)
+    for delta in (0.0, 0.04, 0.2):
+        vector = sampling_cdf(spec, zs, 0.01, delta)
+        scalar = [sampling_cdf(spec, float(z), 0.01, delta) for z in zs]
+        assert vector.tolist() == scalar
 
 
 def test_sweet_spot_exists_at_moderate_theta():
