@@ -117,7 +117,8 @@ _SUBCOMMANDS: dict[str, list[Option]] = {
         Option("estimators", _names, TABLE_ESTIMATORS, "comma-separated estimator ids"),
         Option("sqrt_n_delta_max", float, 8.0, "top of the scaled-conflict grid"),
         Option("grid_points", int, 41, "points on the conflict grid"),
-        Option("nodes", int, 0, "quadrature nodes per axis (0 = per-estimator default)"),
+        Option("nodes", int, 0, "quadrature nodes per axis (0 = per-estimator default); "
+               "node pairs with product weight below 1e-25 are skipped"),
         Option("c", float, 3.84, "test-then-pool threshold"),
         Option("tau", float, 0.25, "adaptive-lasso tuning exponent"),
         Option("sens", float, 1.0, "sensitivity-to-conflict"),
@@ -128,7 +129,8 @@ _SUBCOMMANDS: dict[str, list[Option]] = {
         Option("m", int, 100_000, "external sample size"),
         Option("estimators", _names, TABLE_ESTIMATORS, "comma-separated estimator ids"),
         Option("priors", _names, ("pi1", "pi2", "pi3", "pi4", "pi5"), "prior ids"),
-        Option("nodes", int, 0, "quadrature nodes per axis (0 = per-estimator default)"),
+        Option("nodes", int, 0, "quadrature nodes per axis (0 = per-estimator default); "
+               "node pairs with product weight below 1e-25 are skipped"),
         Option("c", float, 3.84, "test-then-pool threshold"),
         Option("tau", float, 0.25, "adaptive-lasso tuning exponent"),
         Option("sens", float, 1.0, "sensitivity-to-conflict"),
@@ -405,6 +407,9 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
 
 def _cmd_densities(cfg: dict[str, Any]) -> None:
     n, m = cfg["n"], cfg["m"]
+    for key in ("replicates", "grid_points"):  # a density curve needs two of each
+        if cfg[key] < 2:
+            raise ConfigError(f"densities needs {key} >= 2, got {key} = {cfg[key]}")
     configs = _estimator_configs(cfg, oracle_tracks_delta=True)
     rows = []
     quantile_rows = []
@@ -440,10 +445,12 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
     current = _from_config(BinomialRaw, cfg["successes"], cfg["trials"])
     ext_events = round(cfg["external_rate"] * cfg["external_size"])
     external = _from_config(BinomialRaw, int(ext_events), cfg["external_size"])
+    raw, (cur_st, ext_st) = _from_config(from_raw_binomial, current, external)
     config = _from_config(SensitivityMmse, cfg["sens"])
     for d0 in cfg["delta0_list"]:  # each is a bounded-conflict null: reject before any work
         _from_config(DeltaBounded, d0)
-    raw, (cur_st, ext_st) = from_raw_binomial(current, external)
+    if not 0.0 < cfg["target_p"] < 1.0:
+        raise ConfigError(f"target_p must lie in (0, 1), got {cfg['target_p']}")
     s_st = standardized_two_sample(cur_st, ext_st)
     sens = config.sens
     theta0 = cfg["theta0"]
@@ -495,7 +502,7 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
             s_st, theta0_st, sens, cfg["target_p"], mc_draws=mc, seed=cfg["seed"] + 41
         )
         rows.append(["tipping_point", "standardized-conflict", tip])
-    except ValueError as exc:
+    except testing.NoCrossingError as exc:
         rows.append(["tipping_point", "error", str(exc)])
 
     path = os.path.join(cfg["out_dir"], "prams_report.csv")

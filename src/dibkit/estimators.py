@@ -534,10 +534,12 @@ def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = 3) -> np.nda
     B = -dh
     C = np.full_like(dh, (2.0 * a * v + (v + 1.0) * n) / (2.0 * a * n))
     D = -v * dh / n
-    # depressed form t^3 + p t + q with x = t - B/3
+    # depressed form t^3 + p t + q with x = t - B/3; cubes as products, since
+    # numpy's float power costs 10-30x a multiply
     p = C - B * B / 3.0
-    q = 2.0 * B**3 / 27.0 - B * C / 3.0 + D
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    q = 2.0 * (B * B * B) / 27.0 - B * C / 3.0 + D
+    p3 = p / 3.0
+    disc = (q / 2.0) ** 2 + p3 * p3 * p3
 
     roots = np.empty((dh.size, 3))
 

@@ -2,9 +2,12 @@
 
 MSE of an estimator at a given location/conflict is the double integral of
 the squared error against the Gaussian sampling laws of the two sample means,
-computed with tensor-product Gauss-Hermite quadrature.  On top of that sit
-the standardized risk ``sqrt(n * MSE)``, risk curves over a conflict grid,
-and risk integrated against a prior on the conflict.
+computed with tensor-product Gauss-Hermite quadrature.  Node pairs whose
+product weight is below 1e-25 are skipped: at 128 nodes they are three
+quarters of the pairs but hold 3.5e-22 of the weighted mass, so the MSE
+moves by ~1e-16 relative.  On top of that sit the standardized risk
+``sqrt(n * MSE)``, risk curves over a conflict grid, and risk integrated
+against a prior on the conflict.
 
 Two integrated metrics coexist deliberately: ``integrated_srmse`` averages
 the standardized root risk (the tabulated Bayes-risk metric), while ``imse``
@@ -54,6 +57,10 @@ __all__ = [
 DEFAULT_NODES = 128
 LSTP_NODES = 96
 MIN_NODES = 64
+# Smallest product weight of a node pair that the MSE sum keeps: 4,136 of
+# 16,384 pairs at 128 nodes, 3,072 of 9,216 at 96.  The skipped pairs hold
+# sum w_i w_j (1 + x_i^2 + x_j^2) = 3.5e-22 at 128 nodes.
+_PAIR_WEIGHT_FLOOR = 1e-25
 _TAIL_SPAN = 8.0  # effective support of unbounded priors, in scale units
 
 
@@ -205,11 +212,12 @@ def _mse_many(
     m: int,
     nodes: int,
 ) -> np.ndarray:
-    """MSE at each conflict in ``deltas`` (vectorized over conflicts and nodes).
+    """MSE at each conflict in ``deltas`` (vectorized over the weighted node pairs).
 
     The integrand depends on the data only through the current-mean error
     ``u`` and the observed conflict, so the location ``theta`` cancels; it is
     kept in the signature for the contract's sake and validated as finite.
+    Node pairs whose product weight is below ``_PAIR_WEIGHT_FLOOR`` are skipped.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -217,24 +225,24 @@ def _mse_many(
         raise ValueError(f"nodes must be >= {MIN_NODES}")
     deltas = np.asarray(deltas, dtype=float)
     x, w = _gh_nodes(nodes)
-    u = math.sqrt(2.0 / n) * x  # theta_hat - theta
-    v = math.sqrt(2.0 / m) * x  # beta_hat - (theta + delta)
-    pair_w = (w[:, None] * w[None, :]).ravel()
-    base = (v[None, :] - u[:, None]).ravel()
+    pair_w = w[:, None] * w[None, :]
+    i, j = np.nonzero(pair_w >= _PAIR_WEIGHT_FLOOR)
+    pair_w = pair_w[i, j]
+    u = math.sqrt(2.0 / n) * x[i]  # theta_hat - theta
+    v = math.sqrt(2.0 / m) * x[j]  # beta_hat - (theta + delta)
+    base = v - u
 
     out = np.empty(deltas.size)
-    for i, d in enumerate(deltas.ravel()):
-        dh = d + base
-        q = conflict_correction(config, dh, n, m, delta_true=d)
-        err = np.repeat(u, nodes) + q
+    for k, d in enumerate(deltas.ravel()):
+        q = conflict_correction(config, d + base, n, m, delta_true=d)
+        err = u + q
         if not np.all(np.isfinite(err)):
             bad = int(np.flatnonzero(~np.isfinite(err))[0])
             raise NodeEvaluationError(
                 f"non-finite estimate for {estimator_id(config)} at node "
-                f"(theta_hat={theta + u[bad // nodes]:.6g}, "
-                f"beta_hat={theta + d + v[bad % nodes]:.6g})"
+                f"(theta_hat={theta + u[bad]:.6g}, beta_hat={theta + d + v[bad]:.6g})"
             )
-        out[i] = float(np.dot(pair_w, err * err))
+        out[k] = float(np.dot(pair_w, err * err))
     return out.reshape(deltas.shape)
 
 

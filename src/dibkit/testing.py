@@ -68,11 +68,16 @@ __all__ = [
     "p2_p3",
     "pvalue",
     "tipping_point",
+    "NoCrossingError",
     "alasso_local_power_decay",
     "MC_DRAWS_DEFAULT",
 ]
 
 MC_DRAWS_DEFAULT = 50_000
+
+
+class NoCrossingError(ValueError):
+    """The p-value curve does not reach the target on the tipping-point bracket."""
 
 
 @dataclass(frozen=True)
@@ -183,11 +188,17 @@ class _ConditionalLaw:
         self.inner = -(theta - spec.theta0) - self.q + (m / (n + m)) * (t - delta)
         self.root_n, self.root_nm = math.sqrt(n), math.sqrt(n + m)
 
-    def cdf(self, z: float | np.ndarray) -> float | np.ndarray:
+    def _u(self, z: float | np.ndarray) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=float))
-        u = self.root_nm * (zs[:, None] / self.root_n + self.inner)
-        out = np.sum(self.weights * ndtr(u), axis=-1)
+        return self.root_nm * (zs[:, None] / self.root_n + self.inner)
+
+    def cdf(self, z: float | np.ndarray) -> float | np.ndarray:
+        out = np.sum(self.weights * ndtr(self._u(z)), axis=-1)
         return out if np.ndim(z) else float(out[0])
+
+    def sf(self, z: float) -> float:
+        """P(Z > z), summed over upper tails so that small probabilities keep their digits."""
+        return float(np.sum(self.weights * ndtr(-self._u(z))))
 
 
 def sampling_cdf(
@@ -280,7 +291,7 @@ def power(
     crit = float(critical)
     if math.isinf(crit):
         return 0.0
-    return 1.0 - float(sampling_cdf(spec, crit, theta, delta))
+    return _ConditionalLaw(spec, theta, delta).sf(crit)
 
 
 def power_curve(
@@ -336,7 +347,7 @@ def sweet_spot(
     if not isinstance(conv, DeltaBounded):
         raise ValueError("sweet spot is defined for the bounded-conflict convention")
     crit = critical_value(spec)
-    mle_power = 1.0 - float(ndtr(ndtri(1.0 - spec.alpha) - math.sqrt(spec.n) * (theta - spec.theta0)))
+    mle_power = float(ndtr(math.sqrt(spec.n) * (theta - spec.theta0) - ndtri(1.0 - spec.alpha)))
     grid = np.linspace(0.0, conv.delta0, points)
     gain = np.array([power(spec, crit, theta, d) - mle_power for d in grid])
     positive = gain > 0.0
@@ -402,10 +413,10 @@ def pvalue(
     n, m = s.n, s.m
     if option == "mle-alldelta":
         z1 = math.sqrt(n) * (s.theta_hat - theta0)
-        return 1.0 - float(ndtr(z1))
+        return float(ndtr(-z1))
     if option == "pooled-deltazero":
         z2 = math.sqrt(n) * (est_pooled(s).theta_est - theta0)
-        return 1.0 - float(ndtr(z2 / math.sqrt(n / (n + m))))
+        return float(ndtr(-z2 / math.sqrt(n / (n + m))))
     if option == "dib-deltabounded":
         if delta0 is None or sens is None:
             raise ValueError("bounded-conflict option needs delta0 and sens")
@@ -441,7 +452,7 @@ def tipping_point(
     )
     ps = np.maximum.accumulate(ps)  # monotone envelope
     if target_p < ps[0] or target_p > ps[-1]:
-        raise ValueError(
+        raise NoCrossingError(
             f"no sign change on bracket: p ranges [{ps[0]:.4g}, {ps[-1]:.4g}], "
             f"target {target_p:.4g}"
         )

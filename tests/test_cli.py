@@ -228,6 +228,11 @@ _ESTIMATE = ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1", "-
         (["example-prams", "--level", "1.5"], 2, "ConfigError", "level"),
         (["example-prams", "--mc-draws", "0"], 2, "ConfigError", "mc_draws = 0"),
         (["densities", "--workers", "0"], 2, "ConfigError", "workers = 0"),
+        (["example-prams", "--target-p", "2"], 2, "ConfigError", "target_p"),
+        (["densities", "--replicates", "1"], 2, "ConfigError", "replicates = 1"),
+        (["densities", "--grid-points", "1"], 2, "ConfigError", "grid_points = 1"),
+        (["example-prams", "--successes", "0"], 2, "ConfigError", "degenerate rate"),
+        (["example-prams", "--successes", "94"], 2, "ConfigError", "degenerate rate"),
     ],
 )
 def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, message):

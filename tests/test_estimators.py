@@ -4,6 +4,7 @@ from typing import get_args
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 import dibkit as dk
 from dibkit import TwoSampleSummary
@@ -335,6 +336,41 @@ def test_lstp_delta_mode_matches_mpmath_roots():
         for d, g in zip(dh, got):
             want = float(lstp_delta_mode_mpmath(d, n, m))
             assert abs(g - want) <= 1e-14 * max(1.0, abs(want)), (n, m, d, g, want)
+
+
+def _lstp_cubic_discriminant(delta_hat, n, m, v=3):
+    """Discriminant of the depressed stationary cubic; negative where it has three real roots."""
+    a = n * m / (2.0 * (n + m))
+    B, C, D = -delta_hat, (2.0 * a * v + (v + 1.0) * n) / (2.0 * a * n), -v * delta_hat / n
+    p = C - B * B / 3.0
+    q = 2.0 * B**3 / 27.0 - B * C / 3.0 + D
+    return (q / 2.0) ** 2 + (p / 3.0) ** 3
+
+
+def test_lstp_delta_mode_relative_accuracy_across_root_branches():
+    # an external sample under a fifth of the current one makes the profile
+    # bimodal over a conflict band (three real roots); the band's edges are
+    # where the discriminant crosses 0 and two roots merge
+    for n, m in ((1000, 100), (500, 20), (50, 1), (1000, 100_000), (1, 1)):
+        s = math.sqrt(1.0 / n + 1.0 / m)
+        grid = np.linspace(0.05 * s, 12.0 * s, 40)
+        dh = [*grid, *-grid]
+        xs = np.linspace(0.05 * s, 12.0 * s, 2001)
+        disc = _lstp_cubic_discriminant(xs, n, m)
+        edges = [
+            brentq(lambda x: _lstp_cubic_discriminant(x, n, m), xs[k], xs[k + 1], xtol=1e-300, rtol=1e-15)
+            for k in np.flatnonzero(np.diff(np.sign(disc)) != 0)
+        ]
+        assert len(edges) == (2 if m < n / 5 else 0)
+        for edge in edges:
+            for eps in (0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+                dh += [edge * (1.0 + eps), edge * (1.0 - eps)]
+        dh = np.array(dh)
+        if edges:
+            assert np.any(_lstp_cubic_discriminant(dh, n, m) < 0.0)
+        for d, got in zip(dh, lstp_delta_mode(dh, n, m)):
+            want = float(lstp_delta_mode_mpmath(d, n, m))
+            assert abs(got - want) <= 1e-12 * abs(want), (n, m, d, got, want)
 
 
 def _joint_log_posterior(tg, dgrid, s: TwoSampleSummary, v: int):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_hermite
 
+from dibkit.cli import TABLE_ESTIMATORS
 from dibkit.estimators import (
     AdaptiveMmse,
     EmpiricalBayesPowerPrior,
@@ -14,6 +16,8 @@ from dibkit.estimators import (
     Pooled,
     StudentTPriorBayes,
     TestThenPool as TtPool,
+    config_from_id,
+    conflict_correction,
 )
 from dibkit.risk import (
     LaplacePrior,
@@ -73,6 +77,28 @@ def test_node_doubling_stability():
     a = mse_numeric(StudentTPriorBayes(), 0.0, 0.05, N, M, nodes=96)
     b = mse_numeric(StudentTPriorBayes(), 0.0, 0.05, N, M, nodes=192)
     assert abs(a - b) < 1e-4
+
+
+def full_tensor_mse(config, delta, n, m, nodes):
+    """MSE summed over every Gauss-Hermite node pair (the oracle of the pruned sum)."""
+    x, w = roots_hermite(nodes)
+    w = w / math.sqrt(math.pi)
+    u = math.sqrt(2.0 / n) * x
+    v = math.sqrt(2.0 / m) * x
+    err = u[:, None] + conflict_correction(config, delta + v[None, :] - u[:, None], n, m, delta_true=delta)
+    return float(np.sum(np.outer(w, w) * err * err))
+
+
+@pytest.mark.parametrize("nodes", [64, 128, 256])
+def test_skipped_pairs_leave_the_mse_unchanged(nodes):
+    # 1.0 is the edge of pi3's support, the largest conflict the table integrates
+    deltas = np.array([0.0, 1.58, 5.06, 8.0, 0.5 * math.sqrt(N), math.sqrt(N)]) / math.sqrt(N)
+    for name in TABLE_ESTIMATORS:
+        config = config_from_id(name)
+        for delta in deltas:
+            got = mse_numeric(config, 0.0, delta, N, M, nodes=nodes)
+            want = full_tensor_mse(config, delta, N, M, nodes)
+            assert abs(got - want) <= 1e-13 * want, (name, delta, got, want)
 
 
 def test_minimum_nodes_enforced():

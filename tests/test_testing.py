@@ -188,13 +188,29 @@ def test_p2_never_exceeds_p3(theta, beta, delta0, theta_assumed):
 
 
 def test_pvalue_option1_prams(prams):
-    p1 = pvalue("mle-alldelta", prams["st"], prams["theta0_st"])
+    s, theta0 = prams["st"], prams["theta0_st"]
+    p1 = pvalue("mle-alldelta", s, theta0)
     assert p1 == pytest.approx(0.1157, abs=5e-4)
+    assert p1 == pytest.approx(norm.sf(math.sqrt(s.n) * (s.theta_hat - theta0)), rel=1e-12, abs=0.0)
 
 
 def test_pvalue_option2_prams(prams):
-    p2 = pvalue("pooled-deltazero", prams["st"], prams["theta0_st"])
-    assert p2 < 1e-4
+    # the pooled statistic sits ~15 sd above the null, where 1 - Phi(z) rounds to 0
+    s, theta0 = prams["st"], prams["theta0_st"]
+    pooled = (s.n * s.theta_hat + s.m * s.beta_hat) / (s.n + s.m)
+    p2 = pvalue("pooled-deltazero", s, theta0)
+    assert 0.0 < p2 < 1e-4
+    assert p2 == pytest.approx(norm.sf(math.sqrt(s.n + s.m) * (pooled - theta0)), rel=1e-12, abs=0.0)
+
+
+def test_power_keeps_relative_precision_in_the_tail():
+    # 6.7 sd below the critical value the rejection probability is 1.0e-11;
+    # 1 - P(Z <= crit) would keep only about 5 of its digits
+    spec = spec_for(Mle(), DeltaZero())
+    crit = critical_value(spec)
+    got = power(spec, crit, -0.15, 0.0)
+    want = norm.sf(float(crit) + math.sqrt(N) * 0.15)
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_pvalue_option3_prams(prams):
