@@ -174,7 +174,7 @@ _SUBCOMMANDS: dict[str, list[Option]] = {
         Option("resamples", int, 100_000, "bootstrap resamples (desk scale)"),
         Option("level", float, 0.95, "bootstrap confidence level"),
         Option("delta0_list", _floats, (0.01, 0.05, 0.087), "conflict bounds to profile"),
-        Option("mc_draws", int, 200_000, "Monte Carlo draws per p-value"),
+        Option("mc_draws", int, 200_000, "accepted; has no effect (p-values are exact)"),
         Option("target_p", float, 0.05, "tipping-point target p-value"),
     ],
     "asymptotics-check": [
@@ -467,7 +467,6 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
 
     p1 = testing.pvalue("mle-alldelta", s_st, theta0_st)
     p2_opt = testing.pvalue("pooled-deltazero", s_st, theta0_st)
-    mc = cfg["mc_draws"]
     rows: list[list[Any]] = [
         ["theta_hat_raw", "rate", raw.theta_hat],
         ["beta_hat_raw", "rate", raw.beta_hat],
@@ -485,22 +484,16 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
         ["p_option1", "probability", p1],
         ["p_option2", "probability", p2_opt],
     ]
-    for i, d0 in enumerate(cfg["delta0_list"]):
-        p3_opt = testing.pvalue(
-            "dib-deltabounded", s_st, theta0_st, d0, sens, mc, cfg["seed"] + 17 + i
-        )
-        p3_opt_rate = testing.pvalue(
-            "dib-deltabounded", s_st, theta0_st, d0 / cur_st.sd, sens, mc, cfg["seed"] + 17 + i
-        )
+    for d0 in cfg["delta0_list"]:
+        p3_opt = testing.pvalue("dib-deltabounded", s_st, theta0_st, d0, sens)
+        p3_opt_rate = testing.pvalue("dib-deltabounded", s_st, theta0_st, d0 / cur_st.sd, sens)
         p2v, p3v = testing.p2_p3(s_st, d0, theta0_st)
         rows.append([f"p_option3@delta0={d0:g}", "standardized-conflict", p3_opt])
         rows.append([f"p_option3@delta0={d0:g}", "rate-conflict", p3_opt_rate])
         rows.append([f"p2@delta0={d0:g}", "probability", p2v])
         rows.append([f"p3@delta0={d0:g}", "probability", p3v])
     try:
-        tip = testing.tipping_point(
-            s_st, theta0_st, sens, cfg["target_p"], mc_draws=mc, seed=cfg["seed"] + 41
-        )
+        tip = testing.tipping_point(s_st, theta0_st, sens, cfg["target_p"])
         rows.append(["tipping_point", "standardized-conflict", tip])
     except testing.NoCrossingError as exc:
         rows.append(["tipping_point", "error", str(exc)])

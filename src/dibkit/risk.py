@@ -23,8 +23,7 @@ from typing import Callable, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_hermite
-from scipy.stats import t as student_t
+from scipy.special import gammaln, roots_hermite, stdtr
 
 from .estimators import (
     EstimatorConfig,
@@ -153,13 +152,15 @@ class StudentTPrior:
             raise ValueError("scale must be positive")
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
-        return student_t.pdf((x - self.loc) / self.scale, self.v) / self.scale
+        v, y = self.v, (x - self.loc) / self.scale
+        log_norm = gammaln((v + 1) / 2) - gammaln(v / 2) - 0.5 * (math.log(v) + math.log(math.pi))
+        return np.exp(log_norm - (v + 1) / 2 * np.log1p(y * y / v)) / self.scale
 
     def support(self) -> tuple[float, float]:
         return (self.loc - _TAIL_SPAN * self.scale, self.loc + _TAIL_SPAN * self.scale)
 
     def truncation_mass(self) -> float:
-        return 2.0 * student_t.sf(_TAIL_SPAN, self.v)
+        return 2.0 * stdtr(self.v, -_TAIL_SPAN)
 
 
 @dataclass(frozen=True)

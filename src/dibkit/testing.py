@@ -21,9 +21,9 @@ to rounding, so ``breakpoints`` must name every kink and jump of ``q``.
 Critical values depend on what is assumed about the conflict under the null:
 exactly zero, bounded by a known value, or unrestricted.  In the unrestricted
 convention the per-conflict quantiles of non-suppressing estimators grow
-without bound and the critical value is reported as infinite.  Only the
-worked example's bounded-conflict p-value and its tipping point use seeded
-Monte Carlo.
+without bound and the critical value is reported as infinite.  The worked
+example's bounded-conflict p-value is the same law's exact upper tail, and
+its tipping point is a root of that p-value in the conflict bound.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
 
-from . import streams
 from .estimators import (
     EstimatorConfig,
     SensitivityMmse,
@@ -70,10 +68,7 @@ __all__ = [
     "tipping_point",
     "NoCrossingError",
     "alasso_local_power_decay",
-    "MC_DRAWS_DEFAULT",
 ]
-
-MC_DRAWS_DEFAULT = 50_000
 
 
 class NoCrossingError(ValueError):
@@ -168,24 +163,23 @@ _SPAN = 9.5  # half-width of the integrated conflict range, in the same units
 class _ConditionalLaw:
     """Law of Z at one truth, as a fixed quadrature over the conflict statistic.
 
-    Holds, per panel node ``t``, its weight times the normal density of
-    ``t``, the correction ``q(t)`` (whose range brackets the quantiles) and
-    the shift ``m/(n+m) (t - delta) - q(t) - (theta - theta0)`` of the
-    standardized conditional mean; panels split at every breakpoint of the
-    correction.
+    ``shift`` is ``theta - theta0``.  Holds, per panel node ``t``, its weight
+    times the normal density of ``t``, the correction ``q(t)`` (whose range
+    brackets the quantiles) and the offset ``m/(n+m) (t - delta) - q(t) -
+    shift`` of the standardized conditional mean; panels split at every
+    breakpoint of the correction.
     """
 
-    def __init__(self, spec: TestSpec, theta: float, delta: float) -> None:
-        n, m = spec.n, spec.m
+    def __init__(self, estimator: EstimatorConfig, n: int, m: int, shift: float, delta: float) -> None:
         s = math.sqrt(1.0 / n + 1.0 / m)
         lo, hi = delta - _SPAN * s, delta + _SPAN * s
         if not lo < hi:
             raise ValueError(f"conflict span {delta:g} +/- {_SPAN:g} * {s:g} rounds to a single point")
-        kinks = [b for b in correction_breakpoints(spec.estimator, n, m) if lo < b < hi]
+        kinks = [b for b in correction_breakpoints(estimator, n, m) if lo < b < hi]
         t, w = _legendre_panels(sorted({lo, hi, *kinks}), _PANEL_RULE, _PANEL_WIDTH * s)
-        self.q = conflict_correction(spec.estimator, t, n, m, delta_true=delta)
+        self.q = conflict_correction(estimator, t, n, m, delta_true=delta)
         self.weights = w * (np.exp(-((t - delta) ** 2) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi)))
-        self.inner = -(theta - spec.theta0) - self.q + (m / (n + m)) * (t - delta)
+        self.inner = -shift - self.q + (m / (n + m)) * (t - delta)
         self.root_n, self.root_nm = math.sqrt(n), math.sqrt(n + m)
 
     def _u(self, z: float | np.ndarray) -> np.ndarray:
@@ -205,26 +199,13 @@ def sampling_cdf(
     spec: TestSpec, z: float | np.ndarray, theta: float, delta: float
 ) -> float | np.ndarray:
     """P(Z <= z) for ``Z = sqrt(n)(estimate - theta0)`` at the given truth."""
-    return _ConditionalLaw(spec, theta, delta).cdf(z)
-
-
-def _mc_statistic_draws(
-    config: EstimatorConfig, n: int, m: int, theta0: float, theta: float, delta: float,
-    draws: int, seed: int, stream: int,
-) -> np.ndarray:
-    """Seeded draws of ``sqrt(n) * (estimate - theta0)`` at the given truth."""
-    z1 = streams.addressed_normals(seed, stream, 0, draws)
-    z2 = streams.addressed_normals(seed, stream, draws, draws)
-    theta_hat = theta + z1 / math.sqrt(n)
-    beta_hat = theta + delta + z2 / math.sqrt(m)
-    q = conflict_correction(config, beta_hat - theta_hat, n, m, delta_true=delta)
-    return math.sqrt(n) * (theta_hat + q - theta0)
+    return _ConditionalLaw(spec.estimator, spec.n, spec.m, theta - spec.theta0, delta).cdf(z)
 
 
 def null_quantile(spec: TestSpec, delta: float, prob: float | None = None) -> float:
     """(1-alpha) quantile of Z under ``theta = theta0`` at the given conflict."""
     prob = 1.0 - spec.alpha if prob is None else prob
-    law = _ConditionalLaw(spec, spec.theta0, delta)
+    law = _ConditionalLaw(spec.estimator, spec.n, spec.m, 0.0, delta)
     lo = law.root_n * float(np.min(law.q)) - 9.0
     hi = law.root_n * float(np.max(law.q)) + 9.0
     return float(brentq(lambda z: law.cdf(z) - prob, lo, hi, xtol=1e-10))
@@ -291,7 +272,7 @@ def power(
     crit = float(critical)
     if math.isinf(crit):
         return 0.0
-    return _ConditionalLaw(spec, theta, delta).sf(crit)
+    return _ConditionalLaw(spec.estimator, spec.n, spec.m, theta - spec.theta0, delta).sf(crit)
 
 
 def power_curve(
@@ -383,7 +364,8 @@ def p2_p3(s: TwoSampleSummary, delta0: float, theta_assumed: float) -> tuple[flo
     # theta_hat* ~ N(obs, 1/n); delta_hat* | theta_hat* ~ N(obs - (theta_hat*-obs), 1/m)
     xg, wg = leggauss(96)
     th_star = s.theta_hat + 4.0 / math.sqrt(n) * xg
-    wts = wg * norm.pdf(th_star, loc=s.theta_hat, scale=1.0 / math.sqrt(n)) * (4.0 / math.sqrt(n))
+    # the N(obs, 1/n) density at th_star, times the rule's half-width 4/sqrt(n)
+    wts = wg * np.exp(-8.0 * xg * xg) * (4.0 / math.sqrt(2.0 * math.pi))
     mu_cond = s.delta_hat - (th_star - s.theta_hat)
     upper = ndtr((delta0 - mu_cond) * math.sqrt(m))
     lower = ndtr((delta0 - (th_star - theta_assumed) - mu_cond) * math.sqrt(m))
@@ -400,15 +382,13 @@ def pvalue(
     theta0: float,
     delta0: float | None = None,
     sens: float | None = None,
-    mc_draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
 ) -> float:
     """One-sided upper p-value under the three conflict conventions.
 
     All quantities live on the summary's scale; ``delta0`` is the assumed
-    conflict bound on that same scale.  The bounded-conflict option evaluates
-    the sensitivity-indexed borrowing statistic by seeded Monte Carlo at the
-    worst null conflict ``delta = delta0``.
+    conflict bound on that same scale.  The bounded-conflict option is the
+    exact upper tail of the sensitivity-indexed borrowing statistic at
+    ``theta = theta0`` and the worst null conflict ``delta = delta0``.
     """
     n, m = s.n, s.m
     if option == "mle-alldelta":
@@ -422,8 +402,7 @@ def pvalue(
             raise ValueError("bounded-conflict option needs delta0 and sens")
         config = SensitivityMmse(sens)
         z_obs = math.sqrt(n) * (config.result(s).theta_est - theta0)
-        z_null = _mc_statistic_draws(config, n, m, theta0, theta0, delta0, mc_draws, seed, 0)
-        return float(np.mean(z_null > z_obs))
+        return _ConditionalLaw(config, n, m, 0.0, delta0).sf(z_obs)
     raise ValueError(f"unknown p-value option {option!r}")
 
 
@@ -435,28 +414,28 @@ def tipping_point(
     *,
     bracket: tuple[float, float] = (1e-3, 0.5),
     grid_points: int = 33,
-    mc_draws: int = MC_DRAWS_DEFAULT,
-    seed: int = 0,
 ) -> float:
-    """Conflict bound at which the bounded-conflict p-value reaches ``target_p``.
+    """Conflict bound at which the bounded-conflict p-value first rises to ``target_p``.
 
-    Common random numbers across the conflict grid plus a running-maximum
-    envelope (the p-values made nondecreasing in the bound) tame the Monte
-    Carlo noise before the crossing is interpolated.
+    The exact p-value is not monotone in the bound, so the root is taken on
+    the first grid interval whose right end reaches the target; the curve
+    must start below it.
     """
     if not 0.0 < target_p < 1.0:
         raise ValueError("target_p must lie in (0, 1)")
+
+    def excess(d0: float) -> float:
+        return pvalue("dib-deltabounded", s, theta0, d0, sens) - target_p
+
     grid = np.linspace(bracket[0], bracket[1], grid_points)
-    ps = np.array(
-        [pvalue("dib-deltabounded", s, theta0, d0, sens, mc_draws, seed) for d0 in grid]
-    )
-    ps = np.maximum.accumulate(ps)  # monotone envelope
-    if target_p < ps[0] or target_p > ps[-1]:
+    gaps = np.array([excess(d0) for d0 in grid])
+    k = int(np.argmax(gaps >= 0.0))  # first point at the target; 0 also when none is
+    if k == 0:
         raise NoCrossingError(
-            f"no sign change on bracket: p ranges [{ps[0]:.4g}, {ps[-1]:.4g}], "
-            f"target {target_p:.4g}"
+            f"no sign change on bracket: p starts at {gaps[0] + target_p:.4g} and peaks "
+            f"at {gaps.max() + target_p:.4g}, target {target_p:.4g}"
         )
-    return float(np.interp(target_p, ps, grid))
+    return float(brentq(excess, grid[k - 1], grid[k], xtol=1e-14))
 
 
 def alasso_local_power_decay(

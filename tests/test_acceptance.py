@@ -343,9 +343,9 @@ def prams_pipeline(prams):
         "z1": math.sqrt(94) * (s.theta_hat - theta0_st),
         "p1": pvalue("mle-alldelta", s, theta0_st),
         "p2": pvalue("pooled-deltazero", s, theta0_st),
-        "p3_opt": pvalue("dib-deltabounded", s, theta0_st, 0.05, 0.4, 400_000, seed=7),
+        "p3_opt": pvalue("dib-deltabounded", s, theta0_st, 0.05, 0.4),
         "ci": ci,
-        "tipping": tipping_point(s, theta0_st, 0.4, 0.05, mc_draws=200_000, seed=7),
+        "tipping": tipping_point(s, theta0_st, 0.4, 0.05),
         "p3_hat": {d0: p2_p3(s, d0, theta0_st)[1] for d0 in (0.01, 0.05, 0.087)},
     }
     out["elapsed"] = time.time() - start
@@ -383,7 +383,7 @@ def test_criterion_7_point_estimate_published_value(prams_pipeline):
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "faithful Monte Carlo of the statistic under (theta0, delta0=0.05) gives p ~ 0.034; "
+        "the exact law of the statistic under (theta0, delta0=0.05) gives p = 0.0346; "
         "the published 0.0423 is not reproduced by any coupled simulation consistent with "
         "the published z3 (the neighbouring published values 0.60/0.74/at-tipping all are)"
     ),

@@ -140,6 +140,19 @@ def test_example_prams_report(tmp_path, capsys):
     assert "bootstrap CI" in out
 
 
+def test_example_prams_seed_moves_only_the_bootstrap_ci(tmp_path):
+    base = ["example-prams", "--resamples", "2000", "--delta0-list", "0.05,0.087"]
+    reports = []
+    for seed, draws in (("1", "1"), ("2", "500000")):  # --mc-draws has no effect
+        out = tmp_path / seed
+        assert run(base + ["--seed", seed, "--mc-draws", draws, "--out-dir", str(out)]) == 0
+        reports.append({(r[0], r[1]): r[2] for r in read_csv(out / "prams_report.csv")[1:]})
+    moved = {key[0] for key in reports[0] if reports[0][key] != reports[1][key]}
+    assert moved == {"ci_lo", "ci_hi"}
+    tip = float(reports[0][("tipping_point", "standardized-conflict")])
+    assert tip == pytest.approx(0.0902580796, abs=1e-9)
+
+
 def test_asymptotics_check(tmp_path):
     assert (
         run(
@@ -245,13 +258,26 @@ def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, messag
     assert message in record["message"]
 
 
+def _src_env():
+    src = str(Path(dibkit.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.mark.parametrize("module", ["dibkit", "dibkit.cli"])
 def test_python_dash_m_runs_the_cli(module):
-    src = str(Path(dibkit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", module, "--help"], capture_output=True, text=True, env=env,
-        timeout=60,
+        [sys.executable, "-m", module, "--help"], capture_output=True, text=True,
+        env=_src_env(), timeout=60,
     )
     assert proc.returncode == 0
     assert "densities" in proc.stdout
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes about half of the import time
+    code = "import sys, dibkit, dibkit.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -130,6 +130,17 @@ def test_pooled_curve_closed_form():
     np.testing.assert_allclose(curve.srmse, expected, atol=1e-8)
 
 
+def test_student_t_prior_matches_scipy():
+    from scipy.stats import t as student_t
+
+    x = np.linspace(-20.0, 20.0, 4001)
+    for v, loc, scale in ((3, 0.0, 1.0 / math.sqrt(N)), (5, 0.2, 2.0), (30, -1.0, 0.5)):
+        prior = StudentTPrior(v, loc, scale)
+        want = student_t.pdf(x, v, loc=loc, scale=scale)
+        np.testing.assert_allclose(prior.pdf(x), want, rtol=1e-14, atol=0.0)
+        assert prior.truncation_mass() == pytest.approx(2.0 * student_t.sf(8.0, v), rel=1e-14)
+
+
 def test_prior_densities_normalized():
     for prior in table_priors(N, M).values():
         total = quad(lambda x: float(prior.pdf(np.asarray(x))), *prior.support(), limit=200)[0]

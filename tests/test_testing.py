@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from dibkit import testing
+from dibkit import streams, testing
 from dibkit.estimators import (
     AdaptiveLasso,
     AdaptiveMmse,
@@ -13,16 +13,18 @@ from dibkit.estimators import (
     Mle,
     NormalPriorBayes,
     Pooled,
+    SensitivityMmse,
     StudentTPriorBayes,
     TestThenPool as TtPool,
+    conflict_correction,
 )
 from dibkit.summaries import TwoSampleSummary
 from dibkit.testing import (
     AllDelta,
     DeltaBounded,
     DeltaZero,
+    NoCrossingError,
     TestSpec as Spec,
-    _mc_statistic_draws,
     alasso_local_power_decay,
     critical_value,
     null_quantile,
@@ -40,6 +42,19 @@ Z975 = norm.ppf(0.975)
 
 def spec_for(estimator, convention, alpha=0.025, theta0=0.0, n=N, m=M):
     return Spec(theta0=theta0, alpha=alpha, convention=convention, estimator=estimator, n=n, m=m)
+
+
+def _mc_statistic_draws(
+    config, n: int, m: int, theta0: float, theta: float, delta: float,
+    draws: int, seed: int, stream: int,
+) -> np.ndarray:
+    """Seeded draws of ``sqrt(n) * (estimate - theta0)`` at the given truth."""
+    z1 = streams.addressed_normals(seed, stream, 0, draws)
+    z2 = streams.addressed_normals(seed, stream, draws, draws)
+    theta_hat = theta + z1 / math.sqrt(n)
+    beta_hat = theta + delta + z2 / math.sqrt(m)
+    q = conflict_correction(config, beta_hat - theta_hat, n, m, delta_true=delta)
+    return math.sqrt(n) * (theta_hat + q - theta0)
 
 
 def test_mle_critical_matches_normal_quantile():
@@ -214,13 +229,35 @@ def test_power_keeps_relative_precision_in_the_tail():
 
 
 def test_pvalue_option3_prams(prams):
-    p3 = pvalue(
-        "dib-deltabounded", prams["st"], prams["theta0_st"], 0.05, 0.4,
-        mc_draws=200_000, seed=7,
-    )
-    # published as 0.0423; the faithful simulation of the statistic under
-    # (theta0, delta0) puts it near 0.035
+    p3 = pvalue("dib-deltabounded", prams["st"], prams["theta0_st"], 0.05, 0.4)
+    # published as 0.0423; the exact law of the statistic under
+    # (theta0, delta0) puts it at 0.0346
     assert p3 == pytest.approx(0.0345, abs=0.004)
+
+
+@pytest.mark.parametrize("delta0", [0.01, 0.05, 0.087, 0.12, 0.3])
+def test_pvalue_option3_matches_seeded_draws(prams, delta0):
+    s, theta0, draws = prams["st"], prams["theta0_st"], 400_000
+    exact = pvalue("dib-deltabounded", s, theta0, delta0, 0.4)
+    config = SensitivityMmse(0.4)
+    z_obs = math.sqrt(s.n) * (config.result(s).theta_est - theta0)
+    z_null = _mc_statistic_draws(config, s.n, s.m, theta0, theta0, delta0, draws, 29, 0)
+    assert abs(np.mean(z_null > z_obs) - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / draws)
+
+
+def test_pvalue_option3_panel_halving(prams, monkeypatch):
+    # measured changes: <= 3.5e-10 up to delta0 = 0.12 and 3.1e-9 at 0.3, where
+    # the statistic's conditional law (sd 1/sqrt(n+m) in the conflict) is
+    # steepest against the 12-node panels; halving again changes none of them further
+    s, theta0 = prams["st"], prams["theta0_st"]
+    tolerance = {0.01: 1e-9, 0.05: 1e-9, 0.087: 1e-9, 0.12: 1e-9, 0.3: 5e-9}
+    coarse = np.array([pvalue("dib-deltabounded", s, theta0, d, 0.4) for d in tolerance])
+    coarse_tip = tipping_point(s, theta0, 0.4, 0.05)
+    monkeypatch.setattr(testing, "_PANEL_WIDTH", 0.5 * testing._PANEL_WIDTH)
+    finer = np.array([pvalue("dib-deltabounded", s, theta0, d, 0.4) for d in tolerance])
+    assert np.any(finer != coarse)  # other nodes, so the width took effect
+    assert np.all(np.abs(finer - coarse) <= list(tolerance.values()))
+    assert abs(tipping_point(s, theta0, 0.4, 0.05) - coarse_tip) <= 1e-9
 
 
 def test_pvalue_option2_dominates_option1_under_agreement():
@@ -242,14 +279,32 @@ def test_pvalue_option3_requires_arguments(prams):
 
 def test_tipping_point_inverse_consistency(prams):
     s, theta0_st = prams["st"], prams["theta0_st"]
-    tip = tipping_point(s, theta0_st, 0.4, 0.05, mc_draws=100_000, seed=7)
-    p_at_tip = pvalue("dib-deltabounded", s, theta0_st, tip, 0.4, mc_draws=400_000, seed=19)
+    tip = tipping_point(s, theta0_st, 0.4, 0.05)
+    p_at_tip = pvalue("dib-deltabounded", s, theta0_st, tip, 0.4)
     assert p_at_tip == pytest.approx(0.05, abs=0.006)
+
+
+def test_tipping_point_is_the_first_exact_crossing(prams):
+    s, theta0_st = prams["st"], prams["theta0_st"]
+    tip = tipping_point(s, theta0_st, 0.4, 0.05)
+    assert tip == pytest.approx(0.0902580796, abs=1e-9)
+    assert abs(pvalue("dib-deltabounded", s, theta0_st, tip, 0.4) - 0.05) <= 1e-9
+    # the default grid of 33 points on (1e-3, 0.5): every point left of the crossing is below
+    grid = np.linspace(1e-3, 0.5, 33)
+    before = [pvalue("dib-deltabounded", s, theta0_st, d, 0.4) for d in grid[grid < tip]]
+    assert before and max(before) < 0.05
 
 
 def test_tipping_point_requires_bracketing(prams):
     with pytest.raises(ValueError, match="no sign change"):
-        tipping_point(prams["st"], prams["theta0_st"], 0.4, 0.9, mc_draws=5000, seed=0)
+        tipping_point(prams["st"], prams["theta0_st"], 0.4, 0.9)
+
+
+def test_tipping_point_rejects_a_curve_that_starts_above_the_target(prams):
+    # p is 0.0341 at the bracket's left end, above a target of 0.034; the
+    # curve dips to 0.0337 and rises through 0.034 later, but that is no tipping point
+    with pytest.raises(NoCrossingError, match="starts at 0.03413"):
+        tipping_point(prams["st"], prams["theta0_st"], 0.4, 0.034)
 
 
 def test_alasso_power_decay_short_ladder():
