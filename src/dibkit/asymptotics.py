@@ -14,8 +14,8 @@ Mixing-weight form: the scaled estimation error converges to
 ``zeta1 + w(xi) * xi / sqrt(1-p)`` where ``w`` is the limit of the
 finite-sample mixing weight.  The bare displayed form ``zeta1 + g(.) * xi``
 drops the ``1/sqrt(1-p)`` carried by the conflict scaling in the underlying
-argument; the proof-consistent form used here matches finite-sample draws to
-Kolmogorov-Smirnov distance well under 0.02 at realistic sizes.
+argument.  At ``p = n/(n+m)`` the exact limit law (``_LimitLaw``) is the finite
+law of this Gaussian model to quadrature error; the bare form is 0.02-0.4 off.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from typing import Literal, Union
 import numpy as np
 
 from . import streams
-from .estimators import EstimatorConfig, Mle, Pooled
+from .estimators import EstimatorConfig
+from .testing import _ConditionalLaw, _normal_panels
 
 __all__ = [
     "LocalScenario",
@@ -114,6 +115,18 @@ def limit_law_theorem4(sc: LocalScenario) -> NormalLaw:
     return NormalLaw(mean=(1.0 - sc.p) * sc.h, variance=sc.p)
 
 
+class _LimitLaw(_ConditionalLaw):
+    """Exact limit law: ``xi ~ N(sqrt(1-p) h, 1)`` and, given ``xi``, the error is normal
+    with mean ``w(xi) xi / sqrt(1-p) - sqrt(1-p) (xi - sqrt(1-p) h)`` and variance ``p``."""
+
+    def __init__(self, kind: EstimatorConfig, sc: LocalScenario) -> None:
+        r = math.sqrt(1.0 - sc.p)
+        xi, self.weights = _normal_panels(r * sc.h, 1.0, kind.limit_breakpoints)
+        self.q = kind.limit_weight(xi, sc.p, sc.h) * (xi / r)
+        self.inner = r * (xi - r * sc.h) - self.q
+        self.root_n, self.root_nm = 1.0, 1.0 / math.sqrt(sc.p)
+
+
 def limit_srmse(
     kind: LimitKind,
     sc: LocalScenario,
@@ -124,22 +137,13 @@ def limit_srmse(
 ) -> float | tuple[float, float]:
     """Root mean squared scaled error of the limit law.
 
-    Exact for the current-data MLE (always 1) and for the pooled/theorem-4
-    normal limit; Monte Carlo with ``draws`` addressed samples otherwise.
-    The standard error of the root is reported when requested (0 for the
-    exact cases).
+    Exact: ``sqrt(p/(1-p) + h^2)`` for the external-data MLE and the limit
+    law's second moment for every kind with a limit weight.  ``draws`` and
+    ``seed`` are accepted and have no effect; the standard error reported on
+    request is 0.
     """
-    if isinstance(kind, Mle):
-        return (1.0, 0.0) if return_stderr else 1.0
-    if isinstance(kind, Pooled):
-        exact = math.sqrt(sc.p + (1.0 - sc.p) ** 2 * sc.h * sc.h)
-        return (exact, 0.0) if return_stderr else exact
-    vals = limit_sample(kind, sc, draws, seed)
-    sq = vals * vals
-    mean_sq = float(np.mean(sq))
-    root = math.sqrt(mean_sq)
-    if not return_stderr:
-        return root
-    se_mean_sq = float(np.std(sq, ddof=1)) / math.sqrt(draws)
-    se_root = se_mean_sq / (2.0 * root) if root > 0 else float("nan")
-    return root, se_root
+    if kind == EXTERNAL_MLE:
+        root = math.sqrt(sc.p / (1.0 - sc.p) + sc.h * sc.h)
+    else:
+        root = math.sqrt(_LimitLaw(kind, sc).second_moment())
+    return (root, 0.0) if return_stderr else root

@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import testing
-from .asymptotics import LocalScenario, limit_sample
+from .asymptotics import LocalScenario, _LimitLaw
 from .estimators import (
     EstimatorConfig,
     OracleMmse,
@@ -33,7 +33,7 @@ from .estimators import (
     config_from_id,
     estimator_id,
 )
-from .montecarlo import SimPlan, bootstrap_ci, ks_distance, simulate
+from .montecarlo import _QUANTILE_PROBS, bootstrap_ci
 from .risk import (
     MIN_NODES,
     NodeEvaluationError,
@@ -157,7 +157,9 @@ _SUBCOMMANDS: dict[str, list[Option]] = {
         Option("m", int, 100_000, "external sample size"),
         Option("estimators", _names, DENSITY_ESTIMATORS, "estimator ids"),
         Option("sqrt_n_delta", _floats, (0.0, 0.32, 1.58, 5.06), "scaled-conflict scenarios"),
-        Option("replicates", int, 50_000, "Monte Carlo samples per scenario"),
+        Option("replicates", int, 50_000, "accepted; has no effect (densities are exact)"),
+        Option("seed", int, 20240, "accepted; has no effect (densities are exact)"),
+        Option("workers", int, 1, "accepted; has no effect (densities are exact)"),
         Option("grid_points", int, 256, "log-density grid points"),
         Option("c", float, 3.84, "test-then-pool threshold"),
         Option("tau", float, 0.25, "adaptive-lasso tuning exponent"),
@@ -182,7 +184,9 @@ _SUBCOMMANDS: dict[str, list[Option]] = {
         Option("m", int, 100_000, "external sample size"),
         Option("estimators", _names, KS_ESTIMATORS, "estimator ids with closed limit laws"),
         Option("h", _floats, (0.0, 1.58, 5.06), "local conflict values"),
-        Option("draws", int, 100_000, "draws per side"),
+        Option("draws", int, 100_000, "accepted; has no effect (both laws are exact)"),
+        Option("seed", int, 20240, "accepted; has no effect (both laws are exact)"),
+        Option("workers", int, 1, "accepted; has no effect (both laws are exact)"),
         Option("threshold", float, 0.02, "KS pass threshold"),
         Option("c", float, 3.84, "test-then-pool threshold"),
         Option("sens", float, 1.0, "sensitivity-to-conflict"),
@@ -196,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, options in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
-        for opt in _COMMON + options:
+        for opt in {o.name: o for o in _COMMON + options}.values():  # own options replace common ones
             flag = "--" + opt.name.replace("_", "-")
             aliases = ["--estimator"] if opt.name == "estimators" else []
             if opt.type is bool:
@@ -414,19 +418,16 @@ def _cmd_densities(cfg: dict[str, Any]) -> None:
     rows = []
     quantile_rows = []
     for scen_i, snd in enumerate(cfg["sqrt_n_delta"]):
-        delta = snd / math.sqrt(n)
-        plan = _from_config(
-            SimPlan, n=n, m=m, theta=0.0, delta=delta, replicates=cfg["replicates"],
-            seed=cfg["seed"] + scen_i, estimators=tuple(configs),
-        )
-        dists = simulate(plan, workers=cfg["workers"])
         series = []
-        for name, dist in dists.items():
-            grid, logd = dist.log_density(points=cfg["grid_points"])
+        for config in configs:
+            name = estimator_id(config)
+            law = testing._ConditionalLaw(config, n, m, 0.0, snd / math.sqrt(n))
+            grid = law.grid(cfg["grid_points"])
+            logd = np.log(law.pdf(grid))
             for x, ld in zip(grid, logd):
                 rows.append([name, snd, x, ld])
-            for prob, value in dist.quantiles.items():
-                quantile_rows.append([name, snd, prob, value])
+            for prob in _QUANTILE_PROBS:
+                quantile_rows.append([name, snd, prob, law.quantile(prob)])
             series.append(Series(name, tuple(grid), tuple(logd)))
         if cfg["svg"]:
             svg_path = os.path.join(cfg["out_dir"], f"densities_{scen_i}.svg")
@@ -510,22 +511,15 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
 
 def _cmd_asymptotics_check(cfg: dict[str, Any]) -> None:
     n, m = cfg["n"], cfg["m"]
-    p = n / (n + m)
     configs = _estimator_configs(cfg, oracle_tracks_delta=True)
-    draws = cfg["draws"]
+    scenarios = [_from_config(LocalScenario, h=h, p=n / (n + m)) for h in cfg["h"]]
+    # every limit law first, so that a kind without one is rejected before any work
+    limits = [[_from_config(_LimitLaw, config, sc) for config in configs] for sc in scenarios]
     rows = []
-    for hi, h in enumerate(cfg["h"]):
-        sc = _from_config(LocalScenario, h=h, p=p)
-        plan = _from_config(
-            SimPlan, n=n, m=m, theta=0.0, delta=h / math.sqrt(n), replicates=draws,
-            seed=cfg["seed"] + hi, estimators=tuple(configs),
-        )
-        finite = simulate(plan, workers=cfg["workers"])
-        for config in configs:
-            name = estimator_id(config)
-            limit = limit_sample(config, sc, draws, seed=cfg["seed"] + 100 + hi)
-            ks = ks_distance(finite[name].draws, limit)
-            rows.append([name, h, ks, cfg["threshold"], "pass" if ks <= cfg["threshold"] else "fail"])
+    for sc, laws in zip(scenarios, limits):
+        for config, limit in zip(configs, laws):
+            ks = testing._ConditionalLaw(config, n, m, 0.0, sc.h / math.sqrt(n)).distance(limit)
+            rows.append([estimator_id(config), sc.h, ks, cfg["threshold"], "pass" if ks <= cfg["threshold"] else "fail"])
     path = os.path.join(cfg["out_dir"], "asymptotics_check.csv")
     _write_csv(path, ["estimator", "h", "ks_distance", "threshold", "status"], rows)
     print(f"wrote {path}")

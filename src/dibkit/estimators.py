@@ -89,7 +89,7 @@ def _pooled_weight(n: int, m: int) -> float:
 
 
 def _power_prior_limit_weight(gamma: np.ndarray, p: float) -> np.ndarray:
-    return (1.0 - p) / ((1.0 - p) + p / gamma)
+    return (1.0 - p) * gamma / ((1.0 - p) * gamma + p)  # finite as gamma -> 0, like the finite weight
 
 
 def _mixing(values: np.ndarray) -> np.ndarray:
@@ -118,6 +118,7 @@ class _Estimator:
     """
 
     id: ClassVar[str]
+    limit_breakpoints: ClassVar[tuple[float, ...]] = ()  # where the limit weight is non-smooth in xi
 
     def correction(self, d: np.ndarray, n: int, m: int, delta_true: float | None = None):
         return self.weight(d, n, m, delta_true) * d
@@ -221,6 +222,10 @@ class TestThenPool(_Estimator):
     def limit_weight(self, xi, p, h):
         # joint indicator form from the proof, not an independent two-point mixture
         return np.where(xi * xi >= self.c, 0.0, 1.0 - p)
+
+    @property
+    def limit_breakpoints(self):
+        return (-math.sqrt(self.c), math.sqrt(self.c))
 
 
 @dataclass(frozen=True)
@@ -336,6 +341,7 @@ class HellingerPowerPrior(_PowerPrior):
     """Power prior with gamma estimated from the Hellinger distance."""
 
     id: ClassVar[str] = "hdpp"
+    limit_breakpoints: ClassVar[tuple[float, ...]] = (0.0,)
 
     def gamma_est(self, d, n, m):
         return (1.0 - np.sqrt(1.0 - np.exp(-n * d * d / 8.0))) ** 2
@@ -350,6 +356,7 @@ class EmpiricalBayesPowerPrior(_PowerPrior):
     """Power prior with gamma estimated by marginal-likelihood maximization."""
 
     id: ClassVar[str] = "ebpp"
+    limit_breakpoints: ClassVar[tuple[float, ...]] = (-1.0, 1.0)
 
     def gamma_est(self, d, n, m):
         return (1.0 / m) / (np.maximum(d * d, 1.0 / n + 1.0 / m) - 1.0 / n)

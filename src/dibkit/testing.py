@@ -15,7 +15,10 @@ with ``t ~ N(delta, 1/n + 1/m)``.  Every estimator, the heavy-tailed-prior
 posterior mode included, takes this one deterministic path: the law at one
 truth is built once (Gauss-Legendre panels over ``delta +/- 9.5`` sd, split
 at the correction's breakpoints) and evaluated at any number of ``z``;
-quantiles invert it numerically.  The panels resolve a smooth correction
+its density and second moment are sums over the same nodes, and its
+quantiles invert it numerically.  These also give the exact ``densities``
+artifact, and the same panels over the conflict limit give the local limit
+laws (:mod:`dibkit.asymptotics`).  The panels resolve a smooth correction
 to rounding, so ``breakpoints`` must name every kink and jump of ``q``.
 
 Critical values depend on what is assumed about the conflict under the null:
@@ -160,6 +163,15 @@ _PANEL_WIDTH = 0.5  # widest panel, in sd units of the conflict statistic
 _SPAN = 9.5  # half-width of the integrated conflict range, in the same units
 
 
+def _normal_panels(center: float, sd: float, kinks) -> tuple[np.ndarray, np.ndarray]:
+    """Panel nodes over ``center +/- _SPAN sd`` split at the kinks inside, weighted by N(center, sd^2)."""
+    lo, hi = center - _SPAN * sd, center + _SPAN * sd
+    if not lo < hi:
+        raise ValueError(f"conflict span {center:g} +/- {_SPAN:g} * {sd:g} rounds to a single point")
+    t, w = _legendre_panels(sorted({lo, hi, *(b for b in kinks if lo < b < hi)}), _PANEL_RULE, _PANEL_WIDTH * sd)
+    return t, w * (np.exp(-((t - center) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi)))
+
+
 class _ConditionalLaw:
     """Law of Z at one truth, as a fixed quadrature over the conflict statistic.
 
@@ -167,18 +179,13 @@ class _ConditionalLaw:
     times the normal density of ``t``, the correction ``q(t)`` (whose range
     brackets the quantiles) and the offset ``m/(n+m) (t - delta) - q(t) -
     shift`` of the standardized conditional mean; panels split at every
-    breakpoint of the correction.
+    breakpoint of the correction.  Given ``t``, Z is N(-root_n inner, root_n^2 / root_nm^2).
     """
 
     def __init__(self, estimator: EstimatorConfig, n: int, m: int, shift: float, delta: float) -> None:
         s = math.sqrt(1.0 / n + 1.0 / m)
-        lo, hi = delta - _SPAN * s, delta + _SPAN * s
-        if not lo < hi:
-            raise ValueError(f"conflict span {delta:g} +/- {_SPAN:g} * {s:g} rounds to a single point")
-        kinks = [b for b in correction_breakpoints(estimator, n, m) if lo < b < hi]
-        t, w = _legendre_panels(sorted({lo, hi, *kinks}), _PANEL_RULE, _PANEL_WIDTH * s)
+        t, self.weights = _normal_panels(delta, s, correction_breakpoints(estimator, n, m))
         self.q = conflict_correction(estimator, t, n, m, delta_true=delta)
-        self.weights = w * (np.exp(-((t - delta) ** 2) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi)))
         self.inner = -shift - self.q + (m / (n + m)) * (t - delta)
         self.root_n, self.root_nm = math.sqrt(n), math.sqrt(n + m)
 
@@ -194,6 +201,30 @@ class _ConditionalLaw:
         """P(Z > z), summed over upper tails so that small probabilities keep their digits."""
         return float(np.sum(self.weights * ndtr(-self._u(z))))
 
+    def pdf(self, z: np.ndarray) -> np.ndarray:
+        phi = np.exp(-0.5 * self._u(z) ** 2) * (self.root_nm / (self.root_n * math.sqrt(2.0 * math.pi)))
+        return np.sum(self.weights * phi, axis=-1)
+
+    def quantile(self, prob: float) -> float:
+        # at shift 0, Z - root_n q is the current-data error: N(0, 1) at any conflict
+        lo = self.root_n * float(np.min(self.q)) - 9.0
+        hi = self.root_n * float(np.max(self.q)) + 9.0
+        return float(brentq(lambda z: self.cdf(z) - prob, lo, hi, xtol=1e-10))
+
+    def second_moment(self) -> float:
+        return float(np.sum(self.weights * (self.inner**2 + 1.0 / self.root_nm**2))) * self.root_n**2
+
+    def grid(self, points: int) -> np.ndarray:
+        return np.linspace(self.quantile(1e-7), self.quantile(1.0 - 1e-7), points)
+
+    def distance(self, other: "_ConditionalLaw") -> float:
+        """sup |F - G| on 401 points of this law's grid, then 401 more around the largest gap."""
+        z = self.grid(401)
+        gap = np.abs(self.cdf(z) - other.cdf(z))
+        k = int(np.argmax(gap))
+        z = np.linspace(z[max(k - 1, 0)], z[min(k + 1, z.size - 1)], 401)
+        return float(max(gap[k], np.max(np.abs(self.cdf(z) - other.cdf(z)))))
+
 
 def sampling_cdf(
     spec: TestSpec, z: float | np.ndarray, theta: float, delta: float
@@ -205,10 +236,7 @@ def sampling_cdf(
 def null_quantile(spec: TestSpec, delta: float, prob: float | None = None) -> float:
     """(1-alpha) quantile of Z under ``theta = theta0`` at the given conflict."""
     prob = 1.0 - spec.alpha if prob is None else prob
-    law = _ConditionalLaw(spec.estimator, spec.n, spec.m, 0.0, delta)
-    lo = law.root_n * float(np.min(law.q)) - 9.0
-    hi = law.root_n * float(np.max(law.q)) + 9.0
-    return float(brentq(lambda z: law.cdf(z) - prob, lo, hi, xtol=1e-10))
+    return _ConditionalLaw(spec.estimator, spec.n, spec.m, 0.0, delta).quantile(prob)
 
 
 def _default_grid(spec: TestSpec, points: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from dibkit.asymptotics import (
     limit_sample,
     limit_srmse,
     limit_value,
+    _LimitLaw,
 )
+from dibkit.cli import KS_ESTIMATORS
 from dibkit.estimators import (
     AdaptiveLasso,
     AdaptiveMmse,
+    EmpiricalBayesPowerPrior,
     GeneralizedBorrow,
+    HellingerPowerPrior,
     LimitedTranslation,
     Mle,
     NormalPriorBayes,
@@ -24,11 +29,14 @@ from dibkit.estimators import (
     SensitivityMmse,
     StudentTPriorBayes,
     TestThenPool as TtPool,
+    config_from_id,
 )
 from dibkit.montecarlo import ks_distance
 from dibkit.streams import addressed_normals
+from dibkit.testing import _ConditionalLaw
 
 P_PAPER = 1000 / 101_000
+H_DEFAULT = (0.0, 1.58, 5.06)  # the asymptotics-check defaults
 
 
 def test_scenario_validation():
@@ -118,6 +126,74 @@ def test_limit_srmse():
     assert limit_srmse(Pooled(), sc0, 10) == pytest.approx(math.sqrt(P_PAPER))
     val, se = limit_srmse(OracleMmse(), sc0, 400_000, seed=4, return_stderr=True)
     assert val == pytest.approx(math.sqrt(P_PAPER), abs=5 * se + 5e-4)
+
+
+@pytest.mark.parametrize("h", H_DEFAULT + (-2.0,))
+@pytest.mark.parametrize("p", (P_PAPER, 0.4))
+def test_pooled_limit_srmse_is_the_closed_form(h, p):
+    sc = LocalScenario(h=h, p=p)
+    exact = math.sqrt(p + (1.0 - p) ** 2 * h * h)
+    assert limit_srmse(Pooled(), sc, 1) == pytest.approx(exact, rel=0, abs=1e-12)
+    assert limit_srmse(EXTERNAL_MLE, sc, 1) == math.sqrt(p / (1.0 - p) + h * h)
+    assert limit_srmse(Pooled(), sc, 1, seed=5, return_stderr=True)[1] == 0.0
+
+
+@pytest.mark.parametrize("name", KS_ESTIMATORS)
+def test_limit_law_matches_limit_sample(name):
+    kind, draws = config_from_id(name), 400_000
+    for i, h in enumerate(H_DEFAULT):
+        sc = LocalScenario(h=h, p=P_PAPER)
+        law = _LimitLaw(kind, sc)
+        sample = np.sort(limit_sample(kind, sc, draws, seed=41 + i))
+        for prob in (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99):
+            below = np.searchsorted(sample, law.quantile(prob), side="right") / draws
+            assert abs(below - prob) <= 4.0 * math.sqrt(prob * (1.0 - prob) / draws), (h, prob)
+        squares = sample * sample
+        root = limit_srmse(kind, sc, draws)
+        se_root = np.std(squares, ddof=1) / math.sqrt(draws) / (2.0 * root)
+        assert abs(math.sqrt(np.mean(squares)) - root) <= 4.0 * se_root, h
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_power_prior_limit_weight_stays_finite_far_out():
+    # xi = 13.5: the Hellinger gamma underflows to 0, and the weight must not divide by it
+    sc = LocalScenario(h=5.06, p=0.5)
+    assert limit_value(HellingerPowerPrior(), sc, [-7.0], [7.0]) == pytest.approx([-7.0])
+    for kind in (HellingerPowerPrior(), EmpiricalBayesPowerPrior()):
+        assert math.isfinite(limit_srmse(kind, sc, 1))
+
+
+@dataclass(frozen=True)
+class _BareForm:
+    """The displayed form ``zeta1 + w(xi) xi``, without the ``1/sqrt(1-p)``."""
+
+    kind: object
+
+    def limit_weight(self, xi, p, h):
+        return self.kind.limit_weight(xi, p, h) * math.sqrt(1.0 - p)
+
+    @property
+    def limit_breakpoints(self):
+        return self.kind.limit_breakpoints
+
+
+@pytest.mark.parametrize("name", KS_ESTIMATORS)
+def test_exact_check_fails_the_bare_displayed_form(name):
+    # measured sup distances of the bare form, largest over the default h:
+    # pooled 0.39, ttpool 0.072, ebpp 0.044, ammse 0.031, hdpp 0.022 at n = m = 1000;
+    # pooled 0.099 at the defaults, h = 5.06.  For mle, w = 0 and the forms agree.
+    kind = config_from_id(name)
+    cases = [(1000, 1000, h) for h in H_DEFAULT] + [(1000, 100_000, 5.06)] * (name == "pooled")
+    bare = []
+    for n, m, h in cases:
+        finite = _ConditionalLaw(kind, n, m, 0.0, h / math.sqrt(n))
+        sc = LocalScenario(h=h, p=n / (n + m))
+        assert finite.distance(_LimitLaw(kind, sc)) <= 2e-4
+        bare.append(finite.distance(_LimitLaw(_BareForm(kind), sc)))
+    if name == "mle":
+        assert max(bare) <= 1e-12
+    else:
+        assert max(bare[:3]) > 0.02 and min(bare[3:], default=1.0) > 0.02
 
 
 def test_xi_uncorrelated_with_pooled_limit():

@@ -105,19 +105,32 @@ def test_power_subcommand(tmp_path):
     assert {r[1] for r in rows[1:]} == {"delta-bounded"}
 
 
-def test_densities_worker_invariance(tmp_path):
-    base = [
-        "densities", "--n", "200", "--m", "2000", "--estimators", "mle,pooled,ammse",
-        "--sqrt-n-delta", "0,1.58", "--replicates", "4000", "--grid-points", "33",
-        "--seed", "5",
-    ]
-    assert run(base + ["--out-dir", str(tmp_path / "w1"), "--workers", "1"]) == 0
-    assert run(base + ["--out-dir", str(tmp_path / "w8"), "--workers", "8"]) == 0
-    assert (tmp_path / "w1" / "densities.csv").read_bytes() == (
-        tmp_path / "w8" / "densities.csv"
-    ).read_bytes()
-    rows = read_csv(tmp_path / "w1" / "densities.csv")
-    assert rows[0] == ["estimator", "sqrt_n_delta_scenario", "x", "log_density"]
+@pytest.mark.parametrize(
+    "argv, count, header",
+    [
+        pytest.param(
+            ["densities", "--n", "200", "--m", "2000", "--estimators", "mle,ttpool,ebpp",
+             "--sqrt-n-delta", "0,1.58", "--grid-points", "33"],
+            "--replicates", {"densities.csv": ["estimator", "sqrt_n_delta_scenario", "x", "log_density"],
+                             "densities_quantiles.csv": ["estimator", "sqrt_n_delta_scenario", "prob", "value"]},
+            id="densities",
+        ),
+        pytest.param(
+            ["asymptotics-check", "--n", "200", "--m", "2000", "--estimators", "mle,ttpool,ebpp",
+             "--h", "0,1.58"],
+            "--draws", {"asymptotics_check.csv": ["estimator", "h", "ks_distance", "threshold", "status"]},
+            id="asymptotics-check",
+        ),
+    ],
+)
+def test_exact_artifacts_ignore_seed_sample_count_and_workers(tmp_path, argv, count, header):
+    outputs = []
+    for seed, size, workers in (("1", "2", "1"), ("2", "500000", "8")):  # none has an effect
+        out = tmp_path / seed
+        assert run(argv + ["--seed", seed, count, size, "--workers", workers, "--out-dir", str(out)]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in header})
+        assert {name: read_csv(out / name)[0] for name in header} == header
+    assert outputs[0] == outputs[1]
 
 
 def test_example_prams_report(tmp_path, capsys):
@@ -167,6 +180,17 @@ def test_asymptotics_check(tmp_path):
     rows = read_csv(tmp_path / "asymptotics_check.csv")
     assert rows[0] == ["estimator", "h", "ks_distance", "threshold", "status"]
     assert all(r[4] == "pass" for r in rows[1:])
+
+
+def test_default_asymptotics_check_measures_quadrature_error(tmp_path):
+    # the share-p limit law of this Gaussian model is the finite law itself, so
+    # the distance is the error of the two quadratures: 1.8e-4 for ebpp at
+    # h = 1.58 (its undeclared finite kink), 2.7e-6 for hdpp, <= 4e-15 elsewhere
+    assert run(["asymptotics-check", "--out-dir", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "asymptotics_check.csv")[1:]
+    assert len(rows) == 18
+    assert all(r[4] == "pass" and float(r[2]) <= 2e-4 for r in rows)
+    assert max(float(r[2]) for r in rows if r[0] not in ("ebpp", "hdpp")) <= 1e-14
 
 
 def test_config_file_and_override(tmp_path):
@@ -246,6 +270,11 @@ _ESTIMATE = ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1", "-
         (["densities", "--grid-points", "1"], 2, "ConfigError", "grid_points = 1"),
         (["example-prams", "--successes", "0"], 2, "ConfigError", "degenerate rate"),
         (["example-prams", "--successes", "94"], 2, "ConfigError", "degenerate rate"),
+        (["asymptotics-check", "--draws", "0"], 2, "ConfigError", "draws = 0"),
+        (
+            ["asymptotics-check", "--estimators", "mle,alasso"],
+            2, "ConfigError", "no closed limit law implemented for 'alasso'",
+        ),
     ],
 )
 def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, message):

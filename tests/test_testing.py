@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from dibkit import streams, testing
+from dibkit.cli import DENSITY_ESTIMATORS
 from dibkit.estimators import (
     AdaptiveLasso,
     AdaptiveMmse,
@@ -16,8 +17,10 @@ from dibkit.estimators import (
     SensitivityMmse,
     StudentTPriorBayes,
     TestThenPool as TtPool,
+    config_from_id,
     conflict_correction,
 )
+from dibkit.montecarlo import SimPlan, _QUANTILE_PROBS, simulate
 from dibkit.summaries import TwoSampleSummary
 from dibkit.testing import (
     AllDelta,
@@ -88,6 +91,57 @@ def test_sampling_cdf_matches_normal_for_pooled():
         assert sampling_cdf(spec, z, 0.0, delta) == pytest.approx(
             norm.cdf((z - mean) / sd), abs=1e-9
         )
+
+
+def test_law_density_quantiles_and_second_moment_for_mle_and_pooled():
+    mle = testing._ConditionalLaw(Mle(), N, M, 0.0, 0.03)
+    zs = np.linspace(-5.0, 5.0, 41)
+    np.testing.assert_allclose(mle.pdf(zs), norm.pdf(zs), rtol=1e-9)
+    for prob in _QUANTILE_PROBS:
+        assert mle.quantile(prob) == pytest.approx(norm.ppf(prob), abs=1e-9)
+    assert mle.second_moment() == pytest.approx(1.0, abs=1e-12)
+    delta, sd = 0.04, math.sqrt(N / (N + M))
+    mean = math.sqrt(N) * M * delta / (N + M)
+    pooled = testing._ConditionalLaw(Pooled(), N, M, 0.0, delta)
+    np.testing.assert_allclose(pooled.pdf(mean + sd * zs), norm.pdf(zs) / sd, rtol=1e-9)
+    assert pooled.second_moment() == pytest.approx(mean * mean + sd * sd, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", DENSITY_ESTIMATORS)
+def test_law_cdf_matches_seeded_simulation(name):
+    config, draws = config_from_id(name), 400_000
+    for i, snd in enumerate((0.0, 0.32, 1.58, 5.06)):  # the densities defaults
+        delta = snd / math.sqrt(N)
+        law = testing._ConditionalLaw(config, N, M, 0.0, delta)
+        plan = SimPlan(n=N, m=M, theta=0.0, delta=delta, replicates=draws, seed=71 + i,
+                       estimators=(config,))
+        sample = simulate(plan)[name].draws
+        for prob in _QUANTILE_PROBS:
+            below = np.searchsorted(sample, law.quantile(prob), side="right") / draws
+            assert abs(below - prob) <= 4.0 * math.sqrt(prob * (1.0 - prob) / draws), (snd, prob)
+
+
+# Measured log-density changes where the density is at least 1e-3 of its peak,
+# largest over the four default scenarios: 8.6e-11 mle, 1.2e-9 ammse, 4.4e-9
+# lstp, 8.7e-6 alasso and 1.1e-3 hdpp (a resolution error: 8.3e-4 with a split
+# at 0).  ebpp (4.2e-3) is left out: its kink at |delta_hat| = sd is undeclared,
+# see test_every_kink_of_the_weight_is_a_declared_breakpoint.
+HALVING_TOLERANCE = {"alasso": 2e-5, "hdpp": 2e-3}
+
+
+@pytest.mark.parametrize("name", [e for e in DENSITY_ESTIMATORS if e != "ebpp"])
+def test_log_density_panel_halving(name, monkeypatch):
+    config = config_from_id(name)
+    for snd in (0.0, 0.32, 1.58, 5.06):
+        coarse = testing._ConditionalLaw(config, N, M, 0.0, snd / math.sqrt(N))
+        zs = coarse.grid(256)
+        dens = coarse.pdf(zs)
+        keep = dens >= 1e-3 * dens.max()
+        with monkeypatch.context() as patch:
+            patch.setattr(testing, "_PANEL_WIDTH", 0.5 * testing._PANEL_WIDTH)
+            finer = testing._ConditionalLaw(config, N, M, 0.0, snd / math.sqrt(N)).pdf(zs)
+        change = np.max(np.abs(np.log(finer[keep]) - np.log(dens[keep])))
+        assert change <= HALVING_TOLERANCE.get(name, 1e-8), snd
 
 
 def test_type1_error_controlled_under_bounded_convention():
