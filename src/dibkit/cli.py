@@ -19,8 +19,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Sequence, get_args
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .risk import (
 )
 from .summaries import BinomialRaw, TwoSampleSummary, from_raw_binomial, standardized_two_sample
 from .svg import Series, emit_plot
-from .testing import AllDelta, DeltaBounded, DeltaZero, TestSpec
+from .testing import Convention, DeltaBounded, TestSpec
 
 __all__ = ["main", "run"]
 
@@ -97,128 +97,58 @@ _COMMON = [
 
 _COUNTS = ("n", "m", "grid_points", "replicates", "draws", "resamples", "mc_draws", "workers")
 
-_SUBCOMMANDS: dict[str, list[Option]] = {
-    "estimate": [
-        Option("theta_hat", float, None, "current-data mean"),
-        Option("n", int, None, "current sample size"),
-        Option("beta_hat", float, None, "external-data mean"),
-        Option("m", int, None, "external sample size"),
-        Option("estimators", _names, ("mle", "pooled", "ammse"), "comma-separated estimator ids"),
-        Option("c", float, 3.84, "test-then-pool threshold"),
-        Option("tau", float, 0.25, "adaptive-lasso tuning exponent"),
-        Option("sens", float, 1.0, "sensitivity-to-conflict"),
-        Option("gamma", float, 1.0, "fixed power-prior weight"),
-        Option("v", int, 3, "t-prior degrees of freedom"),
-        Option("delta_true", float, None, "oracle conflict for ommse"),
-    ],
-    "srmse-curve": [
-        Option("n", int, 1000, "current sample size"),
-        Option("m", int, 100_000, "external sample size"),
-        Option("estimators", _names, TABLE_ESTIMATORS, "comma-separated estimator ids"),
-        Option("sqrt_n_delta_max", float, 8.0, "top of the scaled-conflict grid"),
-        Option("grid_points", int, 41, "points on the conflict grid"),
-        Option("nodes", int, 0, "quadrature nodes per axis (0 = per-estimator default); "
-               "node pairs with product weight below 1e-25 are skipped"),
-        Option("c", float, 3.84, "test-then-pool threshold"),
-        Option("tau", float, 0.25, "adaptive-lasso tuning exponent"),
-        Option("sens", float, 1.0, "sensitivity-to-conflict"),
-        Option("v", int, 3, "t-prior degrees of freedom"),
-    ],
-    "bayes-risk-table": [
-        Option("n", int, 1000, "current sample size"),
-        Option("m", int, 100_000, "external sample size"),
-        Option("estimators", _names, TABLE_ESTIMATORS, "comma-separated estimator ids"),
-        Option("priors", _names, ("pi1", "pi2", "pi3", "pi4", "pi5"), "prior ids"),
-        Option("nodes", int, 0, "quadrature nodes per axis (0 = per-estimator default); "
-               "node pairs with product weight below 1e-25 are skipped"),
-        Option("c", float, 3.84, "test-then-pool threshold"),
-        Option("tau", float, 0.25, "adaptive-lasso tuning exponent"),
-        Option("sens", float, 1.0, "sensitivity-to-conflict"),
-        Option("v", int, 3, "t-prior degrees of freedom"),
-    ],
-    "power": [
-        Option("n", int, 1000, "current sample size"),
-        Option("m", int, 100_000, "external sample size"),
-        Option("estimators", _names, ("mle", "pooled", "ammse", "ebpp", "hdpp", "ttpool", "alasso", "np", "ltr"), "estimator ids"),
-        Option("convention", str, "delta-bounded", "all-delta | delta-zero | delta-bounded"),
-        Option("delta0", float, 0.0636, "conflict bound for delta-bounded"),
-        Option("theta", float, 0.03, "true location minus null value"),
-        Option("theta0", float, 0.0, "null value"),
-        Option("alpha", float, 0.025, "one-sided level"),
-        Option("delta_max", float, 0.0, "top of the conflict grid (0 = convention default)"),
-        Option("grid_points", int, 33, "points on the conflict grid"),
-        Option("c", float, 3.84, "test-then-pool threshold"),
-        Option("tau", float, 0.25, "adaptive-lasso tuning exponent"),
-        Option("sens", float, 1.0, "sensitivity-to-conflict"),
-        Option("v", int, 3, "t-prior degrees of freedom"),
-    ],
-    "densities": [
-        Option("n", int, 1000, "current sample size"),
-        Option("m", int, 100_000, "external sample size"),
-        Option("estimators", _names, DENSITY_ESTIMATORS, "estimator ids"),
-        Option("sqrt_n_delta", _floats, (0.0, 0.32, 1.58, 5.06), "scaled-conflict scenarios"),
-        Option("replicates", int, 50_000, "accepted; has no effect (densities are exact)"),
-        Option("seed", int, 20240, "accepted; has no effect (densities are exact)"),
-        Option("workers", int, 1, "accepted; has no effect (densities are exact)"),
-        Option("grid_points", int, 256, "log-density grid points"),
-        Option("c", float, 3.84, "test-then-pool threshold"),
-        Option("tau", float, 0.25, "adaptive-lasso tuning exponent"),
-        Option("sens", float, 1.0, "sensitivity-to-conflict"),
-        Option("v", int, 3, "t-prior degrees of freedom"),
-    ],
-    "example-prams": [
-        Option("successes", int, 37, "current-sample event count"),
-        Option("trials", int, 94, "current-sample size"),
-        Option("external_rate", float, 0.384, "external event rate"),
-        Option("external_size", int, 20_000, "external sample size"),
-        Option("theta0", float, 1.0 / 3.0, "null event rate"),
-        Option("sens", float, 0.4, "sensitivity-to-conflict"),
-        Option("resamples", int, 100_000, "bootstrap resamples (desk scale)"),
-        Option("level", float, 0.95, "bootstrap confidence level"),
-        Option("delta0_list", _floats, (0.01, 0.05, 0.087), "conflict bounds to profile"),
-        Option("mc_draws", int, 200_000, "accepted; has no effect (p-values are exact)"),
-        Option("target_p", float, 0.05, "tipping-point target p-value"),
-    ],
-    "asymptotics-check": [
-        Option("n", int, 1000, "current sample size"),
-        Option("m", int, 100_000, "external sample size"),
-        Option("estimators", _names, KS_ESTIMATORS, "estimator ids with closed limit laws"),
-        Option("h", _floats, (0.0, 1.58, 5.06), "local conflict values"),
-        Option("draws", int, 100_000, "accepted; has no effect (both laws are exact)"),
-        Option("seed", int, 20240, "accepted; has no effect (both laws are exact)"),
-        Option("workers", int, 1, "accepted; has no effect (both laws are exact)"),
-        Option("threshold", float, 0.02, "KS pass threshold"),
-        Option("c", float, 3.84, "test-then-pool threshold"),
-        Option("sens", float, 1.0, "sensitivity-to-conflict"),
-    ],
-}
+# estimator tuning options, each passed to config_from_id under its own name
+_TUNING = {o.name: o for o in [
+    Option("c", float, 3.84, "test-then-pool threshold"),
+    Option("tau", float, 0.25, "adaptive-lasso tuning exponent"),
+    Option("sens", float, 1.0, "sensitivity-to-conflict"),
+    Option("gamma", float, 1.0, "fixed power-prior weight"),
+    Option("v", int, 3, "t-prior degrees of freedom"),
+]}
+
+_NODES = Option("nodes", int, 0, "quadrature nodes per axis (0 = per-estimator default); "
+                "node pairs with product weight below 1e-25 are skipped")
+
+
+def _tuning(*names: str) -> list[Option]:
+    return [_TUNING[name] for name in names]
+
+
+def _no_effect(why: str, *common: str, **counts: int) -> list[Option]:
+    """Counts, then common options, that are accepted but leave an exact artifact unchanged."""
+    note = f"accepted; has no effect ({why})"
+    by_name = {o.name: o for o in _COMMON}
+    return [Option(k, int, v, note) for k, v in counts.items()] + [replace(by_name[k], help=note) for k in common]
+
+
+def _options(subcommand: str) -> dict[str, Option]:
+    return {o.name: o for o in _COMMON + _SUBCOMMANDS[subcommand][1]}  # own options replace common ones
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dibkit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, options in _SUBCOMMANDS.items():
+    for name in _SUBCOMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config file")
-        for opt in {o.name: o for o in _COMMON + options}.values():  # own options replace common ones
+        for opt in _options(name).values():
             flag = "--" + opt.name.replace("_", "-")
             aliases = ["--estimator"] if opt.name == "estimators" else []
-            if opt.type is bool:
-                sp.add_argument(flag, *aliases, action="store_true", default=argparse.SUPPRESS,
-                                help=opt.help)
-            else:
-                sp.add_argument(flag, *aliases, dest=opt.name, type=opt.type,
-                                default=argparse.SUPPRESS, help=opt.help)
+            kind = {"action": "store_true"} if opt.type is bool else {"type": opt.type}
+            sp.add_argument(flag, *aliases, dest=opt.name, default=argparse.SUPPRESS, help=opt.help, **kind)
     return parser
 
 
 def _effective_config(subcommand: str, namespace: argparse.Namespace) -> dict[str, Any]:
-    options = {o.name: o for o in _COMMON + _SUBCOMMANDS[subcommand]}
+    options = _options(subcommand)
     merged: dict[str, Any] = {name: opt.default for name, opt in options.items()}
     config_path = getattr(namespace, "config", None)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or an integer too long to convert
+                raise ConfigError(f"config file {config_path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(raw) - set(options)
@@ -235,7 +165,7 @@ def _effective_config(subcommand: str, namespace: argparse.Namespace) -> dict[st
             else:
                 try:
                     merged[key] = opt.type(value)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"config key {key!r}: {exc}") from exc
     for key in options:
         if hasattr(namespace, key):
@@ -244,8 +174,11 @@ def _effective_config(subcommand: str, namespace: argparse.Namespace) -> dict[st
         if opt.type in (float, _floats) and merged[key] is not None:
             if not np.all(np.isfinite(merged[key])):
                 raise ConfigError(f"{key} must be finite, got {merged[key]}")
-        if key in _COUNTS and merged[key] is not None and merged[key] < 1:
-            raise ConfigError(f"sample sizes and counts must be >= 1, got {key} = {merged[key]}")
+        # 2**53 is the largest count a float holds exactly, and n * m stays finite
+        if key in _COUNTS and merged[key] is not None and not 1 <= merged[key] <= 2**53:
+            raise ConfigError(f"sample sizes and counts must lie in [1, 2**53], got {key} = {merged[key]}")
+        if opt.type in (_floats, _names) and not merged[key]:
+            raise ConfigError(f"{key} must list at least one value")
     if merged.get("out_dir") is None:
         merged["out_dir"] = os.environ.get(ENV_OUT_DIR, ".")
     merged["subcommand"] = subcommand
@@ -269,30 +202,28 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+
+
+def _write_csv(cfg: dict[str, Any], name: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    path = os.path.join(cfg["out_dir"], name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    print(f"wrote {path}")
 
 
-def _estimator_configs(cfg: dict[str, Any], *, oracle_tracks_delta: bool) -> list[EstimatorConfig]:
-    out = []
-    for name in cfg["estimators"]:
-        out.append(
-            _from_config(
-                config_from_id,
-                name,
-                c=cfg.get("c", 3.84),
-                tau=cfg.get("tau", 0.25),
-                sens=cfg.get("sens", 1.0),
-                gamma=cfg.get("gamma", 1.0),
-                v=cfg.get("v", 3),
-                delta_true=cfg.get("delta_true") if not oracle_tracks_delta else None,
-            )
-        )
-    return out
+def _plot(cfg: dict[str, Any], name: str, series: Sequence[Series], title: str, x_label: str, y_label: str) -> None:
+    if cfg["svg"]:
+        path = os.path.join(cfg["out_dir"], name)
+        emit_plot(series, path, title=title, x_label=x_label, y_label=y_label)
+        print(f"wrote {path}")
+
+
+def _estimator_configs(cfg: dict[str, Any]) -> list[EstimatorConfig]:
+    flags = {key: cfg[key] for key in (*_TUNING, "delta_true") if key in cfg}
+    return [_from_config(config_from_id, name, **flags) for name in cfg["estimators"]]
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +237,12 @@ def _cmd_estimate(cfg: dict[str, Any]) -> None:
             raise ConfigError(f"estimate requires --{key.replace('_', '-')}")
     s = _from_config(TwoSampleSummary, cfg["theta_hat"], cfg["n"], cfg["beta_hat"], cfg["m"])
     rows = []
-    from .estimators import estimate as run_estimate
-
-    for config in _estimator_configs(cfg, oracle_tracks_delta=False):
+    for config in _estimator_configs(cfg):
         if isinstance(config, OracleMmse) and config.delta_true is None:
             raise ConfigError("ommse estimation requires --delta-true")
-        res = run_estimate(config, s)
+        res = config.result(s)
         rows.append([estimator_id(config), res.theta_est, res.delta_est, res.gamma_est, res.weight])
-    path = os.path.join(cfg["out_dir"], "estimates.csv")
-    _write_csv(path, ["estimator", "theta_est", "delta_est", "gamma_est", "weight"], rows)
-    print(f"wrote {path}")
+    _write_csv(cfg, "estimates.csv", ["estimator", "theta_est", "delta_est", "gamma_est", "weight"], rows)
 
 
 def _nodes(cfg: dict[str, Any]) -> int | None:
@@ -331,19 +258,13 @@ def _cmd_srmse_curve(cfg: dict[str, Any]) -> None:
     nodes = _nodes(cfg)
     rows = []
     series = []
-    for config in _estimator_configs(cfg, oracle_tracks_delta=True):
+    for config in _estimator_configs(cfg):
         curve = srmse_curve(config, n, m, grid, nodes)
         for x, y in zip(curve.sqrt_n_delta, curve.srmse):
             rows.append([curve.estimator, x, y])
         series.append(Series(curve.estimator, tuple(curve.sqrt_n_delta), tuple(curve.srmse)))
-    path = os.path.join(cfg["out_dir"], "srmse_curve.csv")
-    _write_csv(path, ["estimator", "sqrt_n_delta", "srmse"], rows)
-    print(f"wrote {path}")
-    if cfg["svg"]:
-        svg_path = os.path.join(cfg["out_dir"], "srmse_curve.svg")
-        emit_plot(series, svg_path, title="Standardized root MSE vs scaled conflict",
-                  x_label="sqrt(n) * delta", y_label="SRMSE")
-        print(f"wrote {svg_path}")
+    _write_csv(cfg, "srmse_curve.csv", ["estimator", "sqrt_n_delta", "srmse"], rows)
+    _plot(cfg, "srmse_curve.svg", series, "Standardized root MSE vs scaled conflict", "sqrt(n) * delta", "SRMSE")
 
 
 def _cmd_bayes_risk_table(cfg: dict[str, Any]) -> None:
@@ -354,28 +275,24 @@ def _cmd_bayes_risk_table(cfg: dict[str, Any]) -> None:
         raise ConfigError(f"unknown priors: {sorted(unknown)}")
     nodes = _nodes(cfg)
     rows = []
-    for config in _estimator_configs(cfg, oracle_tracks_delta=True):
+    for config in _estimator_configs(cfg):
         for pname in cfg["priors"]:
             value = integrated_srmse(config, priors[pname], n, m, nodes)
             rows.append([estimator_id(config), pname, value])
-    path = os.path.join(cfg["out_dir"], "bayes_risk_table.csv")
-    _write_csv(path, ["estimator", "prior", "value"], rows)
-    print(f"wrote {path}")
+    _write_csv(cfg, "bayes_risk_table.csv", ["estimator", "prior", "value"], rows)
     for pname in cfg["priors"]:
         mass = priors[pname].truncation_mass()
         if mass > 0:
             print(f"note: prior {pname} truncated at 8 scale units, tail mass {mass:.3e}")
 
 
-def _convention(cfg: dict[str, Any]):
-    name = cfg["convention"]
-    if name == "all-delta":
-        return AllDelta()
-    if name == "delta-zero":
-        return DeltaZero()
-    if name == "delta-bounded":
-        return _from_config(DeltaBounded, cfg["delta0"])
-    raise ConfigError(f"unknown convention {name!r}")
+def _convention(cfg: dict[str, Any]) -> Convention:
+    """The convention whose ``id`` is ``--convention``, its fields filled from the flags of the same names."""
+    kinds = get_args(Convention)
+    kind = next((k for k in kinds if k.id == cfg["convention"]), None)
+    if kind is None:
+        raise ConfigError(f"unknown convention {cfg['convention']!r}; known: {sorted(k.id for k in kinds)}")
+    return _from_config(kind, **{f.name: cfg[f.name] for f in fields(kind)})
 
 
 def _cmd_power(cfg: dict[str, Any]) -> None:
@@ -389,7 +306,7 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
     theta = cfg["theta0"] + cfg["theta"]
     rows = []
     series = []
-    for config in _estimator_configs(cfg, oracle_tracks_delta=True):
+    for config in _estimator_configs(cfg):
         spec = _from_config(TestSpec, cfg["theta0"], cfg["alpha"], conv, config, n, m)
         curve = testing.power_curve(spec, theta, grid)
         for d, p in zip(curve.delta, curve.rejection_prob):
@@ -397,16 +314,8 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
         series.append(
             Series(curve.estimator, tuple(math.sqrt(n) * curve.delta), tuple(curve.rejection_prob))
         )
-    path = os.path.join(cfg["out_dir"], "power.csv")
-    _write_csv(
-        path, ["estimator", "convention", "theta", "delta", "critical", "rejection_prob"], rows
-    )
-    print(f"wrote {path}")
-    if cfg["svg"]:
-        svg_path = os.path.join(cfg["out_dir"], "power.svg")
-        emit_plot(series, svg_path, title="Rejection probability vs scaled conflict",
-                  x_label="sqrt(n) * delta", y_label="power")
-        print(f"wrote {svg_path}")
+    _write_csv(cfg, "power.csv", ["estimator", "convention", "theta", "delta", "critical", "rejection_prob"], rows)
+    _plot(cfg, "power.svg", series, "Rejection probability vs scaled conflict", "sqrt(n) * delta", "power")
 
 
 def _cmd_densities(cfg: dict[str, Any]) -> None:
@@ -414,7 +323,7 @@ def _cmd_densities(cfg: dict[str, Any]) -> None:
     for key in ("replicates", "grid_points"):  # a density curve needs two of each
         if cfg[key] < 2:
             raise ConfigError(f"densities needs {key} >= 2, got {key} = {cfg[key]}")
-    configs = _estimator_configs(cfg, oracle_tracks_delta=True)
+    configs = _estimator_configs(cfg)
     rows = []
     quantile_rows = []
     for scen_i, snd in enumerate(cfg["sqrt_n_delta"]):
@@ -429,17 +338,10 @@ def _cmd_densities(cfg: dict[str, Any]) -> None:
             for prob in _QUANTILE_PROBS:
                 quantile_rows.append([name, snd, prob, law.quantile(prob)])
             series.append(Series(name, tuple(grid), tuple(logd)))
-        if cfg["svg"]:
-            svg_path = os.path.join(cfg["out_dir"], f"densities_{scen_i}.svg")
-            emit_plot(series, svg_path, title=f"log density, sqrt(n)*delta = {snd:g}",
-                      x_label="sqrt(n) * (estimate - theta)", y_label="log density")
-            print(f"wrote {svg_path}")
-    path = os.path.join(cfg["out_dir"], "densities.csv")
-    _write_csv(path, ["estimator", "sqrt_n_delta_scenario", "x", "log_density"], rows)
-    print(f"wrote {path}")
-    qpath = os.path.join(cfg["out_dir"], "densities_quantiles.csv")
-    _write_csv(qpath, ["estimator", "sqrt_n_delta_scenario", "prob", "value"], quantile_rows)
-    print(f"wrote {qpath}")
+        _plot(cfg, f"densities_{scen_i}.svg", series, f"log density, sqrt(n)*delta = {snd:g}",
+              "sqrt(n) * (estimate - theta)", "log density")
+    _write_csv(cfg, "densities.csv", ["estimator", "sqrt_n_delta_scenario", "x", "log_density"], rows)
+    _write_csv(cfg, "densities_quantiles.csv", ["estimator", "sqrt_n_delta_scenario", "prob", "value"], quantile_rows)
 
 
 def _cmd_example_prams(cfg: dict[str, Any]) -> None:
@@ -499,9 +401,7 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
     except testing.NoCrossingError as exc:
         rows.append(["tipping_point", "error", str(exc)])
 
-    path = os.path.join(cfg["out_dir"], "prams_report.csv")
-    _write_csv(path, ["quantity", "scale", "value"], rows)
-    print(f"wrote {path}")
+    _write_csv(cfg, "prams_report.csv", ["quantity", "scale", "value"], rows)
     print(
         f"estimate(sens={sens:g}) = {estimate_raw:.4f} on the rate scale, "
         f"{cfg['level']:.0%} bootstrap CI ({ci.lo:.4f}, {ci.hi:.4f}), "
@@ -511,7 +411,7 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
 
 def _cmd_asymptotics_check(cfg: dict[str, Any]) -> None:
     n, m = cfg["n"], cfg["m"]
-    configs = _estimator_configs(cfg, oracle_tracks_delta=True)
+    configs = _estimator_configs(cfg)
     scenarios = [_from_config(LocalScenario, h=h, p=n / (n + m)) for h in cfg["h"]]
     # every limit law first, so that a kind without one is rejected before any work
     limits = [[_from_config(_LimitLaw, config, sc) for config in configs] for sc in scenarios]
@@ -520,19 +420,81 @@ def _cmd_asymptotics_check(cfg: dict[str, Any]) -> None:
         for config, limit in zip(configs, laws):
             ks = testing._ConditionalLaw(config, n, m, 0.0, sc.h / math.sqrt(n)).distance(limit)
             rows.append([estimator_id(config), sc.h, ks, cfg["threshold"], "pass" if ks <= cfg["threshold"] else "fail"])
-    path = os.path.join(cfg["out_dir"], "asymptotics_check.csv")
-    _write_csv(path, ["estimator", "h", "ks_distance", "threshold", "status"], rows)
-    print(f"wrote {path}")
+    _write_csv(cfg, "asymptotics_check.csv", ["estimator", "h", "ks_distance", "threshold", "status"], rows)
 
 
-_RUNNERS = {
-    "estimate": _cmd_estimate,
-    "srmse-curve": _cmd_srmse_curve,
-    "bayes-risk-table": _cmd_bayes_risk_table,
-    "power": _cmd_power,
-    "densities": _cmd_densities,
-    "example-prams": _cmd_example_prams,
-    "asymptotics-check": _cmd_asymptotics_check,
+# name -> (runner, own options)
+_SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] = {
+    "estimate": (_cmd_estimate, [
+        Option("theta_hat", float, None, "current-data mean"),
+        Option("n", int, None, "current sample size"),
+        Option("beta_hat", float, None, "external-data mean"),
+        Option("m", int, None, "external sample size"),
+        Option("estimators", _names, ("mle", "pooled", "ammse"), "comma-separated estimator ids"),
+        *_tuning("c", "tau", "sens", "gamma", "v"),
+        Option("delta_true", float, None, "oracle conflict for ommse"),
+    ]),
+    "srmse-curve": (_cmd_srmse_curve, [
+        Option("n", int, 1000, "current sample size"),
+        Option("m", int, 100_000, "external sample size"),
+        Option("estimators", _names, TABLE_ESTIMATORS, "comma-separated estimator ids"),
+        Option("sqrt_n_delta_max", float, 8.0, "top of the scaled-conflict grid"),
+        Option("grid_points", int, 41, "points on the conflict grid"),
+        _NODES,
+        *_tuning("c", "tau", "sens", "v"),
+    ]),
+    "bayes-risk-table": (_cmd_bayes_risk_table, [
+        Option("n", int, 1000, "current sample size"),
+        Option("m", int, 100_000, "external sample size"),
+        Option("estimators", _names, TABLE_ESTIMATORS, "comma-separated estimator ids"),
+        Option("priors", _names, ("pi1", "pi2", "pi3", "pi4", "pi5"), "prior ids"),
+        _NODES,
+        *_tuning("c", "tau", "sens", "v"),
+    ]),
+    "power": (_cmd_power, [
+        Option("n", int, 1000, "current sample size"),
+        Option("m", int, 100_000, "external sample size"),
+        Option("estimators", _names, ("mle", "pooled", "ammse", "ebpp", "hdpp", "ttpool", "alasso", "np", "ltr"), "estimator ids"),
+        Option("convention", str, "delta-bounded", "all-delta | delta-zero | delta-bounded"),
+        Option("delta0", float, 0.0636, "conflict bound for delta-bounded"),
+        Option("theta", float, 0.03, "true location minus null value"),
+        Option("theta0", float, 0.0, "null value"),
+        Option("alpha", float, 0.025, "one-sided level"),
+        Option("delta_max", float, 0.0, "top of the conflict grid (0 = convention default)"),
+        Option("grid_points", int, 33, "points on the conflict grid"),
+        *_tuning("c", "tau", "sens", "v"),
+    ]),
+    "densities": (_cmd_densities, [
+        Option("n", int, 1000, "current sample size"),
+        Option("m", int, 100_000, "external sample size"),
+        Option("estimators", _names, DENSITY_ESTIMATORS, "estimator ids"),
+        Option("sqrt_n_delta", _floats, (0.0, 0.32, 1.58, 5.06), "scaled-conflict scenarios"),
+        *_no_effect("densities are exact", "seed", "workers", replicates=50_000),
+        Option("grid_points", int, 256, "log-density grid points"),
+        *_tuning("c", "tau", "sens", "v"),
+    ]),
+    "example-prams": (_cmd_example_prams, [
+        Option("successes", int, 37, "current-sample event count"),
+        Option("trials", int, 94, "current-sample size"),
+        Option("external_rate", float, 0.384, "external event rate"),
+        Option("external_size", int, 20_000, "external sample size"),
+        Option("theta0", float, 1.0 / 3.0, "null event rate"),
+        replace(_TUNING["sens"], default=0.4),
+        Option("resamples", int, 100_000, "bootstrap resamples (desk scale)"),
+        Option("level", float, 0.95, "bootstrap confidence level"),
+        Option("delta0_list", _floats, (0.01, 0.05, 0.087), "conflict bounds to profile"),
+        *_no_effect("p-values are exact", mc_draws=200_000),
+        Option("target_p", float, 0.05, "tipping-point target p-value"),
+    ]),
+    "asymptotics-check": (_cmd_asymptotics_check, [
+        Option("n", int, 1000, "current sample size"),
+        Option("m", int, 100_000, "external sample size"),
+        Option("estimators", _names, KS_ESTIMATORS, "estimator ids with closed limit laws"),
+        Option("h", _floats, (0.0, 1.58, 5.06), "local conflict values"),
+        *_no_effect("both laws are exact", "seed", "workers", draws=100_000),
+        Option("threshold", float, 0.02, "KS pass threshold"),
+        *_tuning("c", "sens"),
+    ]),
 }
 
 
@@ -550,9 +512,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         cfg = _effective_config(namespace.subcommand, namespace)
         os.makedirs(cfg["out_dir"], exist_ok=True)
         _echo_config(cfg)
-        _RUNNERS[namespace.subcommand](cfg)
+        _SUBCOMMANDS[namespace.subcommand][0](cfg)
         return 0
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(_error_record(exc), file=sys.stderr)
         return 2
     except (QuadratureError, NodeEvaluationError, FloatingPointError, ValueError) as exc:

@@ -95,7 +95,7 @@ def _power_prior_limit_weight(gamma: np.ndarray, p: float) -> np.ndarray:
 def _mixing(values: np.ndarray) -> np.ndarray:
     """A user mixing function's values, checked to lie in [0, 1]."""
     w = np.asarray(values, dtype=float)
-    if np.any(w < 0.0) or np.any(w > 1.0):
+    if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails both comparisons
         raise ValueError("invalid mixing function: g must map into [0, 1]")
     return w
 

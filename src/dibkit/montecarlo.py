@@ -142,11 +142,8 @@ def simulate(plan: SimPlan, workers: int = 1) -> dict[str, EmpiricalDist]:
     counted in ``n_failed``.
     """
     blocks = streams.partition_blocks(plan.replicates, workers)
-    if workers == 1 or len(blocks) == 1:
-        results = [_simulate_block(plan, s, c) for s, c in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: _simulate_block(plan, *b), blocks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(lambda b: _simulate_block(plan, *b), blocks))
     merged: dict[str, EmpiricalDist] = {}
     for cfg in plan.estimators:
         key = estimator_id(cfg)
@@ -248,11 +245,8 @@ def bootstrap_ci(
     sizes = [min(_BOOT_BLOCK, resamples - i * _BOOT_BLOCK) for i in range(n_blocks)]
     config = SensitivityMmse(sens)
     args = [(current, external, config, seed, i, sizes[i], scheme) for i in range(n_blocks)]
-    if workers == 1 or n_blocks == 1:
-        parts = [_bootstrap_block(*a) for a in args]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda a: _bootstrap_block(*a), args))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(lambda a: _bootstrap_block(*a), args))
     draws = np.concatenate([p[0] for p in parts])
     redraws = sum(p[1] for p in parts)
     alpha = 1.0 - level

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Union
+from typing import ClassVar, Literal, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -82,16 +82,21 @@ class NoCrossingError(ValueError):
 class AllDelta:
     """Control the error rate for every conflict value."""
 
+    id: ClassVar[str] = "all-delta"
+
 
 @dataclass(frozen=True)
 class DeltaZero:
     """Assume no conflict under the null."""
+
+    id: ClassVar[str] = "delta-zero"
 
 
 @dataclass(frozen=True)
 class DeltaBounded:
     """Assume the conflict is at most ``delta0`` under the null."""
 
+    id: ClassVar[str] = "delta-bounded"
     delta0: float
 
     def __post_init__(self) -> None:
@@ -99,7 +104,7 @@ class DeltaBounded:
             raise ValueError("delta0 must be positive")
 
 
-Convention = Union[AllDelta, DeltaZero, DeltaBounded]
+Convention = Union[AllDelta, DeltaZero, DeltaBounded]  # each ``id`` is its CLI and CSV identifier
 
 
 @dataclass(frozen=True)
@@ -143,14 +148,6 @@ class PowerCurve:
     rejection_prob: np.ndarray
     critical: float
     meta: dict = field(default_factory=dict)
-
-
-def convention_id(conv: Convention) -> str:
-    if isinstance(conv, AllDelta):
-        return "all-delta"
-    if isinstance(conv, DeltaZero):
-        return "delta-zero"
-    return "delta-bounded"
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +237,9 @@ def null_quantile(spec: TestSpec, delta: float, prob: float | None = None) -> fl
 
 
 def _default_grid(spec: TestSpec, points: int) -> np.ndarray:
+    """Null conflicts from 0 to the bound, or to well past every breakpoint when there is none."""
+    if isinstance(spec.convention, DeltaBounded):
+        return np.linspace(0.0, spec.convention.delta0, points)
     s = math.sqrt(1.0 / spec.n + 1.0 / spec.m)
     top = 10.0 * s
     for b in correction_breakpoints(spec.estimator, spec.n, spec.m):
@@ -263,12 +263,7 @@ def critical_value(
     if isinstance(conv, DeltaZero):
         return CriticalValue(null_quantile(spec, 0.0), sup_at=0.0)
 
-    if delta_grid is None:
-        if isinstance(conv, DeltaBounded):
-            delta_grid = np.linspace(0.0, conv.delta0, points)
-        else:
-            delta_grid = _default_grid(spec, points)
-    grid = np.asarray(delta_grid, dtype=float)
+    grid = np.asarray(_default_grid(spec, points) if delta_grid is None else delta_grid, dtype=float)
     quants = np.array([null_quantile(spec, d) for d in grid])
     k = int(np.argmax(quants))
     sup_val, sup_at = float(quants[k]), float(grid[k])
@@ -311,18 +306,12 @@ def power_curve(
     points: int = 33,
 ) -> PowerCurve:
     """Rejection probability over a conflict grid at the spec's critical value."""
-    if delta_grid is None:
-        conv = spec.convention
-        top = conv.delta0 if isinstance(conv, DeltaBounded) else None
-        delta_grid = (
-            np.linspace(0.0, top, points) if top is not None else _default_grid(spec, points)
-        )
-    grid = np.asarray(delta_grid, dtype=float)
+    grid = np.asarray(_default_grid(spec, points) if delta_grid is None else delta_grid, dtype=float)
     crit = critical_value(spec)
     probs = np.array([power(spec, crit, theta, d) for d in grid])
     return PowerCurve(
         estimator=estimator_id(spec.estimator),
-        convention=convention_id(spec.convention),
+        convention=spec.convention.id,
         theta=theta,
         delta=grid,
         rejection_prob=probs,

@@ -88,12 +88,13 @@ def test_bayes_risk_table_small(tmp_path):
     assert values[("pooled", "pi1")] < 1.0
 
 
-def test_power_subcommand(tmp_path):
+@pytest.mark.parametrize("convention", ["delta-bounded", "all-delta", "delta-zero"])
+def test_power_subcommand(tmp_path, convention):
     assert (
         run(
             [
                 "power", "--n", "200", "--m", "2000", "--estimators", "mle,ammse",
-                "--convention", "delta-bounded", "--delta0", "0.1",
+                "--convention", convention, "--delta0", "0.1",
                 "--theta", "0.1", "--grid-points", "5", "--out-dir", str(tmp_path),
             ]
         )
@@ -102,7 +103,7 @@ def test_power_subcommand(tmp_path):
     rows = read_csv(tmp_path / "power.csv")
     assert rows[0] == ["estimator", "convention", "theta", "delta", "critical", "rejection_prob"]
     assert all(0.0 <= float(r[5]) <= 1.0 for r in rows[1:])
-    assert {r[1] for r in rows[1:]} == {"delta-bounded"}
+    assert {r[1] for r in rows[1:]} == {convention}
 
 
 @pytest.mark.parametrize(
@@ -275,12 +276,32 @@ _ESTIMATE = ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1", "-
             ["asymptotics-check", "--estimators", "mle,alasso"],
             2, "ConfigError", "no closed limit law implemented for 'alasso'",
         ),
+        (_ESTIMATE + ["--n", "1" + "0" * 400], 2, "ConfigError", "2**53], got n = 1000"),
+        (["power", "--n", "1" + "0" * 400], 2, "ConfigError", "2**53], got n = 1000"),
+        (_ESTIMATE + ["--n", str(10**200), "--m", str(10**200)], 2, "ConfigError", "2**53], got n = 1000"),
+        (["srmse-curve", "--m", str(2**53 + 1)], 2, "ConfigError", f"m = {2**53 + 1}"),
+        (["estimate", "--config", "{huge_config}"], 2, "ConfigError", "config key 'n'"),
+        (["estimate", "--config", "{long_config}"], 2, "ConfigError", "integer string conversion"),
+        (["estimate", "--config", "{malformed_config}"], 2, "ConfigError", "Expecting value"),
+        (["bayes-risk-table", "--estimators", ""], 2, "ConfigError", "estimators must list"),
+        (["bayes-risk-table", "--priors", " "], 2, "ConfigError", "priors must list"),
+        (["densities", "--sqrt-n-delta", ""], 2, "ConfigError", "sqrt_n_delta must list"),
+        (["asymptotics-check", "--h", ""], 2, "ConfigError", "h must list"),
+        (["srmse-curve", "--config", "{empty_config}"], 2, "ConfigError", "estimators must list"),
+        (["power", "--convention", "bogus"], 2, "ConfigError", "known: ['all-delta', 'delta-bounded', 'delta-zero']"),
     ],
 )
 def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, message):
-    bad_config = tmp_path / "bad.json"
-    bad_config.write_text(json.dumps({"n": "abc"}))  # a value that fails conversion
-    argv = [a.format(bad_config=bad_config) for a in argv]
+    configs = {
+        "bad_config": json.dumps({"n": "abc"}),  # a value that fails conversion
+        "huge_config": json.dumps({"n": float("inf")}),  # JSON Infinity, which no int holds
+        "long_config": '{"n": 1' + "0" * 5000 + "}",  # past Python's int conversion limit
+        "empty_config": json.dumps({"estimators": []}),
+        "malformed_config": '{"n": ',
+    }
+    for name, text in configs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in configs}) for a in argv]
     assert run(argv + ["--out-dir", str(tmp_path)]) == code
     record = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert record["error"] == error

@@ -142,6 +142,11 @@ def test_gdib():
         dk.est_gdib(S_WIDE, lambda t: np.asarray(t, float) + 2.0, sens=1.0)
 
 
+def test_gdib_rejects_a_nan_weight():
+    with pytest.raises(ValueError, match="invalid mixing function"):
+        dk.est_gdib(S_WIDE, lambda t: np.nan * np.asarray(t, float), 1.0)
+
+
 def test_alasso_zero_conflict_pools():
     s = TwoSampleSummary(0.4, 100, 0.4, 400)
     res = dk.est_alasso(s)
