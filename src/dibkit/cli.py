@@ -296,6 +296,9 @@ def _convention(cfg: dict[str, Any]) -> Convention:
 
 
 def _cmd_power(cfg: dict[str, Any]) -> None:
+    theta = cfg["theta0"] + cfg["theta"]
+    if not math.isfinite(theta):
+        raise ConfigError(f"theta0 + theta must be finite, got {theta}")
     n, m = cfg["n"], cfg["m"]
     conv = _convention(cfg)
     s_del = math.sqrt(1.0 / n + 1.0 / m)
@@ -303,7 +306,6 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
     if delta_max <= 0:
         delta_max = cfg["delta0"] if isinstance(conv, DeltaBounded) else 6.0 * s_del
     grid = np.linspace(0.0, delta_max, cfg["grid_points"])
-    theta = cfg["theta0"] + cfg["theta"]
     rows = []
     series = []
     for config in _estimator_configs(cfg):

@@ -25,6 +25,7 @@ Families
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Union, get_args
 
@@ -53,7 +54,6 @@ __all__ = [
     "estimator_id",
     "config_from_id",
     "conflict_correction",
-    "correction_breakpoints",
     "est_mle",
     "est_pooled",
     "est_ttpool",
@@ -387,8 +387,8 @@ class StudentTPriorBayes(_ConflictMode):
     v: int = 3
 
     def __post_init__(self) -> None:
-        if self.v < 3:
-            raise ValueError("degrees of freedom v must be >= 3")
+        if not 3 <= self.v <= sys.float_info.max:  # the mode's cubic is solved in floats
+            raise ValueError("degrees of freedom v must lie between 3 and the largest float")
 
     def delta_est(self, d, n, m):
         return lstp_delta_mode(d, n, m, self.v)
@@ -589,11 +589,6 @@ def conflict_correction(
     unspecified (risk evaluation at a known scenario conflict).
     """
     return config.correction(np.asarray(delta_hat, dtype=float), n, m, delta_true)
-
-
-def correction_breakpoints(config: EstimatorConfig, n: int, m: int) -> tuple[float, ...]:
-    """Conflict values where the correction is non-smooth (for quadrature splits)."""
-    return config.breakpoints(n, m)
 
 
 # ---------------------------------------------------------------------------

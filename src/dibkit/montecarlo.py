@@ -1,8 +1,8 @@
 """Finite-sample simulation, distribution summaries, and the bootstrap.
 
 Replicates are addressed, not streamed: replicate ``r`` of a plan always
-consumes the same counter positions of the plan's seed, so a run partitioned
-over any number of workers reproduces the single-worker output bit for bit.
+consumes the same counter positions of the plan's seed, and work runs in fixed
+blocks, so any number of workers reproduces the single-worker output bit for bit.
 All estimators in a plan are evaluated on the same simulated mean pairs,
 making per-replicate comparisons across estimators meaningful.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Any, Callable
 import numpy as np
 from scipy.special import ndtri
 
@@ -28,7 +29,7 @@ __all__ = [
     "bootstrap_ci",
 ]
 
-_BOOT_BLOCK = 1 << 16  # fixed bootstrap block size; independent of worker count
+_BLOCK = 1 << 16  # fixed work block size; the worker count changes only scheduling
 _KDE_SUBBINS = 32  # fine-grid cells per default-grid interval: cost set by ``points``
 _KDE_BLOCK = 32  # grid points per kernel block, which stays within about 2 MB
 
@@ -120,6 +121,13 @@ class EmpiricalDist:
             return grid, np.log(dens)
 
 
+def _run_blocks(run: Callable[[int, int, int], Any], total: int, workers: int) -> list:
+    """``run(index, start, count)`` on each fixed block of ``range(total)``, in index order."""
+    blocks = [(i, start, min(_BLOCK, total - start)) for i, start in enumerate(range(0, total, _BLOCK))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda b: run(*b), blocks))
+
+
 def _simulate_block(plan: SimPlan, start: int, count: int) -> dict[str, np.ndarray]:
     u = streams.addressed_uniforms(plan.seed, 0, 2 * start, 2 * count).reshape(count, 2)
     theta_hat = plan.theta + ndtri(u[:, 0]) / math.sqrt(plan.n)
@@ -141,9 +149,7 @@ def simulate(plan: SimPlan, workers: int = 1) -> dict[str, EmpiricalDist]:
     produces a non-finite value are dropped from that estimator's summary and
     counted in ``n_failed``.
     """
-    blocks = streams.partition_blocks(plan.replicates, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda b: _simulate_block(plan, *b), blocks))
+    results = _run_blocks(lambda _, start, count: _simulate_block(plan, start, count), plan.replicates, workers)
     merged: dict[str, EmpiricalDist] = {}
     for cfg in plan.estimators:
         key = estimator_id(cfg)
@@ -241,12 +247,10 @@ def bootstrap_ci(
         raise ValueError("level must lie in (0, 1)")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
-    n_blocks = (resamples + _BOOT_BLOCK - 1) // _BOOT_BLOCK
-    sizes = [min(_BOOT_BLOCK, resamples - i * _BOOT_BLOCK) for i in range(n_blocks)]
     config = SensitivityMmse(sens)
-    args = [(current, external, config, seed, i, sizes[i], scheme) for i in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda a: _bootstrap_block(*a), args))
+    parts = _run_blocks(
+        lambda i, _, count: _bootstrap_block(current, external, config, seed, i, count, scheme), resamples, workers
+    )
     draws = np.concatenate([p[0] for p in parts])
     redraws = sum(p[1] for p in parts)
     alpha = 1.0 - level

@@ -211,7 +211,7 @@ def _mse_many(
     deltas: np.ndarray,
     n: int,
     m: int,
-    nodes: int,
+    nodes: int | None,
 ) -> np.ndarray:
     """MSE at each conflict in ``deltas`` (vectorized over the weighted node pairs).
 
@@ -222,6 +222,7 @@ def _mse_many(
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    nodes = default_nodes(config) if nodes is None else nodes
     if nodes < MIN_NODES:
         raise ValueError(f"nodes must be >= {MIN_NODES}")
     deltas = np.asarray(deltas, dtype=float)
@@ -256,7 +257,6 @@ def mse_numeric(
     nodes: int | None = None,
 ) -> float:
     """Exact-quadrature MSE of the estimator at location ``theta`` and conflict ``delta``."""
-    nodes = default_nodes(config) if nodes is None else nodes
     return float(_mse_many(config, theta, np.asarray([delta]), n, m, nodes)[0])
 
 
@@ -280,7 +280,6 @@ def srmse_batch(
     m: int,
     nodes: int | None = None,
 ) -> np.ndarray:
-    nodes = default_nodes(config) if nodes is None else nodes
     return np.sqrt(n * _mse_many(config, theta, np.asarray(deltas, dtype=float), n, m, nodes))
 
 
@@ -402,7 +401,6 @@ def integrated_srmse(
     change under panel refinement; its default sits above the inner
     quadrature's error floor for estimators with indicator-type corrections.
     """
-    nodes = default_nodes(config) if nodes is None else nodes
     return _integrate_prior(config, prior, n, lambda d: srmse_batch(config, 0.0, d, n, m, nodes), rel_tol)
 
 
@@ -417,5 +415,4 @@ def imse(
     rel_tol: float = 5e-4,
 ) -> float:
     """Raw MSE averaged against the conflict prior (posterior-mean optimal metric)."""
-    nodes = default_nodes(config) if nodes is None else nodes
     return _integrate_prior(config, prior, n, lambda d: _mse_many(config, theta, d, n, m, nodes), rel_tol)

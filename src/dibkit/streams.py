@@ -18,7 +18,6 @@ __all__ = [
     "stream_generator",
     "addressed_uniforms",
     "addressed_normals",
-    "partition_blocks",
 ]
 
 BLOCK = 8192
@@ -52,21 +51,3 @@ def addressed_normals(seed: int, stream: int, start: int, count: int) -> np.ndar
     """Standard normals via inverse CDF of addressed uniforms (1 draw each)."""
     return ndtri(addressed_uniforms(seed, stream, start, count))
 
-
-def partition_blocks(total: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (start, count) pieces covering ``range(total)``.
-
-    Because draw addressing is position-based, any partition reproduces the
-    single-worker output when pieces are merged in index order.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    base, extra = divmod(total, workers)
-    blocks: list[tuple[int, int]] = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        if size:
-            blocks.append((start, size))
-        start += size
-    return blocks

@@ -41,8 +41,8 @@ class TwoSampleSummary:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"sample sizes must be >= 1, got n={self.n}, m={self.m}")
-        if not (math.isfinite(self.theta_hat) and math.isfinite(self.beta_hat)):
-            raise ValueError("sample means must be finite")
+        if not math.isfinite(self.delta_hat):  # also non-finite when either mean is
+            raise ValueError("sample means and their conflict beta_hat - theta_hat must be finite")
 
     @property
     def delta_hat(self) -> float:

@@ -44,7 +44,6 @@ from .estimators import (
     EstimatorConfig,
     SensitivityMmse,
     conflict_correction,
-    correction_breakpoints,
     est_pooled,
     estimator_id,
 )
@@ -181,7 +180,7 @@ class _ConditionalLaw:
 
     def __init__(self, estimator: EstimatorConfig, n: int, m: int, shift: float, delta: float) -> None:
         s = math.sqrt(1.0 / n + 1.0 / m)
-        t, self.weights = _normal_panels(delta, s, correction_breakpoints(estimator, n, m))
+        t, self.weights = _normal_panels(delta, s, estimator.breakpoints(n, m))
         self.q = conflict_correction(estimator, t, n, m, delta_true=delta)
         self.inner = -shift - self.q + (m / (n + m)) * (t - delta)
         self.root_n, self.root_nm = math.sqrt(n), math.sqrt(n + m)
@@ -242,7 +241,7 @@ def _default_grid(spec: TestSpec, points: int) -> np.ndarray:
         return np.linspace(0.0, spec.convention.delta0, points)
     s = math.sqrt(1.0 / spec.n + 1.0 / spec.m)
     top = 10.0 * s
-    for b in correction_breakpoints(spec.estimator, spec.n, spec.m):
+    for b in spec.estimator.breakpoints(spec.n, spec.m):
         top = max(top, 4.0 * abs(b))
     return np.linspace(0.0, top, points)
 
@@ -344,10 +343,9 @@ def sweet_spot(
     conv = spec.convention
     if not isinstance(conv, DeltaBounded):
         raise ValueError("sweet spot is defined for the bounded-conflict convention")
-    crit = critical_value(spec)
+    curve = power_curve(spec, theta, points=points)
     mle_power = float(ndtr(math.sqrt(spec.n) * (theta - spec.theta0) - ndtri(1.0 - spec.alpha)))
-    grid = np.linspace(0.0, conv.delta0, points)
-    gain = np.array([power(spec, crit, theta, d) - mle_power for d in grid])
+    grid, gain = curve.delta, curve.rejection_prob - mle_power
     positive = gain > 0.0
     if not np.any(positive):
         interval = None

@@ -1,6 +1,8 @@
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -289,6 +291,15 @@ _ESTIMATE = ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1", "-
         (["asymptotics-check", "--h", ""], 2, "ConfigError", "h must list"),
         (["srmse-curve", "--config", "{empty_config}"], 2, "ConfigError", "estimators must list"),
         (["power", "--convention", "bogus"], 2, "ConfigError", "known: ['all-delta', 'delta-bounded', 'delta-zero']"),
+        (_ESTIMATE + ["--estimators", "lstp", "--v", "1" + "0" * 400], 2, "ConfigError", "between 3 and the largest float"),
+        (["srmse-curve", "--estimators", "lstp", "--v", "1" + "0" * 400], 2, "ConfigError", "between 3 and the largest float"),
+        (_ESTIMATE + ["--config", "{huge_v_config}"], 2, "ConfigError", "between 3 and the largest float"),
+        (
+            ["estimate", "--theta-hat", "1e308", "--n", "1", "--beta-hat=-1e308", "--m", "1",
+             "--estimators", "mle,pooled"],
+            2, "ConfigError", "their conflict beta_hat - theta_hat must be finite",
+        ),
+        (["power", "--theta0", "1e308", "--theta", "1e308"], 2, "ConfigError", "theta0 + theta must be finite"),
     ],
 )
 def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, message):
@@ -298,6 +309,7 @@ def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, messag
         "long_config": '{"n": 1' + "0" * 5000 + "}",  # past Python's int conversion limit
         "empty_config": json.dumps({"estimators": []}),
         "malformed_config": '{"n": ',
+        "huge_v_config": '{"estimators": ["lstp"], "v": 1' + "0" * 400 + "}",
     }
     for name, text in configs.items():
         (tmp_path / f"{name}.json").write_text(text)
@@ -321,6 +333,18 @@ def test_python_dash_m_runs_the_cli(module):
     )
     assert proc.returncode == 0
     assert "densities" in proc.stdout
+
+
+def test_every_public_name_resolves():
+    modules = [dibkit] + [
+        importlib.import_module(f"dibkit.{info.name}")
+        for info in pkgutil.iter_modules(dibkit.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    missing = [
+        f"{mod.__name__}.{name}" for mod in modules for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)
+    ]
+    assert len(modules) > 1 and missing == []
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -484,6 +484,11 @@ def test_config_validation():
         SensitivityMmse(sens=-1.0)
 
 
+def test_lstp_rejects_v_past_the_float_range():
+    with pytest.raises(ValueError, match="between 3 and the largest float"):
+        StudentTPriorBayes(v=10**400)
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------

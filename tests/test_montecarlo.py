@@ -15,21 +15,15 @@ from dibkit.estimators import (
 )
 from dibkit.montecarlo import EmpiricalDist, SimPlan, bootstrap_ci, ks_distance, simulate
 from dibkit.risk import mse_numeric
-from dibkit.streams import addressed_normals, addressed_uniforms, partition_blocks
+from dibkit.streams import addressed_normals, addressed_uniforms
 from dibkit.summaries import BinomialRaw
 
 
-def test_partition_blocks_cover_range():
-    for total, workers in ((10, 1), (10, 3), (7, 8), (100, 8)):
-        blocks = partition_blocks(total, workers)
-        covered = [i for start, count in blocks for i in range(start, start + count)]
-        assert covered == list(range(total))
-
-
 def test_addressed_draws_are_offset_consistent():
-    full = addressed_uniforms(99, 0, 0, 1000)
+    # pieces of 3000 straddle the stream's 8192-draw generator blocks
+    full = addressed_uniforms(99, 0, 0, 20_000)
     part = np.concatenate(
-        [addressed_uniforms(99, 0, s, c) for s, c in partition_blocks(1000, 7)]
+        [addressed_uniforms(99, 0, s, min(3000, 20_000 - s)) for s in range(0, 20_000, 3000)]
     )
     np.testing.assert_array_equal(full, part)
     assert np.all((full > 0) & (full < 1))
@@ -52,12 +46,12 @@ def make_plan(**kw):
 
 
 def test_simulate_deterministic_across_workers():
-    base = simulate(make_plan())
-    again = simulate(make_plan())
-    eight = simulate(make_plan(), workers=8)
-    for key in base:
-        np.testing.assert_array_equal(base[key].draws, again[key].draws)
-        np.testing.assert_array_equal(base[key].draws, eight[key].draws)
+    # 150,000 replicates span three fixed blocks of 65,536
+    base = simulate(make_plan(replicates=150_000))
+    for workers in (1, 3, 8):
+        other = simulate(make_plan(replicates=150_000), workers=workers)
+        for key in base:
+            np.testing.assert_array_equal(base[key].draws, other[key].draws)
 
 
 def test_mle_draws_standard_normal_scale():

@@ -65,6 +65,12 @@ def test_summary_validation():
         BinomialRaw(11, 10)
 
 
+def test_summary_rejects_an_overflowing_conflict():
+    # both means are finite, but beta_hat - theta_hat is -inf
+    with pytest.raises(ValueError, match="conflict"):
+        TwoSampleSummary(1e308, 1, -1e308, 1)
+
+
 @given(
     theta=st.floats(-5, 5),
     beta=st.floats(-5, 5),
