@@ -14,8 +14,9 @@ Mixing-weight form: the scaled estimation error converges to
 ``zeta1 + w(xi) * xi / sqrt(1-p)`` where ``w`` is the limit of the
 finite-sample mixing weight.  The bare displayed form ``zeta1 + g(.) * xi``
 drops the ``1/sqrt(1-p)`` carried by the conflict scaling in the underlying
-argument.  At ``p = n/(n+m)`` the exact limit law (``_LimitLaw``) is the finite
-law of this Gaussian model to quadrature error; the bare form is 0.02-0.4 off.
+argument.  The exact limit law is the conditional-normal mixture over ``xi``
+of :mod:`dibkit._law`; at ``p = n/(n+m)`` it is the finite law of this
+Gaussian model to quadrature error, and the bare form is 0.02-0.4 off.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Literal, Union
 import numpy as np
 
 from . import streams
+from ._law import LimitLaw
 from .estimators import EstimatorConfig
-from .testing import _ConditionalLaw, _normal_panels
 
 __all__ = [
     "LocalScenario",
@@ -115,18 +116,6 @@ def limit_law_theorem4(sc: LocalScenario) -> NormalLaw:
     return NormalLaw(mean=(1.0 - sc.p) * sc.h, variance=sc.p)
 
 
-class _LimitLaw(_ConditionalLaw):
-    """Exact limit law: ``xi ~ N(sqrt(1-p) h, 1)`` and, given ``xi``, the error is normal
-    with mean ``w(xi) xi / sqrt(1-p) - sqrt(1-p) (xi - sqrt(1-p) h)`` and variance ``p``."""
-
-    def __init__(self, kind: EstimatorConfig, sc: LocalScenario) -> None:
-        r = math.sqrt(1.0 - sc.p)
-        xi, self.weights = _normal_panels(r * sc.h, 1.0, kind.limit_breakpoints)
-        self.q = kind.limit_weight(xi, sc.p, sc.h) * (xi / r)
-        self.inner = r * (xi - r * sc.h) - self.q
-        self.root_n, self.root_nm = 1.0, 1.0 / math.sqrt(sc.p)
-
-
 def limit_srmse(
     kind: LimitKind,
     sc: LocalScenario,
@@ -145,5 +134,5 @@ def limit_srmse(
     if kind == EXTERNAL_MLE:
         root = math.sqrt(sc.p / (1.0 - sc.p) + sc.h * sc.h)
     else:
-        root = math.sqrt(_LimitLaw(kind, sc).second_moment())
+        root = math.sqrt(LimitLaw(kind, sc.p, sc.h).second_moment())
     return (root, 0.0) if return_stderr else root

@@ -25,7 +25,8 @@ from typing import Any, Callable, Sequence, get_args
 import numpy as np
 
 from . import testing
-from .asymptotics import LocalScenario, _LimitLaw
+from ._law import ConditionalLaw, LimitLaw
+from .asymptotics import LocalScenario
 from .estimators import (
     EstimatorConfig,
     OracleMmse,
@@ -332,7 +333,7 @@ def _cmd_densities(cfg: dict[str, Any]) -> None:
         series = []
         for config in configs:
             name = estimator_id(config)
-            law = testing._ConditionalLaw(config, n, m, 0.0, snd / math.sqrt(n))
+            law = ConditionalLaw(config, n, m, 0.0, snd / math.sqrt(n))
             grid = law.grid(cfg["grid_points"])
             logd = np.log(law.pdf(grid))
             for x, ld in zip(grid, logd):
@@ -416,11 +417,11 @@ def _cmd_asymptotics_check(cfg: dict[str, Any]) -> None:
     configs = _estimator_configs(cfg)
     scenarios = [_from_config(LocalScenario, h=h, p=n / (n + m)) for h in cfg["h"]]
     # every limit law first, so that a kind without one is rejected before any work
-    limits = [[_from_config(_LimitLaw, config, sc) for config in configs] for sc in scenarios]
+    limits = [[_from_config(LimitLaw, config, sc.p, sc.h) for config in configs] for sc in scenarios]
     rows = []
     for sc, laws in zip(scenarios, limits):
         for config, limit in zip(configs, laws):
-            ks = testing._ConditionalLaw(config, n, m, 0.0, sc.h / math.sqrt(n)).distance(limit)
+            ks = ConditionalLaw(config, n, m, 0.0, sc.h / math.sqrt(n)).distance(limit)
             rows.append([estimator_id(config), sc.h, ks, cfg["threshold"], "pass" if ks <= cfg["threshold"] else "fail"])
     _write_csv(cfg, "asymptotics_check.csv", ["estimator", "h", "ks_distance", "threshold", "status"], rows)
 

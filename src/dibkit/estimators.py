@@ -539,22 +539,34 @@ def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = 3) -> np.nda
     a = n * m / (2.0 * (n + m))
     # normalized cubic x^3 + B x^2 + C x + D
     B = -dh
-    C = np.full_like(dh, (2.0 * a * v + (v + 1.0) * n) / (2.0 * a * n))
+    C = (2.0 * a * v + (v + 1.0) * n) / (2.0 * a * n)
     D = -v * dh / n
     # depressed form t^3 + p t + q with x = t - B/3; cubes as products, since
     # numpy's float power costs 10-30x a multiply
     p = C - B * B / 3.0
     q = 2.0 * (B * B * B) / 27.0 - B * C / 3.0 + D
     p3 = p / 3.0
-    disc = (q / 2.0) ** 2 + p3 * p3 * p3
+    qs, p3s, e = q, p3, None
+    if not (C < 2.0**200 and np.max(np.abs(dh), initial=0.0) < 2.0**60):
+        # a huge v or conflict can overflow the discriminant: take it of the cubic
+        # in s = t / 2**e, an exact rescaling that keeps it finite (a q that has
+        # overflowed already, at |delta_hat| above 5.6e102, is left as it is)
+        e = np.where(np.isfinite(q), np.maximum(np.maximum(np.frexp(p)[1] // 2, np.frexp(q)[1] // 3) - 100, 0), 0)
+        qs, p3s = np.ldexp(q, -3 * e), np.ldexp(p3, -2 * e)
+    disc = (qs / 2.0) ** 2 + p3s * p3s * p3s
 
     roots = np.empty((dh.size, 3))
 
     one = disc > 0.0
     if np.any(one):
-        # the larger-magnitude Cardano term; the other is -p/(3u), without cancellation
-        u = np.cbrt(-q[one] / 2.0 - np.copysign(np.sqrt(disc[one]), q[one]))
-        roots[one, 0] = u - p[one] / (3.0 * u) - B[one] / 3.0
+        # Cardano's u - w with w = p/(3u), written as -q / (u^2 + p/3 + w^2) so
+        # that the two terms do not cancel when p dominates q
+        u = np.cbrt(-qs[one] / 2.0 - np.copysign(np.sqrt(disc[one]), qs[one]))
+        if e is not None:
+            u = np.ldexp(u, e[one])
+        p3u = p3[one]
+        w = p3u / u
+        roots[one, 0] = -q[one] / (u * u + p3u + w * w) - B[one] / 3.0
     three = ~one
     if np.any(three):
         pp = p[three]

@@ -25,6 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, roots_hermite, stdtr
 
+from ._law import _legendre_panels
 from .estimators import (
     EstimatorConfig,
     StudentTPriorBayes,
@@ -336,27 +337,6 @@ def _panel_breakpoints(prior: ConflictPrior, n: int) -> np.ndarray:
                 pts.add(candidate)
         k *= 2.0
     return np.array(sorted(pts))
-
-
-def _legendre_panels(
-    edges: np.ndarray, rule: tuple[np.ndarray, np.ndarray], max_width: float = math.inf
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``rule`` on every panel between sorted ``edges``.
-
-    Each panel is cut into the fewest equal pieces no wider than
-    ``max_width``, at the points ``np.linspace`` would give.
-    """
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
-    pieces = np.maximum(1, np.ceil((b - a) / max_width)).astype(int)
-    panel = np.repeat(np.arange(a.size), pieces)
-    k = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    step = (b - a) / pieces
-    lo = k * step[panel] + a[panel]
-    hi = np.where(k + 1 == pieces[panel], b[panel], (k + 1) * step[panel] + a[panel])
-    half = 0.5 * (hi - lo)
-    xg, wg = rule
-    return (half[:, None] * xg + 0.5 * (lo + hi)[:, None]).ravel(), (half[:, None] * wg).ravel()
 
 
 def _integrate_prior(

@@ -1,25 +1,11 @@
 """Hypothesis testing with borrowing estimators.
 
 The statistic throughout is ``Z = sqrt(n) * (estimate - theta0)`` with a
-one-sided upper rejection region.  Because every estimator has the form
-``theta_hat + q(delta_hat)``, the exact finite-sample law of Z reduces to a
-one-dimensional integral over the observed conflict: conditionally on
-``delta_hat = t`` the remaining randomness of ``theta_hat`` is normal with
-known moments, so
-
-    P(Z <= z | theta, delta) =
-        E_t[ Phi( sqrt(n+m) * (z/sqrt(n) - (theta-theta0) - q(t)
-                               + m/(n+m) * (t - delta)) ) ]
-
-with ``t ~ N(delta, 1/n + 1/m)``.  Every estimator, the heavy-tailed-prior
-posterior mode included, takes this one deterministic path: the law at one
-truth is built once (Gauss-Legendre panels over ``delta +/- 9.5`` sd, split
-at the correction's breakpoints) and evaluated at any number of ``z``;
-its density and second moment are sums over the same nodes, and its
-quantiles invert it numerically.  These also give the exact ``densities``
-artifact, and the same panels over the conflict limit give the local limit
-laws (:mod:`dibkit.asymptotics`).  The panels resolve a smooth correction
-to rounding, so ``breakpoints`` must name every kink and jump of ``q``.
+one-sided upper rejection region.  Its exact finite-sample law at a truth
+``(theta, delta)`` is the conditional-normal mixture over the observed
+conflict derived in :mod:`dibkit._law`; every estimator, the
+heavy-tailed-prior posterior mode included, takes that one deterministic
+path, built once per truth and evaluated at any number of ``z``.
 
 Critical values depend on what is assumed about the conflict under the null:
 exactly zero, bounded by a known value, or unrestricted.  In the unrestricted
@@ -40,14 +26,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
+from ._law import ConditionalLaw
 from .estimators import (
     EstimatorConfig,
     SensitivityMmse,
-    conflict_correction,
+    conflict_correction,  # noqa: F401  (the benchmark's tracer test patches this binding)
     est_pooled,
     estimator_id,
 )
-from .risk import _legendre_panels
 from .summaries import TwoSampleSummary
 
 __all__ = [
@@ -149,90 +135,17 @@ class PowerCurve:
     meta: dict = field(default_factory=dict)
 
 
-# ---------------------------------------------------------------------------
-# Exact sampling law via conditional-normal quadrature
-# ---------------------------------------------------------------------------
-
-
-_PANEL_RULE = leggauss(12)  # Gauss-Legendre rule on each conflict panel
-_PANEL_WIDTH = 0.5  # widest panel, in sd units of the conflict statistic
-_SPAN = 9.5  # half-width of the integrated conflict range, in the same units
-
-
-def _normal_panels(center: float, sd: float, kinks) -> tuple[np.ndarray, np.ndarray]:
-    """Panel nodes over ``center +/- _SPAN sd`` split at the kinks inside, weighted by N(center, sd^2)."""
-    lo, hi = center - _SPAN * sd, center + _SPAN * sd
-    if not lo < hi:
-        raise ValueError(f"conflict span {center:g} +/- {_SPAN:g} * {sd:g} rounds to a single point")
-    t, w = _legendre_panels(sorted({lo, hi, *(b for b in kinks if lo < b < hi)}), _PANEL_RULE, _PANEL_WIDTH * sd)
-    return t, w * (np.exp(-((t - center) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi)))
-
-
-class _ConditionalLaw:
-    """Law of Z at one truth, as a fixed quadrature over the conflict statistic.
-
-    ``shift`` is ``theta - theta0``.  Holds, per panel node ``t``, its weight
-    times the normal density of ``t``, the correction ``q(t)`` (whose range
-    brackets the quantiles) and the offset ``m/(n+m) (t - delta) - q(t) -
-    shift`` of the standardized conditional mean; panels split at every
-    breakpoint of the correction.  Given ``t``, Z is N(-root_n inner, root_n^2 / root_nm^2).
-    """
-
-    def __init__(self, estimator: EstimatorConfig, n: int, m: int, shift: float, delta: float) -> None:
-        s = math.sqrt(1.0 / n + 1.0 / m)
-        t, self.weights = _normal_panels(delta, s, estimator.breakpoints(n, m))
-        self.q = conflict_correction(estimator, t, n, m, delta_true=delta)
-        self.inner = -shift - self.q + (m / (n + m)) * (t - delta)
-        self.root_n, self.root_nm = math.sqrt(n), math.sqrt(n + m)
-
-    def _u(self, z: float | np.ndarray) -> np.ndarray:
-        zs = np.atleast_1d(np.asarray(z, dtype=float))
-        return self.root_nm * (zs[:, None] / self.root_n + self.inner)
-
-    def cdf(self, z: float | np.ndarray) -> float | np.ndarray:
-        out = np.sum(self.weights * ndtr(self._u(z)), axis=-1)
-        return out if np.ndim(z) else float(out[0])
-
-    def sf(self, z: float) -> float:
-        """P(Z > z), summed over upper tails so that small probabilities keep their digits."""
-        return float(np.sum(self.weights * ndtr(-self._u(z))))
-
-    def pdf(self, z: np.ndarray) -> np.ndarray:
-        phi = np.exp(-0.5 * self._u(z) ** 2) * (self.root_nm / (self.root_n * math.sqrt(2.0 * math.pi)))
-        return np.sum(self.weights * phi, axis=-1)
-
-    def quantile(self, prob: float) -> float:
-        # at shift 0, Z - root_n q is the current-data error: N(0, 1) at any conflict
-        lo = self.root_n * float(np.min(self.q)) - 9.0
-        hi = self.root_n * float(np.max(self.q)) + 9.0
-        return float(brentq(lambda z: self.cdf(z) - prob, lo, hi, xtol=1e-10))
-
-    def second_moment(self) -> float:
-        return float(np.sum(self.weights * (self.inner**2 + 1.0 / self.root_nm**2))) * self.root_n**2
-
-    def grid(self, points: int) -> np.ndarray:
-        return np.linspace(self.quantile(1e-7), self.quantile(1.0 - 1e-7), points)
-
-    def distance(self, other: "_ConditionalLaw") -> float:
-        """sup |F - G| on 401 points of this law's grid, then 401 more around the largest gap."""
-        z = self.grid(401)
-        gap = np.abs(self.cdf(z) - other.cdf(z))
-        k = int(np.argmax(gap))
-        z = np.linspace(z[max(k - 1, 0)], z[min(k + 1, z.size - 1)], 401)
-        return float(max(gap[k], np.max(np.abs(self.cdf(z) - other.cdf(z)))))
-
-
 def sampling_cdf(
     spec: TestSpec, z: float | np.ndarray, theta: float, delta: float
 ) -> float | np.ndarray:
     """P(Z <= z) for ``Z = sqrt(n)(estimate - theta0)`` at the given truth."""
-    return _ConditionalLaw(spec.estimator, spec.n, spec.m, theta - spec.theta0, delta).cdf(z)
+    return ConditionalLaw(spec.estimator, spec.n, spec.m, theta - spec.theta0, delta).cdf(z)
 
 
 def null_quantile(spec: TestSpec, delta: float, prob: float | None = None) -> float:
     """(1-alpha) quantile of Z under ``theta = theta0`` at the given conflict."""
     prob = 1.0 - spec.alpha if prob is None else prob
-    return _ConditionalLaw(spec.estimator, spec.n, spec.m, 0.0, delta).quantile(prob)
+    return ConditionalLaw(spec.estimator, spec.n, spec.m, 0.0, delta).quantile(prob)
 
 
 def _default_grid(spec: TestSpec, points: int) -> np.ndarray:
@@ -294,7 +207,7 @@ def power(
     crit = float(critical)
     if math.isinf(crit):
         return 0.0
-    return _ConditionalLaw(spec.estimator, spec.n, spec.m, theta - spec.theta0, delta).sf(crit)
+    return ConditionalLaw(spec.estimator, spec.n, spec.m, theta - spec.theta0, delta).sf(crit)
 
 
 def power_curve(
@@ -417,7 +330,7 @@ def pvalue(
             raise ValueError("bounded-conflict option needs delta0 and sens")
         config = SensitivityMmse(sens)
         z_obs = math.sqrt(n) * (config.result(s).theta_est - theta0)
-        return _ConditionalLaw(config, n, m, 0.0, delta0).sf(z_obs)
+        return ConditionalLaw(config, n, m, 0.0, delta0).sf(z_obs)
     raise ValueError(f"unknown p-value option {option!r}")
 
 

@@ -167,6 +167,22 @@ def test_criterion_2_identities():
 # ---------------------------------------------------------------------------
 
 
+def _linspace_argmin(objective, start, stop, points, coarse=1000):
+    """Argmin of a convex objective over ``np.linspace(start, stop, points)``.
+
+    A pass over every ``coarse``-th node, then every node of the two coarse
+    cells around its minimum; the nodes are the ones ``np.linspace`` gives.
+    """
+    step = (stop - start) / (points - 1)
+
+    def nodes(idx):
+        return np.where(idx == points - 1, stop, idx * step + start)
+
+    k = int(np.argmin(objective(nodes(np.arange(0, points, coarse)))))
+    fine = nodes(np.arange(max(k - 1, 0) * coarse, min((k + 1) * coarse, points - 1) + 1))
+    return float(fine[np.argmin(objective(fine))])
+
+
 def test_criterion_3_oracles():
     start = time.time()
     rng = np.random.default_rng(1234)
@@ -177,10 +193,12 @@ def test_criterion_3_oracles():
         dh = float(rng.uniform(0.01, 0.4)) * (1 if rng.random() < 0.5 else -1)
         tau = float(rng.uniform(0.05, 0.45))
         closed = float(alasso_delta(np.asarray(dh), n, m, tau))
-        grid = np.linspace(-2 * abs(dh), 2 * abs(dh), 1_000_001)
         a = n * m / (n + m)
-        objective = a * (dh - grid) ** 2 + (n + m) ** tau * np.abs(grid) / abs(dh)
-        brute = float(grid[np.argmin(objective)])
+
+        def objective(grid):
+            return a * (dh - grid) ** 2 + (n + m) ** tau * np.abs(grid) / abs(dh)
+
+        brute = _linspace_argmin(objective, -2 * abs(dh), 2 * abs(dh), 1_000_001)
         worst = max(worst, abs(closed - brute))
     report("3", "alasso grid oracle", worst <= 1e-6, f"worst |closed-grid| = {worst:.2e} over 1000")
 

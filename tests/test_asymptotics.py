@@ -4,6 +4,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from dibkit import _law
+from dibkit._law import ConditionalLaw, LimitLaw
 from dibkit.asymptotics import (
     EXTERNAL_MLE,
     LocalScenario,
@@ -12,7 +14,6 @@ from dibkit.asymptotics import (
     limit_sample,
     limit_srmse,
     limit_value,
-    _LimitLaw,
 )
 from dibkit.cli import KS_ESTIMATORS
 from dibkit.estimators import (
@@ -33,7 +34,6 @@ from dibkit.estimators import (
 )
 from dibkit.montecarlo import ks_distance
 from dibkit.streams import addressed_normals
-from dibkit.testing import _ConditionalLaw
 
 P_PAPER = 1000 / 101_000
 H_DEFAULT = (0.0, 1.58, 5.06)  # the asymptotics-check defaults
@@ -143,7 +143,7 @@ def test_limit_law_matches_limit_sample(name):
     kind, draws = config_from_id(name), 400_000
     for i, h in enumerate(H_DEFAULT):
         sc = LocalScenario(h=h, p=P_PAPER)
-        law = _LimitLaw(kind, sc)
+        law = LimitLaw(kind, sc.p, sc.h)
         sample = np.sort(limit_sample(kind, sc, draws, seed=41 + i))
         for prob in (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99):
             below = np.searchsorted(sample, law.quantile(prob), side="right") / draws
@@ -152,6 +152,26 @@ def test_limit_law_matches_limit_sample(name):
         root = limit_srmse(kind, sc, draws)
         se_root = np.std(squares, ddof=1) / math.sqrt(draws) / (2.0 * root)
         assert abs(math.sqrt(np.mean(squares)) - root) <= 4.0 * se_root, h
+
+
+# Measured CDF changes on the 401-point grid between the 1e-7 quantiles,
+# largest over the default h: 7.0e-13 mle, 4.4e-16 pooled, 3.3e-13 ttpool,
+# 8.2e-12 ammse, 6.8e-9 ebpp and 2.5e-6 hdpp.
+LIMIT_HALVING_TOLERANCE = {"ebpp": 1e-8, "hdpp": 5e-6}
+
+
+@pytest.mark.parametrize("name", KS_ESTIMATORS)
+def test_limit_law_panel_halving(name, monkeypatch):
+    kind = config_from_id(name)
+    for h in H_DEFAULT:
+        coarse = LimitLaw(kind, P_PAPER, h)
+        zs = coarse.grid(401)
+        with monkeypatch.context() as patch:
+            patch.setattr(_law, "_PANEL_WIDTH", 0.5 * _law._PANEL_WIDTH)
+            finer = LimitLaw(kind, P_PAPER, h)
+        assert finer.weights.size > coarse.weights.size  # the width took effect
+        change = np.max(np.abs(finer.cdf(zs) - coarse.cdf(zs)))
+        assert change <= LIMIT_HALVING_TOLERANCE.get(name, 1e-10), h
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -186,10 +206,10 @@ def test_exact_check_fails_the_bare_displayed_form(name):
     cases = [(1000, 1000, h) for h in H_DEFAULT] + [(1000, 100_000, 5.06)] * (name == "pooled")
     bare = []
     for n, m, h in cases:
-        finite = _ConditionalLaw(kind, n, m, 0.0, h / math.sqrt(n))
+        finite = ConditionalLaw(kind, n, m, 0.0, h / math.sqrt(n))
         sc = LocalScenario(h=h, p=n / (n + m))
-        assert finite.distance(_LimitLaw(kind, sc)) <= 2e-4
-        bare.append(finite.distance(_LimitLaw(_BareForm(kind), sc)))
+        assert finite.distance(LimitLaw(kind, sc.p, sc.h)) <= 2e-4
+        bare.append(finite.distance(LimitLaw(_BareForm(kind), sc.p, sc.h)))
     if name == "mle":
         assert max(bare) <= 1e-12
     else:

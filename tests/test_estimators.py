@@ -343,6 +343,17 @@ def test_lstp_delta_mode_matches_mpmath_roots():
             assert abs(g - want) <= 1e-14 * max(1.0, abs(want)), (n, m, d, g, want)
 
 
+def test_lstp_delta_mode_matches_mpmath_for_huge_degrees_of_freedom():
+    # at n = 100, m = 400 the mode tends to the normal-prior value 4/9 delta_hat;
+    # it read 0.4271 at v = 1e30 and delta_hat = 1, -1.34e8 at 1e50 and inf from
+    # about 1e110, where the discriminant overflowed
+    dh = np.array([1.0, -0.3, 1e-3, 25.0])
+    for v in (1e8, 1e16, 1e30, 1e50, 1e100, 1e200, 1e300):
+        for d, got in zip(dh, lstp_delta_mode(dh, 100, 400, v)):
+            want = float(lstp_delta_mode_mpmath(d, 100, 400, v))
+            assert abs(got - want) <= 1e-12 * abs(want), (v, d, got, want)
+
+
 def _lstp_cubic_discriminant(delta_hat, n, m, v=3):
     """Discriminant of the depressed stationary cubic; negative where it has three real roots."""
     a = n * m / (2.0 * (n + m))
@@ -355,10 +366,11 @@ def _lstp_cubic_discriminant(delta_hat, n, m, v=3):
 def test_lstp_delta_mode_relative_accuracy_across_root_branches():
     # an external sample under a fifth of the current one makes the profile
     # bimodal over a conflict band (three real roots); the band's edges are
-    # where the discriminant crosses 0 and two roots merge
+    # where the discriminant crosses 0 and two roots merge.  Below 0.05 sd,
+    # Cardano's u - p/(3u) used to cancel (2.9e-9 relative at 1e-6 sd).
     for n, m in ((1000, 100), (500, 20), (50, 1), (1000, 100_000), (1, 1)):
         s = math.sqrt(1.0 / n + 1.0 / m)
-        grid = np.linspace(0.05 * s, 12.0 * s, 40)
+        grid = np.concatenate([np.geomspace(1e-6 * s, 0.05 * s, 10, endpoint=False), np.linspace(0.05 * s, 12.0 * s, 40)])
         dh = [*grid, *-grid]
         xs = np.linspace(0.05 * s, 12.0 * s, 2001)
         disc = _lstp_cubic_discriminant(xs, n, m)
@@ -379,7 +391,8 @@ def test_lstp_delta_mode_relative_accuracy_across_root_branches():
 
 
 def _joint_log_posterior(tg, dgrid, s: TwoSampleSummary, v: int):
-    TT, DD = np.meshgrid(tg, dgrid, indexing="ij")
+    # broadcast, not meshgrid: the log runs once per conflict node, the values are the same
+    TT, DD = tg[:, None], dgrid[None, :]
     return (
         -0.5 * (v + 1) * np.log(v + s.n * DD**2)
         - 0.5 * s.m * (s.beta_hat - TT - DD) ** 2

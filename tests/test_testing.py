@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from dibkit import streams, testing
+from dibkit import _law, streams
 from dibkit.cli import DENSITY_ESTIMATORS
 from dibkit.estimators import (
     AdaptiveLasso,
@@ -94,7 +94,7 @@ def test_sampling_cdf_matches_normal_for_pooled():
 
 
 def test_law_density_quantiles_and_second_moment_for_mle_and_pooled():
-    mle = testing._ConditionalLaw(Mle(), N, M, 0.0, 0.03)
+    mle = _law.ConditionalLaw(Mle(), N, M, 0.0, 0.03)
     zs = np.linspace(-5.0, 5.0, 41)
     np.testing.assert_allclose(mle.pdf(zs), norm.pdf(zs), rtol=1e-9)
     for prob in _QUANTILE_PROBS:
@@ -102,7 +102,7 @@ def test_law_density_quantiles_and_second_moment_for_mle_and_pooled():
     assert mle.second_moment() == pytest.approx(1.0, abs=1e-12)
     delta, sd = 0.04, math.sqrt(N / (N + M))
     mean = math.sqrt(N) * M * delta / (N + M)
-    pooled = testing._ConditionalLaw(Pooled(), N, M, 0.0, delta)
+    pooled = _law.ConditionalLaw(Pooled(), N, M, 0.0, delta)
     np.testing.assert_allclose(pooled.pdf(mean + sd * zs), norm.pdf(zs) / sd, rtol=1e-9)
     assert pooled.second_moment() == pytest.approx(mean * mean + sd * sd, rel=1e-12)
 
@@ -112,7 +112,7 @@ def test_law_cdf_matches_seeded_simulation(name):
     config, draws = config_from_id(name), 400_000
     for i, snd in enumerate((0.0, 0.32, 1.58, 5.06)):  # the densities defaults
         delta = snd / math.sqrt(N)
-        law = testing._ConditionalLaw(config, N, M, 0.0, delta)
+        law = _law.ConditionalLaw(config, N, M, 0.0, delta)
         plan = SimPlan(n=N, m=M, theta=0.0, delta=delta, replicates=draws, seed=71 + i,
                        estimators=(config,))
         sample = simulate(plan)[name].draws
@@ -133,13 +133,13 @@ HALVING_TOLERANCE = {"alasso": 2e-5, "hdpp": 2e-3}
 def test_log_density_panel_halving(name, monkeypatch):
     config = config_from_id(name)
     for snd in (0.0, 0.32, 1.58, 5.06):
-        coarse = testing._ConditionalLaw(config, N, M, 0.0, snd / math.sqrt(N))
+        coarse = _law.ConditionalLaw(config, N, M, 0.0, snd / math.sqrt(N))
         zs = coarse.grid(256)
         dens = coarse.pdf(zs)
         keep = dens >= 1e-3 * dens.max()
         with monkeypatch.context() as patch:
-            patch.setattr(testing, "_PANEL_WIDTH", 0.5 * testing._PANEL_WIDTH)
-            finer = testing._ConditionalLaw(config, N, M, 0.0, snd / math.sqrt(N)).pdf(zs)
+            patch.setattr(_law, "_PANEL_WIDTH", 0.5 * _law._PANEL_WIDTH)
+            finer = _law.ConditionalLaw(config, N, M, 0.0, snd / math.sqrt(N)).pdf(zs)
         change = np.max(np.abs(np.log(finer[keep]) - np.log(dens[keep])))
         assert change <= HALVING_TOLERANCE.get(name, 1e-8), snd
 
@@ -184,7 +184,7 @@ def test_lstp_sampling_cdf_matches_seeded_draws(monkeypatch):
         stats = _mc_statistic_draws(spec.estimator, N, M, 0.0, 0.0, delta, draws, 13, i)
         for z, p in zip(zs, exact[i]):
             assert abs(np.mean(stats <= z) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / draws)
-    monkeypatch.setattr(testing, "_PANEL_WIDTH", 0.5 * testing._PANEL_WIDTH)
+    monkeypatch.setattr(_law, "_PANEL_WIDTH", 0.5 * _law._PANEL_WIDTH)
     finer = np.array([sampling_cdf(spec, np.array(zs), 0.0, d) for d in deltas])
     assert np.any(finer != exact)  # other nodes, so the width took effect
     assert np.max(np.abs(finer - exact)) <= 1e-10
@@ -307,7 +307,7 @@ def test_pvalue_option3_panel_halving(prams, monkeypatch):
     tolerance = {0.01: 1e-9, 0.05: 1e-9, 0.087: 1e-9, 0.12: 1e-9, 0.3: 5e-9}
     coarse = np.array([pvalue("dib-deltabounded", s, theta0, d, 0.4) for d in tolerance])
     coarse_tip = tipping_point(s, theta0, 0.4, 0.05)
-    monkeypatch.setattr(testing, "_PANEL_WIDTH", 0.5 * testing._PANEL_WIDTH)
+    monkeypatch.setattr(_law, "_PANEL_WIDTH", 0.5 * _law._PANEL_WIDTH)
     finer = np.array([pvalue("dib-deltabounded", s, theta0, d, 0.4) for d in tolerance])
     assert np.any(finer != coarse)  # other nodes, so the width took effect
     assert np.all(np.abs(finer - coarse) <= list(tolerance.values()))
