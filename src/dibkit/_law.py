@@ -52,8 +52,7 @@ def _legendre_panels(
     lo = k * step[panel] + a[panel]
     hi = np.where(k + 1 == pieces[panel], b[panel], (k + 1) * step[panel] + a[panel])
     half = 0.5 * (hi - lo)
-    xg, wg = rule
-    return (half[:, None] * xg + 0.5 * (lo + hi)[:, None]).ravel(), (half[:, None] * wg).ravel()
+    return (half[:, None] * rule[0] + 0.5 * (lo + hi)[:, None]).ravel(), (half[:, None] * rule[1]).ravel()
 
 
 def _normal_panels(center: float, sd: float, kinks) -> tuple[np.ndarray, np.ndarray]:

@@ -537,53 +537,44 @@ def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = 3) -> np.nda
     d = np.asarray(delta_hat, dtype=float)
     dh = d.ravel()
     a = n * m / (2.0 * (n + m))
-    # normalized cubic x^3 + B x^2 + C x + D
-    B = -dh
-    C = (2.0 * a * v + (v + 1.0) * n) / (2.0 * a * n)
-    D = -v * dh / n
-    # depressed form t^3 + p t + q with x = t - B/3; cubes as products, since
-    # numpy's float power costs 10-30x a multiply
+    # the cubic in s = x / 2**e, an exact rescaling that keeps its coefficients
+    # and discriminant finite for every float v (e = 0 unless v exceeds 2**200)
+    e = max(math.frexp(v)[1] // 2 - 100, 0)
+    ve = math.ldexp(v, -2 * e)
+    # normalized cubic s^3 + B s^2 + C s + D with D = ve B / n
+    B = dh * math.ldexp(-1.0, -e)
+    C = (2.0 * a * ve + (ve + math.ldexp(1.0, -2 * e)) * n) / (2.0 * a * n)
+    # depressed form t^3 + p t + q with s = t - B/3; cubes as products, since
+    # numpy's float power costs 10-30x a multiply.  q carries the factor B, kept
+    # apart in qb so that a conflict made tiny by the rescaling keeps its digits.
     p = C - B * B / 3.0
-    q = 2.0 * (B * B * B) / 27.0 - B * C / 3.0 + D
+    qb = 2.0 * (B * B) / 27.0 - C / 3.0 + ve / n
+    q = B * qb
     p3 = p / 3.0
-    qs, p3s, e = q, p3, None
-    if not (C < 2.0**200 and np.max(np.abs(dh), initial=0.0) < 2.0**60):
-        # a huge v or conflict can overflow the discriminant: take it of the cubic
-        # in s = t / 2**e, an exact rescaling that keeps it finite (a q that has
-        # overflowed already, at |delta_hat| above 5.6e102, is left as it is)
-        e = np.where(np.isfinite(q), np.maximum(np.maximum(np.frexp(p)[1] // 2, np.frexp(q)[1] // 3) - 100, 0), 0)
-        qs, p3s = np.ldexp(q, -3 * e), np.ldexp(p3, -2 * e)
-    disc = (qs / 2.0) ** 2 + p3s * p3s * p3s
+    disc = (q / 2.0) ** 2 + p3 * p3 * p3
 
-    roots = np.empty((dh.size, 3))
-
+    out = np.empty(dh.size)
     one = disc > 0.0
     if np.any(one):
         # Cardano's u - w with w = p/(3u), written as -q / (u^2 + p/3 + w^2) so
-        # that the two terms do not cancel when p dominates q
-        u = np.cbrt(-qs[one] / 2.0 - np.copysign(np.sqrt(disc[one]), qs[one]))
-        if e is not None:
-            u = np.ldexp(u, e[one])
+        # that the two terms do not cancel when p dominates q; with q = B qb the
+        # root x = 2**e (t - B/3) is delta_hat (qb / (u^2 + p/3 + w^2) + 1/3)
+        u = np.cbrt(-q[one] / 2.0 - np.copysign(np.sqrt(disc[one]), q[one]))
         p3u = p3[one]
         w = p3u / u
-        roots[one, 0] = -q[one] / (u * u + p3u + w * w) - B[one] / 3.0
-    three = ~one
-    if np.any(three):
+        out[one] = dh[one] * (qb[one] / (u * u + p3u + w * w) + 1.0 / 3.0)
+    three = np.flatnonzero(~one)
+    if three.size:
         pp = p[three]
         qq = q[three]
         r = np.sqrt(np.maximum(-pp / 3.0, 0.0))
         # clip guards round-off at the double-root boundary (disc ~ 0)
         cos_arg = np.clip(3.0 * qq / (2.0 * pp) * np.sqrt(np.where(pp < 0, -3.0 / pp, 0.0)), -1.0, 1.0)
-        theta = np.arccos(cos_arg)
-        for k in range(3):
-            roots[three, k] = 2.0 * r * np.cos(theta / 3.0 - 2.0 * math.pi * k / 3.0) - B[three] / 3.0
-
-    out = roots[:, 0].copy()
-    if np.any(three):
-        idx = np.flatnonzero(three)
-        cand = roots[idx]
-        f = lstp_profile_objective(cand, dh[idx, None], n, m, v)
-        out[idx] = np.take_along_axis(cand, np.argmin(f, axis=1)[:, None], axis=1).ravel()
+        theta = np.arccos(cos_arg)[:, None]
+        t = 2.0 * r[:, None] * np.cos(theta / 3.0 - 2.0 * math.pi * np.arange(3) / 3.0)
+        cand = np.ldexp(t - B[three, None] / 3.0, e)
+        f = lstp_profile_objective(cand, dh[three, None], n, m, v)
+        out[three] = np.take_along_axis(cand, np.argmin(f, axis=1)[:, None], axis=1).ravel()
     return out.reshape(d.shape)
 
 

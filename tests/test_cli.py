@@ -320,6 +320,17 @@ def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, messag
     assert message in record["message"]
 
 
+
+@pytest.mark.parametrize("n, m", [(100, 400), (1, 1)])
+def test_estimate_lstp_at_the_largest_degrees_of_freedom(tmp_path, n, m):
+    # v = 1.7e308 overflowed the mode's cubic and wrote nan with exit code 0; the t
+    # prior is normal to rounding there, so the mode is m / (n + 2m) delta_hat
+    argv = ["estimate", "--theta-hat", "0", "--n", str(n), "--beta-hat", "1", "--m", str(m),
+            "--estimators", "lstp", "--v", "17" + "0" * 307, "--out-dir", str(tmp_path)]
+    assert run(argv) == 0
+    row = read_csv(tmp_path / "estimates.csv")[1]
+    assert row[0] == "lstp" and float(row[2]) == pytest.approx(m / (n + 2 * m), rel=1e-12)
+
 def _src_env():
     src = str(Path(dibkit.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,4 +1,5 @@
 import math
+import sys
 from typing import get_args
 
 import numpy as np
@@ -353,6 +354,26 @@ def test_lstp_delta_mode_matches_mpmath_for_huge_degrees_of_freedom():
             want = float(lstp_delta_mode_mpmath(d, 100, 400, v))
             assert abs(got - want) <= 1e-12 * abs(want), (v, d, got, want)
 
+
+
+def test_lstp_delta_mode_at_the_largest_degrees_of_freedom():
+    # from about v = 2.2e306 (n = 100, m = 400) the cubic's coefficients overflowed
+    # and the mode read nan; the rescaling that keeps them finite must not flush a
+    # tiny conflict to zero.  The cubic has one real root here, polished by
+    # 50-digit Newton steps from the normal-prior value m / (n + 2m) delta_hat.
+    mpmath = pytest.importorskip("mpmath")
+    dh = np.array([1e-300, 1e-200, 1e-6, 1.0, -3.0, 1e10, 1e60])
+    for n, m in ((1, 1), (100, 400)):
+        for v in (1e250, 1e300, 1.7e308, sys.float_info.max):
+            for d, got in zip(dh, lstp_delta_mode(dh, n, m, v)):
+                with mpmath.workdps(50):
+                    a, vv, t = mpmath.mpf(n * m) / (2 * (n + m)), mpmath.mpf(v), mpmath.mpf(d)
+                    c = [2 * a * n, -2 * a * n * t, 2 * a * vv + (vv + 1) * n, -2 * a * vv * t]
+                    x = mpmath.mpf(m) / (n + 2 * m) * t
+                    for _ in range(50):
+                        x -= mpmath.polyval(c, x) / mpmath.polyval([3 * c[0], 2 * c[1], c[2]], x)
+                    want = float(x)
+                assert abs(got - want) <= 1e-12 * abs(want), (n, m, v, d, got, want)
 
 def _lstp_cubic_discriminant(delta_hat, n, m, v=3):
     """Discriminant of the depressed stationary cubic; negative where it has three real roots."""
