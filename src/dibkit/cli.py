@@ -39,7 +39,7 @@ from .risk import (
     MIN_NODES,
     NodeEvaluationError,
     QuadratureError,
-    integrated_srmse,
+    integrated_srmse_batch,
     srmse_curve,
     table_priors,
 )
@@ -277,9 +277,8 @@ def _cmd_bayes_risk_table(cfg: dict[str, Any]) -> None:
     nodes = _nodes(cfg)
     rows = []
     for config in _estimator_configs(cfg):
-        for pname in cfg["priors"]:
-            value = integrated_srmse(config, priors[pname], n, m, nodes)
-            rows.append([estimator_id(config), pname, value])
+        values = integrated_srmse_batch(config, [priors[p] for p in cfg["priors"]], n, m, nodes)
+        rows.extend([estimator_id(config), pname, value] for pname, value in zip(cfg["priors"], values))
     _write_csv(cfg, "bayes_risk_table.csv", ["estimator", "prior", "value"], rows)
     for pname in cfg["priors"]:
         mass = priors[pname].truncation_mass()

@@ -115,6 +115,12 @@ class _Estimator:
     ``weight(d, n, m, delta_true)``.  Its methods named after optional
     :class:`EstimateResult` fields (``delta_est``, ``gamma_est``, ``weight``)
     are the fields it reports.
+
+    Contract: every correction is odd in the conflict and the conflict it is
+    evaluated at, ``q(-d, n, m, -delta_true) == -q(d, n, m, delta_true)``,
+    bit for bit (a weight is even in both); lstp's three-root cubic branch
+    holds it to a few ulps of ``d``.  The risk module relies on it to
+    evaluate the MSE once per distinct ``|delta|``.
     """
 
     id: ClassVar[str]

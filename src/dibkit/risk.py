@@ -5,9 +5,14 @@ the squared error against the Gaussian sampling laws of the two sample means,
 computed with tensor-product Gauss-Hermite quadrature.  Node pairs whose
 product weight is below 1e-25 are skipped: at 128 nodes they are three
 quarters of the pairs but hold 3.5e-22 of the weighted mass, so the MSE
-moves by ~1e-16 relative.  On top of that sit the standardized risk
+moves by ~1e-16 relative.  The MSE is even in the conflict (every correction
+is odd, and the kept node pairs are symmetric), so each distinct ``|delta|``
+of a batch is evaluated once.  On top of that sit the standardized risk
 ``sqrt(n * MSE)``, risk curves over a conflict grid, and risk integrated
-against a prior on the conflict.
+against a prior on the conflict.  Several priors are integrated in lockstep
+(:func:`integrated_srmse_batch`): each refinement pass evaluates the risk once
+on the nodes of all of them, and panels the priors share give the same
+nodes, which the fold then evaluates once.
 
 Two integrated metrics coexist deliberately: ``integrated_srmse`` averages
 the standardized root risk (the tabulated Bayes-risk metric), while ``imse``
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -48,6 +53,7 @@ __all__ = [
     "srmse_batch",
     "srmse_curve",
     "integrated_srmse",
+    "integrated_srmse_batch",
     "imse",
     "table_priors",
     "DEFAULT_NODES",
@@ -220,6 +226,11 @@ def _mse_many(
     ``u`` and the observed conflict, so the location ``theta`` cancels; it is
     kept in the signature for the contract's sake and validated as finite.
     Node pairs whose product weight is below ``_PAIR_WEIGHT_FLOOR`` are skipped.
+
+    The MSE is even in the conflict: every correction is odd,
+    ``q(-t; -d) = -q(t; d)``, and the kept node pairs are symmetric under
+    ``(x_i, x_j) -> (-x_i, -x_j)``.  So each distinct ``|d|`` is evaluated
+    once and its value is returned at every conflict with that magnitude.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -235,18 +246,22 @@ def _mse_many(
     v = math.sqrt(2.0 / m) * x[j]  # beta_hat - (theta + delta)
     base = v - u
 
-    out = np.empty(deltas.size)
-    for k, d in enumerate(deltas.ravel()):
+    signed = deltas.ravel()
+    folded, first, back = np.unique(np.abs(signed), return_index=True, return_inverse=True)
+    out = np.empty(folded.size)
+    for k, d in enumerate(folded):
         q = conflict_correction(config, d + base, n, m, delta_true=d)
         err = u + q
         if not np.all(np.isfinite(err)):
             bad = int(np.flatnonzero(~np.isfinite(err))[0])
+            # the mirrored node of the first conflict asked for with this magnitude
+            sign = math.copysign(1.0, signed[first[k]])
             raise NodeEvaluationError(
                 f"non-finite estimate for {estimator_id(config)} at node "
-                f"(theta_hat={theta + u[bad]:.6g}, beta_hat={theta + d + v[bad]:.6g})"
+                f"(theta_hat={theta + sign * u[bad]:.6g}, beta_hat={theta + sign * (d + v[bad]):.6g})"
             )
         out[k] = float(np.dot(pair_w, err * err))
-    return out.reshape(deltas.shape)
+    return out[back].reshape(deltas.shape)
 
 
 def mse_numeric(
@@ -339,30 +354,70 @@ def _panel_breakpoints(prior: ConflictPrior, n: int) -> np.ndarray:
     return np.array(sorted(pts))
 
 
-def _integrate_prior(
+def _integrate_priors(
     config: EstimatorConfig,
-    prior: ConflictPrior,
+    priors: Sequence[ConflictPrior],
     n: int,
     integrand: Callable[[np.ndarray], np.ndarray],
     rel_tol: float,
-) -> float:
-    """Integral of ``integrand`` against the prior, halving the panels until two passes agree."""
-    if isinstance(prior, PointMassPrior):
-        return float(integrand(np.asarray([prior.delta]))[0])
-    edges = _panel_breakpoints(prior, n)
+) -> list[float]:
+    """Integral of ``integrand`` against each prior, halving its panels until two passes agree.
+
+    The priors are integrated in lockstep: each pass calls the integrand once,
+    on the nodes of every prior still refining, and each prior keeps its own
+    convergence test and its own refinement.  A point mass is the integrand
+    at its conflict, taken in the first pass.
+    """
     rule = leggauss(24)
-    previous = math.nan  # the first pass has nothing to agree with
+    values = [math.nan] * len(priors)  # the first pass has nothing to agree with
+    achieved = [math.nan] * len(priors)
+    edges = {k: _panel_breakpoints(p, n) for k, p in enumerate(priors) if not isinstance(p, PointMassPrior)}
+    pieces = [(k, np.asarray([p.delta]), None) for k, p in enumerate(priors) if isinstance(p, PointMassPrior)]
     for _ in range(3):
-        xs, ws = _legendre_panels(edges, rule)
-        value = float(np.sum(ws * integrand(xs) * prior.pdf(xs)))
-        change, scale = abs(value - previous), max(abs(value), 1e-12)
-        if change <= rel_tol * scale:
-            return value
-        previous = value
-        edges = np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
-    raise QuadratureError(
-        f"prior integration did not converge for {estimator_id(config)}", achieved=change / scale
-    )
+        pieces += [(k, *_legendre_panels(e, rule)) for k, e in edges.items()]
+        if not pieces:
+            break
+        f = integrand(np.concatenate([xs for _, xs, _ in pieces]))
+        for (k, xs, ws), fk in zip(pieces, np.split(f, np.cumsum([xs.size for _, xs, _ in pieces])[:-1])):
+            if ws is None:
+                values[k] = float(fk[0])
+                continue
+            value = float(np.sum(ws * fk * priors[k].pdf(xs)))
+            change, scale = abs(value - values[k]), max(abs(value), 1e-12)
+            values[k], achieved[k] = value, change / scale
+            if change <= rel_tol * scale:
+                del edges[k]
+            else:
+                edges[k] = np.unique(np.concatenate([edges[k], 0.5 * (edges[k][:-1] + edges[k][1:])]))
+        pieces = []
+    if edges:
+        failed = ", ".join(repr(priors[k]) for k in edges)
+        raise QuadratureError(
+            f"prior integration did not converge for {estimator_id(config)} under {failed}",
+            achieved=max(achieved[k] for k in edges),
+        )
+    return values
+
+
+def integrated_srmse_batch(
+    config: EstimatorConfig,
+    priors: Sequence[ConflictPrior],
+    n: int,
+    m: int,
+    nodes: int | None = None,
+    *,
+    rel_tol: float = 5e-4,
+) -> list[float]:
+    """Standardized root risk averaged against each conflict prior.
+
+    The same numbers as one :func:`integrated_srmse` call per prior, bit for
+    bit, from one risk evaluation per refinement pass over all the priors.
+    Unbounded priors are truncated at eight scale units; the lost mass is
+    available from ``prior.truncation_mass()``.  ``rel_tol`` bounds the
+    change under panel refinement; its default sits above the inner
+    quadrature's error floor for estimators with indicator-type corrections.
+    """
+    return _integrate_priors(config, priors, n, lambda d: srmse_batch(config, 0.0, d, n, m, nodes), rel_tol)
 
 
 def integrated_srmse(
@@ -376,12 +431,9 @@ def integrated_srmse(
 ) -> float:
     """Standardized root risk averaged against the conflict prior.
 
-    Unbounded priors are truncated at eight scale units; the lost mass is
-    available from ``prior.truncation_mass()``.  ``rel_tol`` bounds the
-    change under panel refinement; its default sits above the inner
-    quadrature's error floor for estimators with indicator-type corrections.
+    The one-prior case of :func:`integrated_srmse_batch`.
     """
-    return _integrate_prior(config, prior, n, lambda d: srmse_batch(config, 0.0, d, n, m, nodes), rel_tol)
+    return integrated_srmse_batch(config, [prior], n, m, nodes, rel_tol=rel_tol)[0]
 
 
 def imse(
@@ -395,4 +447,4 @@ def imse(
     rel_tol: float = 5e-4,
 ) -> float:
     """Raw MSE averaged against the conflict prior (posterior-mean optimal metric)."""
-    return _integrate_prior(config, prior, n, lambda d: _mse_many(config, theta, d, n, m, nodes), rel_tol)
+    return _integrate_priors(config, [prior], n, lambda d: _mse_many(config, theta, d, n, m, nodes), rel_tol)[0]

@@ -681,6 +681,33 @@ def test_every_kink_of_the_weight_is_a_declared_breakpoint(config):
     )
 
 
+@pytest.mark.parametrize("config", [*ALL_KINDS, OracleMmse()], ids=estimator_id)
+@pytest.mark.parametrize("n, m", [(1000, 100_000), (1000, 100)])
+def test_every_correction_is_odd(config, n, m):
+    # q(-t; -delta) = -q(t; delta): the risk module folds the MSE onto |delta| on this
+    s = math.sqrt(1.0 / n + 1.0 / m)
+    kinks = np.abs(np.array([*config.breakpoints(n, m), s]))  # s: ebpp's undeclared kink
+    t = np.concatenate([
+        np.linspace(0.0, 12.0 * s, 481),
+        np.geomspace(1e-9 * s, s, 19),
+        kinks, np.nextafter(kinks, 0.0), np.nextafter(kinks, np.inf),
+    ])
+    t = np.concatenate([t, -t])
+    three = np.zeros(t.size, dtype=bool)
+    if isinstance(config, StudentTPriorBayes):
+        # at m < n / 5 the arccos branch of the cubic solve is in play, and
+        # arccos(-x) = pi - arccos(x) only to rounding.  The bound is in ulps
+        # of the conflict: q = m/(n+m) (t - delta_est) can cancel, and in ulps
+        # of q itself a dense grid reaches 6 at these sizes
+        three = _lstp_cubic_discriminant(t, n, m, config.v) < 0.0
+        assert np.any(three) == (m < n / 5)
+    for delta in np.array([0.0, 0.3, 1.58, 5.06]) / math.sqrt(n):
+        plus = conflict_correction(config, t, n, m, delta_true=delta)
+        minus = conflict_correction(config, -t, n, m, delta_true=-delta)
+        assert np.array_equal(minus[~three], -plus[~three]), (n, m, delta)
+        assert np.all(np.abs(minus + plus)[three] <= 4.0 * np.spacing(np.abs(t[three]))), (n, m, delta)
+
+
 def _has_limit_weight(config):
     try:
         config.limit_weight(np.zeros(1), 0.5, 0.0)

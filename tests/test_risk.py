@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,12 +22,15 @@ from dibkit.estimators import (
 )
 from dibkit.risk import (
     LaplacePrior,
+    NodeEvaluationError,
     NormalPrior,
     PointMassPrior,
+    QuadratureError,
     StudentTPrior,
     UniformPrior,
     imse,
     integrated_srmse,
+    integrated_srmse_batch,
     mse_numeric,
     srmse,
     srmse_batch,
@@ -99,6 +103,60 @@ def test_skipped_pairs_leave_the_mse_unchanged(nodes):
             got = mse_numeric(config, 0.0, delta, N, M, nodes=nodes)
             want = full_tensor_mse(config, delta, N, M, nodes)
             assert abs(got - want) <= 1e-13 * want, (name, delta, got, want)
+
+
+def test_mse_is_folded_onto_the_conflict_magnitude():
+    # one value per |delta|, equal to the unfolded full tensor at the negative conflict
+    for name in TABLE_ESTIMATORS:
+        config = config_from_id(name)
+        for delta in np.array([0.3, 1.58, 5.06]) / math.sqrt(N):
+            values = srmse_batch(config, 0.0, [delta, -delta, delta], N, M, nodes=128)
+            assert values[0] == values[1] == values[2], (name, delta, values)
+            want = full_tensor_mse(config, -delta, N, M, 128)
+            assert abs(values[1] ** 2 / N - want) <= 1e-13 * want, (name, delta)
+
+
+def test_node_error_names_a_node_of_the_signed_conflict():
+    for delta, sign in ((-1e300, -1.0), (1e300, 1.0)):
+        with pytest.raises(NodeEvaluationError) as info, np.errstate(all="ignore"):
+            srmse_batch(StudentTPriorBayes(), 0.0, [delta], 1, 1)
+        beta_hat = float(re.search(r"beta_hat=([^)]+)\)", str(info.value)).group(1))
+        assert math.copysign(1.0, beta_hat) == sign and abs(beta_hat) > 1e299
+
+
+@pytest.mark.parametrize("name", TABLE_ESTIMATORS)
+def test_integrated_srmse_batch_equals_one_call_per_prior(name):
+    n, m = 300, 3000
+    config = config_from_id(name)
+    priors = list(table_priors(n, m).values())
+    assert integrated_srmse_batch(config, priors, n, m) == [integrated_srmse(config, p, n, m) for p in priors]
+
+
+def test_integrated_srmse_batch_with_point_masses():
+    config = AdaptiveMmse()
+    priors = [PointMassPrior(0.03), *table_priors(N, M).values(), PointMassPrior(-0.03)]
+    got = integrated_srmse_batch(config, priors, N, M)
+    assert got == [integrated_srmse(config, p, N, M) for p in priors]
+    assert got[0] == got[-1] == srmse(config, 0.0, 0.03, N, M)
+    assert integrated_srmse_batch(config, [], N, M) == []
+
+
+def test_lockstep_quadrature_error_names_the_priors_that_did_not_converge():
+    priors = table_priors(N, M)
+    achieved = {}
+    for key in ("pi1", "pi4"):  # each alone, made to fail: its last refinement change
+        with pytest.raises(QuadratureError) as info:
+            integrated_srmse(TtPool(), priors[key], N, M, rel_tol=0.0)
+        achieved[key] = info.value.achieved
+    # at this tolerance pi2 and pi3 converge and pi1 and pi4 do not
+    assert min(achieved.values()) > 5e-5
+    batch = [priors[key] for key in ("pi3", "pi4", "pi2", "pi1")]
+    with pytest.raises(QuadratureError) as info:
+        integrated_srmse_batch(TtPool(), batch, N, M, rel_tol=5e-5)
+    message = str(info.value)
+    assert repr(priors["pi1"]) in message and repr(priors["pi4"]) in message
+    assert repr(priors["pi2"]) not in message and repr(priors["pi3"]) not in message
+    assert info.value.achieved == max(achieved.values())
 
 
 def test_minimum_nodes_enforced():
