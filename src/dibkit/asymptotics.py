@@ -106,8 +106,7 @@ def limit_sample(
     kind: LimitKind, sc: LocalScenario, size: int, seed: int, stream: int = 0
 ) -> np.ndarray:
     """Addressed vectorized sample of the limit law (reproducible by seed/stream)."""
-    z1 = streams.addressed_normals(seed, stream, 0, size)
-    z2 = streams.addressed_normals(seed, stream, size, size)
+    z1, z2 = streams.addressed_normals(seed, stream, 0, 2 * size).reshape(2, size)
     return limit_value(kind, sc, z1, z2)
 
 

@@ -36,6 +36,7 @@ from .estimators import (
 )
 from .montecarlo import _QUANTILE_PROBS, bootstrap_ci
 from .risk import (
+    MAX_NODES,
     MIN_NODES,
     NodeEvaluationError,
     QuadratureError,
@@ -242,14 +243,17 @@ def _cmd_estimate(cfg: dict[str, Any]) -> None:
         if isinstance(config, OracleMmse) and config.delta_true is None:
             raise ConfigError("ommse estimation requires --delta-true")
         res = config.result(s)
-        rows.append([estimator_id(config), res.theta_est, res.delta_est, res.gamma_est, res.weight])
+        row = [estimator_id(config), res.theta_est, res.delta_est, res.gamma_est, res.weight]
+        if not all(math.isfinite(v) for v in row[1:] if v is not None):
+            raise FloatingPointError(f"non-finite estimate from {row[0]}: {row[1:]}")
+        rows.append(row)
     _write_csv(cfg, "estimates.csv", ["estimator", "theta_est", "delta_est", "gamma_est", "weight"], rows)
 
 
 def _nodes(cfg: dict[str, Any]) -> int | None:
     nodes = cfg["nodes"] or None
-    if nodes is not None and nodes < MIN_NODES:
-        raise ConfigError(f"nodes must be 0 (per-estimator default) or >= {MIN_NODES}, got {nodes}")
+    if nodes is not None and not MIN_NODES <= nodes <= MAX_NODES:
+        raise ConfigError(f"nodes must be 0 (per-estimator default) or in [{MIN_NODES}, {MAX_NODES}], got {nodes}")
     return nodes
 
 
@@ -347,6 +351,8 @@ def _cmd_densities(cfg: dict[str, Any]) -> None:
 
 
 def _cmd_example_prams(cfg: dict[str, Any]) -> None:
+    if not 0.0 <= cfg["external_rate"] <= 1.0:
+        raise ConfigError(f"external_rate must lie in [0, 1], got {cfg['external_rate']}")
     current = _from_config(BinomialRaw, cfg["successes"], cfg["trials"])
     ext_events = round(cfg["external_rate"] * cfg["external_size"])
     external = _from_config(BinomialRaw, int(ext_events), cfg["external_size"])
@@ -516,7 +522,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         _echo_config(cfg)
         _SUBCOMMANDS[namespace.subcommand][0](cfg)
         return 0
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a config or output path that cannot be used
         print(_error_record(exc), file=sys.stderr)
         return 2
     except (QuadratureError, NodeEvaluationError, FloatingPointError, ValueError) as exc:

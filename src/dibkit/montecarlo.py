@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 import numpy as np
-from scipy.special import ndtri
 
 from . import streams
 from .estimators import EstimatorConfig, SensitivityMmse, conflict_correction, estimator_id
@@ -129,9 +128,9 @@ def _run_blocks(run: Callable[[int, int, int], Any], total: int, workers: int) -
 
 
 def _simulate_block(plan: SimPlan, start: int, count: int) -> dict[str, np.ndarray]:
-    u = streams.addressed_uniforms(plan.seed, 0, 2 * start, 2 * count).reshape(count, 2)
-    theta_hat = plan.theta + ndtri(u[:, 0]) / math.sqrt(plan.n)
-    beta_hat = plan.theta + plan.delta + ndtri(u[:, 1]) / math.sqrt(plan.m)
+    z = streams.addressed_normals(plan.seed, 0, 2 * start, 2 * count).reshape(count, 2)
+    theta_hat = plan.theta + z[:, 0] / math.sqrt(plan.n)
+    beta_hat = plan.theta + plan.delta + z[:, 1] / math.sqrt(plan.m)
     delta_hat = beta_hat - theta_hat
     root_n = math.sqrt(plan.n)
     out: dict[str, np.ndarray] = {}

@@ -63,6 +63,7 @@ __all__ = [
 DEFAULT_NODES = 128
 LSTP_NODES = 96
 MIN_NODES = 64
+MAX_NODES = 4096  # the node-pair weight table is MAX_NODES**2 doubles, 128 MiB
 # Smallest product weight of a node pair that the MSE sum keeps: 4,136 of
 # 16,384 pairs at 128 nodes, 3,072 of 9,216 at 96.  The skipped pairs hold
 # sum w_i w_j (1 + x_i^2 + x_j^2) = 3.5e-22 at 128 nodes.
@@ -235,8 +236,8 @@ def _mse_many(
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     nodes = default_nodes(config) if nodes is None else nodes
-    if nodes < MIN_NODES:
-        raise ValueError(f"nodes must be >= {MIN_NODES}")
+    if not MIN_NODES <= nodes <= MAX_NODES:
+        raise ValueError(f"nodes must lie in [{MIN_NODES}, {MAX_NODES}], got {nodes}")
     deltas = np.asarray(deltas, dtype=float)
     x, w = _gh_nodes(nodes)
     pair_w = w[:, None] * w[None, :]
@@ -261,6 +262,8 @@ def _mse_many(
                 f"(theta_hat={theta + sign * u[bad]:.6g}, beta_hat={theta + sign * (d + v[bad]):.6g})"
             )
         out[k] = float(np.dot(pair_w, err * err))
+        if not math.isfinite(out[k]):  # every error is finite, so a square overflowed
+            raise FloatingPointError(f"MSE of {estimator_id(config)} at conflict {signed[first[k]]:.6g} overflows a float")
     return out[back].reshape(deltas.shape)
 
 

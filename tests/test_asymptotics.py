@@ -107,6 +107,14 @@ def test_ammse_far_conflict_recovers_standard_normal():
     assert ks_distance(vals, z) < 0.01
 
 
+@pytest.mark.parametrize("size", [1, 4097, 10_000])
+def test_limit_sample_maps_the_two_halves_of_one_addressed_call(size):
+    sc = LocalScenario(h=1.58, p=P_PAPER)
+    z = addressed_normals(4, 2, 0, 2 * size)
+    expected = limit_value(AdaptiveMmse(), sc, z[:size], z[size:])
+    np.testing.assert_array_equal(limit_sample(AdaptiveMmse(), sc, size, seed=4, stream=2), expected)
+
+
 def test_theorem4_law():
     sc = LocalScenario(h=0.0, p=0.37)
     law = limit_law_theorem4(sc)

@@ -300,6 +300,23 @@ _ESTIMATE = ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1", "-
             2, "ConfigError", "their conflict beta_hat - theta_hat must be finite",
         ),
         (["power", "--theta0", "1e308", "--theta", "1e308"], 2, "ConfigError", "theta0 + theta must be finite"),
+        (["estimate", "--config", "{dir}"], 2, "IsADirectoryError", "Is a directory"),
+        (_ESTIMATE + ["--out-dir", "{bad_config}"], 2, "FileExistsError", "File exists"),  # a file, not a directory
+        (_ESTIMATE + ["--out-dir", "{bad_config}/sub"], 2, "NotADirectoryError", "Not a directory"),
+        (["example-prams", "--external-rate", "1e305"], 2, "ConfigError", "external_rate must lie in [0, 1]"),
+        (["example-prams", "--external-rate=-0.1"], 2, "ConfigError", "external_rate must lie in [0, 1]"),
+        (["srmse-curve", "--nodes", str(10**6)], 2, "ConfigError", "or in [64, 4096], got 1000000"),
+        (["bayes-risk-table", "--nodes", "4097"], 2, "ConfigError", "or in [64, 4096], got 4097"),
+        (
+            ["srmse-curve", "--n", "1", "--m", "1", "--estimators", "pooled",
+             "--grid-points", "3", "--sqrt-n-delta-max", "1e300"],
+            3, "FloatingPointError", "MSE of pooled at conflict 5e+299",
+        ),
+        (
+            ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1e200", "--m", "400",
+             "--estimators", "lstp"],
+            3, "FloatingPointError", "non-finite estimate from lstp",
+        ),
     ],
 )
 def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, message):
@@ -313,8 +330,11 @@ def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, messag
     }
     for name, text in configs.items():
         (tmp_path / f"{name}.json").write_text(text)
-    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in configs}) for a in argv]
-    assert run(argv + ["--out-dir", str(tmp_path)]) == code
+    paths = {name: tmp_path / f"{name}.json" for name in configs}
+    argv = [a.format(dir=tmp_path, **paths) for a in argv]
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path)]
+    assert run(argv) == code
     record = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert record["error"] == error
     assert message in record["message"]

@@ -20,15 +20,30 @@ from dibkit.summaries import BinomialRaw
 
 
 def test_addressed_draws_are_offset_consistent():
-    # pieces of 3000 straddle the stream's 8192-draw generator blocks
+    # pieces of 3000 start on whole counter steps; the odd-sized pieces after
+    # them start at every remainder mod 4, inside a counter step
     full = addressed_uniforms(99, 0, 0, 20_000)
     part = np.concatenate(
         [addressed_uniforms(99, 0, s, min(3000, 20_000 - s)) for s in range(0, 20_000, 3000)]
     )
     np.testing.assert_array_equal(full, part)
+    edges = np.cumsum([0, 1, 2, 3, 5, 4093, 4095, 1, 1, 7])
+    odd = np.concatenate([addressed_uniforms(99, 0, a, b - a) for a, b in zip(edges[:-1], edges[1:])])
+    np.testing.assert_array_equal(full[: edges[-1]], odd)
+    assert {int(a) % 4 for a in edges[:-1]} == {0, 1, 2, 3}
     assert np.all((full > 0) & (full < 1))
     normals = addressed_normals(99, 0, 0, 100_000)
     assert abs(normals.mean()) < 0.02 and abs(normals.std() - 1) < 0.01
+
+
+@pytest.mark.parametrize("seed, stream", [(99, 0), (20240, 3), (2**70, 1)])
+@pytest.mark.parametrize("start, count", [(0, 9), (1, 6), (2, 1), (3, 12), (8189, 7), (8190, 5), (12_345, 3)])
+def test_addressed_uniforms_match_a_direct_philox_draw(seed, stream, start, count):
+    # position i of stream k is draw i of one Philox generator keyed (seed, (k, 0)),
+    # across position 8192 too
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream, 0))))
+    expected = gen.random(start + count)[start:]
+    np.testing.assert_array_equal(addressed_uniforms(seed, stream, start, count), expected)
 
 
 def make_plan(**kw):

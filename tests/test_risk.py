@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_hermite
 
+from dibkit import risk
 from dibkit.cli import TABLE_ESTIMATORS
 from dibkit.estimators import (
     AdaptiveMmse,
@@ -122,6 +123,24 @@ def test_node_error_names_a_node_of_the_signed_conflict():
             srmse_batch(StudentTPriorBayes(), 0.0, [delta], 1, 1)
         beta_hat = float(re.search(r"beta_hat=([^)]+)\)", str(info.value)).group(1))
         assert math.copysign(1.0, beta_hat) == sign and abs(beta_hat) > 1e299
+
+
+def test_an_overflowing_mse_names_the_estimator_and_the_signed_conflict():
+    # the pooled error is finite, about m/(n+m) * delta, but its square overflows
+    with pytest.raises(FloatingPointError, match=r"MSE of pooled at conflict -5e\+299"):
+        srmse_batch(Pooled(), 0.0, [0.0, -5e299, 1e300], 1, 1)
+    with pytest.raises(FloatingPointError, match="MSE of pooled"):
+        mse_numeric(Pooled(), 0.0, 5e299, 1, 1)
+
+
+@pytest.mark.parametrize("nodes", [63, 4097, 10**6])
+def test_node_count_outside_the_bounds_is_rejected_before_any_nodes_are_built(monkeypatch, nodes):
+    def no_nodes(count):
+        raise AssertionError(f"roots_hermite({count}) ran")
+
+    monkeypatch.setattr(risk, "roots_hermite", no_nodes)
+    with pytest.raises(ValueError, match=r"nodes must lie in \[64, 4096\]"):
+        srmse_batch(Pooled(), 0.0, [0.1], N, M, nodes=nodes)
 
 
 @pytest.mark.parametrize("name", TABLE_ESTIMATORS)
