@@ -14,9 +14,14 @@ conditional mean ``w(xi) xi / sqrt(1-p) - sqrt(1-p) (xi - sqrt(1-p) h)`` and
 variance ``p``.  Either law is a fixed quadrature: Gauss-Legendre panels over
 ``+/- _SPAN`` sd of the mixing variable, no wider than ``_PANEL_WIDTH`` sd
 and split at the correction's breakpoints.  Its density and second moment
-are sums over the same nodes, and its quantiles invert it numerically.  The
-panels resolve a smooth correction to rounding, so ``breakpoints`` and
-``limit_breakpoints`` must name every kink and jump of ``q``.
+are sums over the same nodes.  Its quantiles are solved in lockstep, any
+number of (law, probability) pairs at once, by Newton steps on the log of the
+tail that holds the probability (the lower tail up to 1/2, the upper tail
+above), kept inside a bracket from each law's own range and bisected when a
+step leaves it or stalls; a quantile ``z`` is returned once its step is
+within ``_QUANTILE_TOL * (1 + |z|)``.  The panels resolve a smooth
+correction to rounding, so ``breakpoints`` and ``limit_breakpoints`` must
+name every kink and jump of ``q``.
 """
 
 from __future__ import annotations
@@ -25,14 +30,15 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .estimators import EstimatorConfig, conflict_correction
 
 _PANEL_RULE = leggauss(12)  # Gauss-Legendre rule on each panel
 _PANEL_WIDTH = 0.5  # widest panel, in sd units of the mixing variable
 _SPAN = 9.5  # half-width of the integrated range, in the same units
+_QUANTILE_TOL = 1e-13  # stop tolerance of a quantile z, times 1 + |z|
+_MAX_PASSES = 100  # passes of a lockstep root solve before it gives up
 
 
 def _legendre_panels(
@@ -68,16 +74,15 @@ class ConditionalLaw:
     """Law of Z at one truth, as a fixed quadrature over the conflict statistic.
 
     ``shift`` is ``theta - theta0``.  Holds, per panel node ``t``, its weight
-    times the normal density of ``t``, the correction ``q(t)`` (whose range
-    brackets the quantiles) and the offset ``m/(n+m) (t - delta) - q(t) -
-    shift`` of the standardized conditional mean.  Given ``t``, Z is
+    times the normal density of ``t`` and the offset ``m/(n+m) (t - delta) -
+    q(t) - shift`` of the standardized conditional mean.  Given ``t``, Z is
     N(-root_n inner, root_n^2 / root_nm^2).
     """
 
     def __init__(self, estimator: EstimatorConfig, n: int, m: int, shift: float, delta: float) -> None:
         t, self.weights = _normal_panels(delta, math.sqrt(1.0 / n + 1.0 / m), estimator.breakpoints(n, m))
-        self.q = conflict_correction(estimator, t, n, m, delta_true=delta)
-        self.inner = -shift - self.q + (m / (n + m)) * (t - delta)
+        q = conflict_correction(estimator, t, n, m, delta_true=delta)
+        self.inner = -shift - q + (m / (n + m)) * (t - delta)
         self.root_n, self.root_nm = math.sqrt(n), math.sqrt(n + m)
 
     def _u(self, z: float | np.ndarray) -> np.ndarray:
@@ -97,16 +102,16 @@ class ConditionalLaw:
         return np.sum(self.weights * phi, axis=-1)
 
     def quantile(self, prob: float) -> float:
-        # at shift 0, Z - root_n q is the current-data error: N(0, 1) at any conflict
-        lo = self.root_n * float(np.min(self.q)) - 9.0
-        hi = self.root_n * float(np.max(self.q)) + 9.0
-        return float(brentq(lambda z: self.cdf(z) - prob, lo, hi, xtol=1e-10))
+        return float(quantiles([self], [prob])[0])
+
+    def quantiles(self, probs) -> np.ndarray:
+        return quantiles([self] * len(probs), probs)
 
     def second_moment(self) -> float:
         return float(np.sum(self.weights * (self.inner**2 + 1.0 / self.root_nm**2))) * self.root_n**2
 
     def grid(self, points: int) -> np.ndarray:
-        return np.linspace(self.quantile(1e-7), self.quantile(1.0 - 1e-7), points)
+        return np.linspace(*self.quantiles([1e-7, 1.0 - 1e-7]), points)
 
     def distance(self, other: "ConditionalLaw") -> float:
         """sup |F - G| on 401 points of this law's grid, then 401 more around the largest gap."""
@@ -123,6 +128,94 @@ class LimitLaw(ConditionalLaw):
     def __init__(self, kind: EstimatorConfig, p: float, h: float) -> None:
         r = math.sqrt(1.0 - p)
         xi, self.weights = _normal_panels(r * h, 1.0, kind.limit_breakpoints)
-        self.q = kind.limit_weight(xi, p, h) * (xi / r)
-        self.inner = r * (xi - r * h) - self.q
+        self.inner = r * (xi - r * h) - kind.limit_weight(xi, p, h) * (xi / r)
         self.root_n, self.root_nm = 1.0, 1.0 / math.sqrt(p)
+
+
+def bracketed_roots(fun, lo, hi, z, *, abs_tol: float, rel_tol: float, prev=None) -> np.ndarray:
+    """Roots of functions that are negative at ``lo`` and positive at ``hi``, one per row, in lockstep.
+
+    ``fun(z, rows)`` gives the values at ``z`` of the still-open ``rows`` and
+    their slopes, or None for slopes to take secant steps through each row's
+    previous point (``prev``, a pair of arrays, else the first step bisects).
+    Each bracket shrinks to the evaluated point on the root's side, and a
+    step that would leave it, or that is not at most half the row's last
+    move, bisects.  A row closes when its step or its bracket is within
+    ``abs_tol + rel_tol * |z|``; rows still open after ``_MAX_PASSES`` raise
+    FloatingPointError, so no unconverged value is returned.
+    """
+    lo, hi, z = (np.array(v, dtype=float) for v in (lo, hi, z))
+    z_prev, g_prev = np.full((2, z.size), np.nan) if prev is None else np.array(prev, dtype=float)
+    moved = hi - lo
+    rows = np.arange(z.size)
+    for _ in range(_MAX_PASSES):
+        at = z[rows]
+        g, slope = fun(at, rows)
+        if np.any(np.isnan(g)):
+            raise FloatingPointError(f"root solve met a nan value at {at[np.isnan(g)]}")
+        lo[rows] = np.where(g <= 0.0, at, lo[rows])
+        hi[rows] = np.where(g >= 0.0, at, hi[rows])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if slope is None:
+                step = g * (at - z_prev[rows]) / (g - g_prev[rows])
+                z_prev[rows], g_prev[rows] = at, g
+            else:
+                step = g / slope
+        new, a, b = at - step, lo[rows], hi[rows]
+        tol = abs_tol + rel_tol * np.abs(at)
+        close = np.abs(step) <= tol
+        # landing on an evaluated end, or a move that does not halve, could cycle
+        take = close | ((new > a) & (new < b) & (np.abs(step) <= 0.5 * moved[rows]))
+        new = np.where(take, np.clip(new, a, b), 0.5 * (a + b))
+        z[rows], moved[rows] = new, np.abs(new - at)
+        rows = rows[~close & (b - a > tol)]
+        if rows.size == 0:
+            return z
+    raise FloatingPointError(
+        f"{rows.size} roots not within tolerance after {_MAX_PASSES} passes, brackets "
+        f"{np.column_stack([lo[rows], hi[rows]]).tolist()}"
+    )
+
+
+def quantiles(laws, probs) -> np.ndarray:
+    """Quantile ``probs[i]`` of ``laws[i]`` for every ``i``, solved in lockstep.
+
+    The node weights and standardized offsets of the laws are stacked into one
+    matrix padded with zero weights, so each pass is one vectorized sum.  A
+    probability above 1/2 is solved on the upper tail, where its complement
+    keeps all its digits.  Each pass takes a Newton step on the log of that
+    tail, whose slope is the density over the tail, both sums over the same
+    nodes.  Given ``t``, Z is normal with mean ``-root_n inner`` and sd
+    ``root_n / root_nm``; the bracket reaches past the extreme means by
+    ``1 - ndtri(tail)`` of that sd, beyond which every node's tail is below
+    the target.  The start is the law's mean plus its sd times the normal
+    quantile.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if not np.all((probs > 0.0) & (probs < 1.0)):
+        raise ValueError(f"quantile probabilities must lie in (0, 1), got {probs}")
+    sign = np.where(probs > 0.5, -1.0, 1.0)  # the tail solved is sum w ndtr(sign * u)
+    target = np.where(probs > 0.5, 1.0 - probs, probs)
+    reach = 1.0 - ndtri(target)
+    size = max((law.weights.size for law in laws), default=0)
+    w, mean = np.zeros((len(laws), size)), np.zeros((len(laws), size))
+    for i, law in enumerate(laws):
+        w[i, : law.weights.size], mean[i, : law.weights.size] = law.weights, -law.root_n * law.inner
+    sd = np.array([law.root_n / law.root_nm for law in laws])
+    scale, c = 1.0 / sd, -mean / sd[:, None]  # u = scale z + c is a node's standardized Z
+    real = np.arange(size) < np.array([law.weights.size for law in laws])[:, None]
+    lo = np.min(mean, axis=1, where=real, initial=np.inf) - reach * sd
+    hi = np.max(mean, axis=1, where=real, initial=-np.inf) + reach * sd
+    mass = np.sum(w, axis=1)
+    mu = np.sum(w * mean, axis=1) / mass
+    spread = np.sqrt(np.sum(w * (mean - mu[:, None]) ** 2, axis=1) / mass + sd * sd)
+    start = np.clip(mu + spread * ndtri(probs), lo, hi)
+
+    def log_tail(z: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = scale[rows, None] * z[:, None] + c[rows]
+        tail = np.sum(w[rows] * ndtr(sign[rows, None] * u), axis=1)
+        dens = np.sum(w[rows] * np.exp(-0.5 * u * u), axis=1) * (scale[rows] / math.sqrt(2.0 * math.pi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return sign[rows] * np.log(tail / target[rows]), dens / tail
+
+    return bracketed_roots(log_tail, lo, hi, start, abs_tol=_QUANTILE_TOL, rel_tol=_QUANTILE_TOL)

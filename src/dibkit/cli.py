@@ -341,8 +341,8 @@ def _cmd_densities(cfg: dict[str, Any]) -> None:
             logd = np.log(law.pdf(grid))
             for x, ld in zip(grid, logd):
                 rows.append([name, snd, x, ld])
-            for prob in _QUANTILE_PROBS:
-                quantile_rows.append([name, snd, prob, law.quantile(prob)])
+            for prob, value in zip(_QUANTILE_PROBS, law.quantiles(_QUANTILE_PROBS)):
+                quantile_rows.append([name, snd, prob, float(value)])
             series.append(Series(name, tuple(grid), tuple(logd)))
         _plot(cfg, f"densities_{scen_i}.svg", series, f"log density, sqrt(n)*delta = {snd:g}",
               "sqrt(n) * (estimate - theta)", "log density")

@@ -23,10 +23,9 @@ from typing import ClassVar, Literal, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-from ._law import ConditionalLaw
+from ._law import ConditionalLaw, bracketed_roots, quantiles
 from .estimators import (
     EstimatorConfig,
     SensitivityMmse,
@@ -176,7 +175,14 @@ def critical_value(
         return CriticalValue(null_quantile(spec, 0.0), sup_at=0.0)
 
     grid = np.asarray(_default_grid(spec, points) if delta_grid is None else delta_grid, dtype=float)
-    quants = np.array([null_quantile(spec, d) for d in grid])
+    if grid.size == 0:
+        raise ValueError("critical_value needs at least one null conflict")
+    top = grid[-1] if grid[-1] > 0 else 1.0
+    # the grid and AllDelta's two probes beyond it, solved in one batch
+    deltas = np.append(grid, [2.0 * top, 4.0 * top]) if isinstance(conv, AllDelta) else grid
+    laws = [ConditionalLaw(spec.estimator, spec.n, spec.m, 0.0, d) for d in deltas]
+    solved = quantiles(laws, np.full(deltas.size, 1.0 - spec.alpha))
+    quants, probe = solved[: grid.size], solved[grid.size :]
     k = int(np.argmax(quants))
     sup_val, sup_at = float(quants[k]), float(grid[k])
 
@@ -188,12 +194,10 @@ def critical_value(
 
     if isinstance(conv, AllDelta):
         # probe beyond the grid: quantiles still rising -> no finite sup
-        top = grid[-1] if grid[-1] > 0 else 1.0
-        probe = [null_quantile(spec, 2.0 * top), null_quantile(spec, 4.0 * top)]
         tol = 1e-6
         if probe[0] > sup_val + tol and probe[1] > probe[0] + tol:
             return CriticalValue(math.inf, sup_at=None)
-        sup_val = max(sup_val, *probe)
+        sup_val = float(max(sup_val, *probe))
     return CriticalValue(sup_val, sup_at=sup_at, flagged=flagged)
 
 
@@ -346,8 +350,8 @@ def tipping_point(
     """Conflict bound at which the bounded-conflict p-value first rises to ``target_p``.
 
     The exact p-value is not monotone in the bound, so the root is taken on
-    the first grid interval whose right end reaches the target; the curve
-    must start below it.
+    the first grid interval whose right end reaches the target, by secant
+    steps kept inside that interval; the curve must start below it.
     """
     if not 0.0 < target_p < 1.0:
         raise ValueError("target_p must lie in (0, 1)")
@@ -363,7 +367,13 @@ def tipping_point(
             f"no sign change on bracket: p starts at {gaps[0] + target_p:.4g} and peaks "
             f"at {gaps.max() + target_p:.4g}, target {target_p:.4g}"
         )
-    return float(brentq(excess, grid[k - 1], grid[k], xtol=1e-14))
+    lo, hi = grid[k - 1], grid[k]
+    start = lo - gaps[k - 1] * (hi - lo) / (gaps[k] - gaps[k - 1])  # false position
+    root = bracketed_roots(
+        lambda d0, rows: (np.array([excess(float(d0[0]))]), None),  # secant steps: no slope
+        [lo], [hi], [start], abs_tol=1e-14, rel_tol=4.0 * np.finfo(float).eps, prev=([hi], [gaps[k]]),
+    )
+    return float(root[0])
 
 
 def alasso_local_power_decay(

@@ -378,6 +378,16 @@ def test_every_public_name_resolves():
     assert len(modules) > 1 and missing == []
 
 
+def test_import_leaves_scipy_optimize_unloaded():
+    # quantiles and the tipping point use dibkit's own bracketed solver
+    code = "import sys, dibkit, dibkit.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone takes about half of the import time
     code = "import sys, dibkit, dibkit.cli; print('scipy.stats' in sys.modules)"

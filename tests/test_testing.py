@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtri
 from scipy.stats import norm
 
-from dibkit import _law, streams
+from dibkit import _law, streams, testing
 from dibkit.cli import DENSITY_ESTIMATORS
 from dibkit.estimators import (
     AdaptiveLasso,
@@ -119,6 +121,80 @@ def test_law_cdf_matches_seeded_simulation(name):
         for prob in _QUANTILE_PROBS:
             below = np.searchsorted(sample, law.quantile(prob), side="right") / draws
             assert abs(below - prob) <= 4.0 * math.sqrt(prob * (1.0 - prob) / draws), (snd, prob)
+
+
+ORACLE_PROBS = (1e-7, 0.01, 0.5, 0.975, 1.0 - 1e-7)
+
+
+# Sizes where the panels integrate mle's mixture to rounding; at m/n = 100 the
+# law itself is off N(0, 1) by up to 7.7e-13 in z (2.7e-9 at n = 94, m = 20000),
+# which the brentq oracles below share.
+@pytest.mark.parametrize("n, m", [(300, 3000), (1000, 10000)])
+@pytest.mark.parametrize("shift", [0.0, 0.5, -0.5])
+def test_quantiles_of_the_normal_laws_match_ndtri(n, m, shift):
+    # mle's law is N(sqrt(n) shift, 1) at any conflict, pooled's is normal with a conflict-driven mean
+    sd = math.sqrt(n / (n + m))
+    for config, delta, mean, scale in (
+        (Mle(), 0.0, 0.0, 1.0),
+        (Mle(), 0.05, 0.0, 1.0),
+        (Pooled(), 0.0, 0.0, sd),
+        (Pooled(), 0.04, math.sqrt(n) * m * 0.04 / (n + m), sd),
+    ):
+        law = _law.ConditionalLaw(config, n, m, shift, delta)
+        want = math.sqrt(n) * shift + mean + scale * ndtri(np.array(ORACLE_PROBS))
+        np.testing.assert_allclose(law.quantiles(ORACLE_PROBS), want, rtol=0.0, atol=1e-13)
+        assert law.quantile(0.5) == pytest.approx(want[2], abs=1e-13)
+
+
+@pytest.mark.parametrize("name", ["ammse", "ttpool", "alasso", "ebpp", "hdpp", "ltr", "lstp"])
+def test_quantiles_of_mixture_laws_match_brentq_on_the_matching_tail(name):
+    config = config_from_id(name)
+    for shift, delta in ((0.0, 0.0), (0.0, 0.05), (0.5, 0.02), (-0.5, 0.02)):
+        law = _law.ConditionalLaw(config, N, M, shift, delta)
+        got = law.quantiles(ORACLE_PROBS)
+        for prob, z in zip(ORACLE_PROBS, got):
+            if prob > 0.5:  # the upper tail keeps the digits of 1 - prob
+                want = brentq(lambda x: law.sf(x) - (1.0 - prob), -60.0, 60.0, xtol=1e-15)
+            else:
+                want = brentq(lambda x: law.cdf(x) - prob, -60.0, 60.0, xtol=1e-15)
+            assert abs(z - want) <= 1e-12, (shift, delta, prob, z, want)
+
+
+@pytest.mark.parametrize("convention", [AllDelta(), DeltaBounded(0.0636)], ids=lambda c: c.id)
+@pytest.mark.parametrize("estimator", [AdaptiveMmse(), TtPool(c=3.84), AdaptiveLasso(tau=0.25), Mle()],
+                         ids=repr)
+def test_lockstep_critical_value_equals_per_conflict_quantiles(convention, estimator):
+    spec = spec_for(estimator, convention)
+    grid = np.linspace(0.0, convention.delta0, 9) if isinstance(convention, DeltaBounded) else None
+    crit = critical_value(spec, grid)
+    grid = testing._default_grid(spec, 41) if grid is None else grid
+    quants = [null_quantile(spec, d) for d in grid]
+    want = max(quants)
+    if isinstance(convention, AllDelta):
+        top = grid[-1]
+        want = max(want, null_quantile(spec, 2.0 * top), null_quantile(spec, 4.0 * top))
+    assert crit.value == pytest.approx(want, abs=1e-13)
+    # a flat profile (mle) leaves the argmax to rounding: compare the quantile at sup_at
+    assert quants[list(grid).index(crit.sup_at)] == pytest.approx(max(quants), abs=1e-13)
+
+
+@pytest.mark.parametrize("convention", [AllDelta(), DeltaBounded(0.05)], ids=lambda c: c.id)
+def test_critical_value_rejects_an_empty_conflict_grid(convention):
+    with pytest.raises(ValueError, match="at least one null conflict"):
+        critical_value(spec_for(AdaptiveMmse(), convention), np.array([]))
+
+
+def test_a_quantile_solve_that_does_not_converge_raises(monkeypatch):
+    law = _law.ConditionalLaw(AdaptiveMmse(), N, M, 0.0, 0.05)
+    monkeypatch.setattr(_law, "_MAX_PASSES", 2)
+    with pytest.raises(FloatingPointError, match="not within tolerance after 2 passes"):
+        law.quantile(0.975)
+
+
+@pytest.mark.parametrize("prob", [0.0, 1.0, -0.1, math.nan])
+def test_quantile_probability_outside_the_open_unit_interval_is_rejected(prob):
+    with pytest.raises(ValueError, match="must lie in"):
+        _law.ConditionalLaw(Mle(), N, M, 0.0, 0.0).quantile(prob)
 
 
 # Measured log-density changes where the density is at least 1e-3 of its peak,
@@ -347,6 +423,17 @@ def test_tipping_point_is_the_first_exact_crossing(prams):
     grid = np.linspace(1e-3, 0.5, 33)
     before = [pvalue("dib-deltabounded", s, theta0_st, d, 0.4) for d in grid[grid < tip]]
     assert before and max(before) < 0.05
+
+
+def test_tipping_point_matches_brentq_on_its_grid_interval(prams):
+    s, theta0_st = prams["st"], prams["theta0_st"]
+    grid = np.linspace(1e-3, 0.5, 33)
+    for target in (0.05, 0.1, 0.2):
+        tip = tipping_point(s, theta0_st, 0.4, target)
+        k = int(np.searchsorted(grid, tip))
+        want = brentq(lambda d0: pvalue("dib-deltabounded", s, theta0_st, d0, 0.4) - target,
+                      grid[k - 1], grid[k], xtol=1e-14)
+        assert abs(tip - want) <= 3e-14, (target, tip, want)
 
 
 def test_tipping_point_requires_bracketing(prams):
