@@ -22,6 +22,14 @@ step leaves it or stalls; a quantile ``z`` is returned once its step is
 within ``_QUANTILE_TOL * (1 + |z|)``.  The panels resolve a smooth
 correction to rounding, so ``breakpoints`` and ``limit_breakpoints`` must
 name every kink and jump of ``q``.
+
+The laws over a grid of conflicts are built in one pass,
+``conditional_laws``, and a single ``ConditionalLaw`` is its one-conflict
+case: one panel computation, one normal-weight expression and one correction
+call cover the nodes of every conflict, each node carrying its own conflict.
+Every step is elementwise in a node and its conflict, and each law sums over
+its own contiguous slice, so the laws equal those built one by one, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -41,16 +49,16 @@ _QUANTILE_TOL = 1e-13  # stop tolerance of a quantile z, times 1 + |z|
 _MAX_PASSES = 100  # passes of a lockstep root solve before it gives up
 
 
-def _legendre_panels(
-    edges: np.ndarray, rule: tuple[np.ndarray, np.ndarray], max_width: float = math.inf
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``rule`` on every panel between sorted ``edges``.
+def _panels(
+    a: np.ndarray, b: np.ndarray, rule: tuple[np.ndarray, np.ndarray], max_width: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights of ``rule`` on every panel ``(a[i], b[i])``, and the ``i`` of each piece.
 
     Each panel is cut into the fewest equal pieces no wider than
-    ``max_width``, at the points ``np.linspace`` would give.
+    ``max_width``, at the points ``np.linspace`` would give.  Every step is
+    elementwise in a panel's own ends, so a panel's nodes do not depend on
+    the panels computed beside it.
     """
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
     pieces = np.maximum(1, np.ceil((b - a) / max_width)).astype(int)
     panel = np.repeat(np.arange(a.size), pieces)
     k = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
@@ -58,16 +66,62 @@ def _legendre_panels(
     lo = k * step[panel] + a[panel]
     hi = np.where(k + 1 == pieces[panel], b[panel], (k + 1) * step[panel] + a[panel])
     half = 0.5 * (hi - lo)
-    return (half[:, None] * rule[0] + 0.5 * (lo + hi)[:, None]).ravel(), (half[:, None] * rule[1]).ravel()
+    return (half[:, None] * rule[0] + 0.5 * (lo + hi)[:, None]).ravel(), (half[:, None] * rule[1]).ravel(), panel
 
 
-def _normal_panels(center: float, sd: float, kinks) -> tuple[np.ndarray, np.ndarray]:
-    """Panel nodes over ``center +/- _SPAN sd`` split at the kinks inside, weighted by N(center, sd^2)."""
-    lo, hi = center - _SPAN * sd, center + _SPAN * sd
-    if not lo < hi:
-        raise ValueError(f"conflict span {center:g} +/- {_SPAN:g} * {sd:g} rounds to a single point")
-    t, w = _legendre_panels(sorted({lo, hi, *(b for b in kinks if lo < b < hi)}), _PANEL_RULE, _PANEL_WIDTH * sd)
-    return t, w * (np.exp(-((t - center) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi)))
+def _legendre_panels(
+    edges: np.ndarray, rule: tuple[np.ndarray, np.ndarray], max_width: float = math.inf
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``rule`` on every panel between sorted ``edges``."""
+    edges = np.asarray(edges, dtype=float)
+    return _panels(edges[:-1], edges[1:], rule, max_width)[:2]
+
+
+def _normal_panels(centers, sd: float, kinks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panel nodes over each ``center +/- _SPAN sd`` split at the kinks inside, weighted by N(center, sd^2).
+
+    Returns the nodes of every center, in the order of the centers, their
+    weights and the index of each node's center.
+    """
+    centers = np.asarray(centers, dtype=float)
+    lo, hi = centers - _SPAN * sd, centers + _SPAN * sd
+    spans = lo < hi
+    if not spans.all():
+        c = centers[np.argmin(spans)]
+        raise ValueError(f"conflict span {c:g} +/- {_SPAN:g} * {sd:g} rounds to a single point")
+    # row i: lo, every kink clipped into [lo, hi], hi; a clipped kink only adds empty panels, dropped
+    edges = np.empty((centers.size, len(kinks) + 2))
+    edges[:, 0], edges[:, -1] = lo, hi
+    edges[:, 1:-1] = np.minimum(np.maximum(sorted(kinks), lo[:, None]), hi[:, None])
+    nonempty = edges[:, :-1] < edges[:, 1:]
+    row = np.nonzero(nonempty)[0]
+    t, w, panel = _panels(edges[:, :-1][nonempty], edges[:, 1:][nonempty], _PANEL_RULE, _PANEL_WIDTH * sd)
+    owner = np.repeat(row[panel], _PANEL_RULE[0].size)
+    c = centers[owner]
+    return t, w * (np.exp(-((t - c) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))), owner
+
+
+def conditional_laws(estimator: EstimatorConfig, n: int, m: int, shift: float, deltas) -> list["ConditionalLaw"]:
+    """``[ConditionalLaw(estimator, n, m, shift, d) for d in deltas]``, equal bit for bit, built in one pass.
+
+    The panels of every conflict, the normal weights, the correction (whose
+    ``delta_true`` is each node's own conflict) and the offsets are each one
+    vectorized expression over all the nodes; every step is elementwise in a
+    node and its conflict, and each law holds its own contiguous slice.
+    """
+    deltas = np.asarray(deltas, dtype=float).ravel()
+    t, weights, owner = _normal_panels(deltas, math.sqrt(1.0 / n + 1.0 / m), estimator.breakpoints(n, m))
+    d = deltas[owner]
+    q = conflict_correction(estimator, t, n, m, delta_true=d)
+    inner = -shift - q + (m / (n + m)) * (t - d)
+    bounds = np.searchsorted(owner, np.arange(deltas.size + 1))
+    laws = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        law = ConditionalLaw.__new__(ConditionalLaw)
+        law.weights, law.inner = weights[lo:hi], inner[lo:hi]
+        law.root_n, law.root_nm = math.sqrt(n), math.sqrt(n + m)
+        laws.append(law)
+    return laws
 
 
 class ConditionalLaw:
@@ -76,14 +130,13 @@ class ConditionalLaw:
     ``shift`` is ``theta - theta0``.  Holds, per panel node ``t``, its weight
     times the normal density of ``t`` and the offset ``m/(n+m) (t - delta) -
     q(t) - shift`` of the standardized conditional mean.  Given ``t``, Z is
-    N(-root_n inner, root_n^2 / root_nm^2).
+    N(-root_n inner, root_n^2 / root_nm^2).  It is the one-conflict case of
+    :func:`conditional_laws`.
     """
 
     def __init__(self, estimator: EstimatorConfig, n: int, m: int, shift: float, delta: float) -> None:
-        t, self.weights = _normal_panels(delta, math.sqrt(1.0 / n + 1.0 / m), estimator.breakpoints(n, m))
-        q = conflict_correction(estimator, t, n, m, delta_true=delta)
-        self.inner = -shift - q + (m / (n + m)) * (t - delta)
-        self.root_n, self.root_nm = math.sqrt(n), math.sqrt(n + m)
+        (law,) = conditional_laws(estimator, n, m, shift, [delta])
+        vars(self).update(vars(law))
 
     def _u(self, z: float | np.ndarray) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=float))
@@ -127,7 +180,7 @@ class LimitLaw(ConditionalLaw):
 
     def __init__(self, kind: EstimatorConfig, p: float, h: float) -> None:
         r = math.sqrt(1.0 - p)
-        xi, self.weights = _normal_panels(r * h, 1.0, kind.limit_breakpoints)
+        xi, self.weights, _ = _normal_panels([r * h], 1.0, kind.limit_breakpoints)
         self.inner = r * (xi - r * h) - kind.limit_weight(xi, p, h) * (xi / r)
         self.root_n, self.root_nm = 1.0, 1.0 / math.sqrt(p)
 

@@ -250,20 +250,21 @@ def _mse_many(
     signed = deltas.ravel()
     folded, first, back = np.unique(np.abs(signed), return_index=True, return_inverse=True)
     out = np.empty(folded.size)
-    for k, d in enumerate(folded):
-        q = conflict_correction(config, d + base, n, m, delta_true=d)
-        err = u + q
-        if not np.all(np.isfinite(err)):
-            bad = int(np.flatnonzero(~np.isfinite(err))[0])
-            # the mirrored node of the first conflict asked for with this magnitude
-            sign = math.copysign(1.0, signed[first[k]])
-            raise NodeEvaluationError(
-                f"non-finite estimate for {estimator_id(config)} at node "
-                f"(theta_hat={theta + sign * u[bad]:.6g}, beta_hat={theta + sign * (d + v[bad]):.6g})"
-            )
-        out[k] = float(np.dot(pair_w, err * err))
-        if not math.isfinite(out[k]):  # every error is finite, so a square overflowed
-            raise FloatingPointError(f"MSE of {estimator_id(config)} at conflict {signed[first[k]]:.6g} overflows a float")
+    with np.errstate(over="ignore"):  # an overflow is caught below as a non-finite value
+        for k, d in enumerate(folded):
+            q = conflict_correction(config, d + base, n, m, delta_true=d)
+            err = u + q
+            if not np.all(np.isfinite(err)):
+                bad = int(np.flatnonzero(~np.isfinite(err))[0])
+                # the mirrored node of the first conflict asked for with this magnitude
+                sign = math.copysign(1.0, signed[first[k]])
+                raise NodeEvaluationError(
+                    f"non-finite estimate for {estimator_id(config)} at node "
+                    f"(theta_hat={theta + sign * u[bad]:.6g}, beta_hat={theta + sign * (d + v[bad]):.6g})"
+                )
+            out[k] = float(np.dot(pair_w, err * err))
+            if not math.isfinite(out[k]):  # every error is finite, so a square overflowed
+                raise FloatingPointError(f"MSE of {estimator_id(config)} at conflict {signed[first[k]]:.6g} overflows a float")
     return out[back].reshape(deltas.shape)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
-from ._law import ConditionalLaw, bracketed_roots, quantiles
+from ._law import ConditionalLaw, bracketed_roots, conditional_laws, quantiles
 from .estimators import (
     EstimatorConfig,
     SensitivityMmse,
@@ -180,7 +180,7 @@ def critical_value(
     top = grid[-1] if grid[-1] > 0 else 1.0
     # the grid and AllDelta's two probes beyond it, solved in one batch
     deltas = np.append(grid, [2.0 * top, 4.0 * top]) if isinstance(conv, AllDelta) else grid
-    laws = [ConditionalLaw(spec.estimator, spec.n, spec.m, 0.0, d) for d in deltas]
+    laws = conditional_laws(spec.estimator, spec.n, spec.m, 0.0, deltas)
     solved = quantiles(laws, np.full(deltas.size, 1.0 - spec.alpha))
     quants, probe = solved[: grid.size], solved[grid.size :]
     k = int(np.argmax(quants))
@@ -224,7 +224,11 @@ def power_curve(
     """Rejection probability over a conflict grid at the spec's critical value."""
     grid = np.asarray(_default_grid(spec, points) if delta_grid is None else delta_grid, dtype=float)
     crit = critical_value(spec)
-    probs = np.array([power(spec, crit, theta, d) for d in grid])
+    if math.isinf(crit.value):
+        probs = np.zeros(grid.size)
+    else:
+        laws = conditional_laws(spec.estimator, spec.n, spec.m, theta - spec.theta0, grid)
+        probs = np.array([law.sf(crit.value) for law in laws])
     return PowerCurve(
         estimator=estimator_id(spec.estimator),
         convention=spec.convention.id,
@@ -305,6 +309,12 @@ def p2_p3(s: TwoSampleSummary, delta0: float, theta_assumed: float) -> tuple[flo
     return min(p2, p3), p3
 
 
+def _bounded_statistic(s: TwoSampleSummary, theta0: float, sens: float) -> tuple[SensitivityMmse, float]:
+    """The sensitivity-indexed borrowing estimator and its observed Z."""
+    config = SensitivityMmse(sens)
+    return config, math.sqrt(s.n) * (config.result(s).theta_est - theta0)
+
+
 PValueOption = Literal["mle-alldelta", "pooled-deltazero", "dib-deltabounded"]
 
 
@@ -332,8 +342,7 @@ def pvalue(
     if option == "dib-deltabounded":
         if delta0 is None or sens is None:
             raise ValueError("bounded-conflict option needs delta0 and sens")
-        config = SensitivityMmse(sens)
-        z_obs = math.sqrt(n) * (config.result(s).theta_est - theta0)
+        config, z_obs = _bounded_statistic(s, theta0, sens)
         return ConditionalLaw(config, n, m, 0.0, delta0).sf(z_obs)
     raise ValueError(f"unknown p-value option {option!r}")
 
@@ -360,7 +369,8 @@ def tipping_point(
         return pvalue("dib-deltabounded", s, theta0, d0, sens) - target_p
 
     grid = np.linspace(bracket[0], bracket[1], grid_points)
-    gaps = np.array([excess(d0) for d0 in grid])
+    config, z_obs = _bounded_statistic(s, theta0, sens)
+    gaps = np.array([law.sf(z_obs) - target_p for law in conditional_laws(config, s.n, s.m, 0.0, grid)])
     k = int(np.argmax(gaps >= 0.0))  # first point at the target; 0 also when none is
     if k == 0:
         raise NoCrossingError(

@@ -125,6 +125,7 @@ def test_node_error_names_a_node_of_the_signed_conflict():
         assert math.copysign(1.0, beta_hat) == sign and abs(beta_hat) > 1e299
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is reported once, as the error, not also as a warning
 def test_an_overflowing_mse_names_the_estimator_and_the_signed_conflict():
     # the pooled error is finite, about m/(n+m) * delta, but its square overflows
     with pytest.raises(FloatingPointError, match=r"MSE of pooled at conflict -5e\+299"):

@@ -1,4 +1,5 @@
 import math
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from dibkit.cli import DENSITY_ESTIMATORS
 from dibkit.estimators import (
     AdaptiveLasso,
     AdaptiveMmse,
+    EstimatorConfig,
+    GeneralizedBorrow,
     LimitedTranslation,
     Mle,
     NormalPriorBayes,
@@ -35,6 +38,7 @@ from dibkit.testing import (
     null_quantile,
     p2_p3,
     power,
+    power_curve,
     pvalue,
     sampling_cdf,
     sweet_spot,
@@ -176,6 +180,64 @@ def test_lockstep_critical_value_equals_per_conflict_quantiles(convention, estim
     assert crit.value == pytest.approx(want, abs=1e-13)
     # a flat profile (mle) leaves the argmax to rounding: compare the quantile at sup_at
     assert quants[list(grid).index(crit.sup_at)] == pytest.approx(max(quants), abs=1e-13)
+
+
+CLI_IDS = [kind.id for kind in get_args(EstimatorConfig) if kind is not GeneralizedBorrow]
+
+
+def _one_law_reference(config, n, m, shift, delta):
+    """Weights and offsets of one conflict's law, built with a scalar conflict throughout."""
+    sd = math.sqrt(1.0 / n + 1.0 / m)
+    lo, hi = delta - _law._SPAN * sd, delta + _law._SPAN * sd
+    edges = sorted({lo, hi, *(b for b in config.breakpoints(n, m) if lo < b < hi)})
+    t, w = _law._legendre_panels(edges, _law._PANEL_RULE, _law._PANEL_WIDTH * sd)
+    w = w * (np.exp(-((t - delta) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi)))
+    return w, -shift - conflict_correction(config, t, n, m, delta_true=delta) + (m / (n + m)) * (t - delta)
+
+
+@pytest.mark.parametrize("name", CLI_IDS)
+@pytest.mark.parametrize("n, m", [(50, 50), (300, 3000), (94, 20_022), (1000, 100_000)])
+def test_conditional_laws_equal_the_per_conflict_laws_bit_for_bit(name, n, m):
+    config = config_from_id(name)  # ommse tracks each law's own conflict as delta_true
+    sd = math.sqrt(1.0 / n + 1.0 / m)
+    kink = TtPool().breakpoints(n, m)[1]
+    # conflicts whose span just takes in or just leaves ttpool's kinks, the kinks themselves and a spread
+    edge = _law._SPAN * sd
+    deltas = [kink - edge - 1e-12, kink - edge + 1e-12, kink + edge - 1e-12, kink + edge + 1e-12,
+              -kink, kink, 0.0, *np.linspace(-3.0 * kink, 3.0 * kink, 7)]
+    laws = _law.conditional_laws(config, n, m, 0.01, deltas)
+    assert len(laws) == len(deltas)
+    for delta, law in zip(deltas, laws):
+        one = _law.ConditionalLaw(config, n, m, 0.01, delta)
+        weights, inner = _one_law_reference(config, n, m, 0.01, delta)
+        for built in (law, one):
+            assert np.array_equal(built.weights, weights) and np.array_equal(built.inner, inner), delta
+            assert (built.root_n, built.root_nm) == (math.sqrt(n), math.sqrt(n + m))
+
+
+def test_conditional_laws_reject_a_span_that_rounds_to_a_point_like_one_law():
+    with pytest.raises(ValueError, match="rounds to a single point") as one:
+        _law.ConditionalLaw(Mle(), N, M, 0.0, 1e300)
+    with pytest.raises(ValueError, match="rounds to a single point") as batch:
+        _law.conditional_laws(Mle(), N, M, 0.0, [0.0, 1e300, 0.1])
+    assert str(batch.value) == str(one.value)
+
+
+@pytest.mark.parametrize(
+    "estimator, convention",
+    [(AdaptiveMmse(), DeltaZero()), (TtPool(), DeltaBounded(0.0636)), (AdaptiveLasso(), AllDelta()),
+     (Pooled(), AllDelta())],
+    ids=lambda v: getattr(v, "id", None),
+)
+def test_power_curve_equals_power_at_each_conflict(estimator, convention):
+    spec = spec_for(estimator, convention, n=300, m=3000)
+    crit = critical_value(spec)
+    curve = power_curve(spec, 0.05)
+    assert curve.critical == crit.value
+    want = [power(spec, crit, 0.05, d) for d in curve.delta]
+    assert np.array_equal(curve.rejection_prob, want)
+    if isinstance(estimator, Pooled):  # no finite critical value, so no power
+        assert math.isinf(crit.value) and not np.any(curve.rejection_prob)
 
 
 @pytest.mark.parametrize("convention", [AllDelta(), DeltaBounded(0.05)], ids=lambda c: c.id)
