@@ -30,6 +30,13 @@ call cover the nodes of every conflict, each node carrying its own conflict.
 Every step is elementwise in a node and its conflict, and each law sums over
 its own contiguous slice, so the laws equal those built one by one, bit for
 bit.
+
+The distance of two laws, ``sup |F - G|``, takes the largest gap on 401
+points of the first law's grid and then solves for the extremum beside it:
+the gap peaks where the densities cross, so one secant solve of ``f - g = 0``
+on the two grid cells around the grid argmax (the same ``bracketed_roots``)
+gives the peak to rounding.  A higher peak in another cell, narrower than the
+grid spacing, is not searched for.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ _PANEL_RULE = leggauss(12)  # Gauss-Legendre rule on each panel
 _PANEL_WIDTH = 0.5  # widest panel, in sd units of the mixing variable
 _SPAN = 9.5  # half-width of the integrated range, in the same units
 _QUANTILE_TOL = 1e-13  # stop tolerance of a quantile z, times 1 + |z|
+_EXTREMUM_TOL = 1e-12  # stop tolerance of the z at which distance's gap peaks
 _MAX_PASSES = 100  # passes of a lockstep root solve before it gives up
 
 
@@ -167,12 +175,31 @@ class ConditionalLaw:
         return np.linspace(*self.quantiles([1e-7, 1.0 - 1e-7]), points)
 
     def distance(self, other: "ConditionalLaw") -> float:
-        """sup |F - G| on 401 points of this law's grid, then 401 more around the largest gap."""
+        """sup |F - G|: the largest gap on 401 points of this law's grid, refined to the extremum beside it.
+
+        Around the grid argmax ``k`` the gap peaks where the densities cross,
+        so ``f - g = 0`` is solved on ``[z[k-1], z[k+1]]`` by secant steps to
+        ``_EXTREMUM_TOL``, and the larger of the two gaps is returned.  When
+        ``f - g`` has one sign on the whole cell there is no crossing to find
+        and the grid gap stands.  Only the cells beside the grid argmax are
+        searched: a higher peak elsewhere, narrower than the grid, is missed.
+        """
         z = self.grid(401)
         gap = np.abs(self.cdf(z) - other.cdf(z))
         k = int(np.argmax(gap))
-        z = np.linspace(z[max(k - 1, 0)], z[min(k + 1, z.size - 1)], 401)
-        return float(max(gap[k], np.max(np.abs(self.cdf(z) - other.cdf(z)))))
+        ends = np.array([z[max(k - 1, 0)], z[min(k + 1, z.size - 1)]])
+        lo, hi = self.pdf(ends) - other.pdf(ends)
+        if not lo * hi < 0.0:
+            return float(gap[k])
+        sign = 1.0 if lo < 0.0 else -1.0  # the solve wants f - g negative at the left end
+
+        def crossing(at: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, None]:
+            return sign * (self.pdf(at) - other.pdf(at)), None
+
+        start = ends[0] - lo * (ends[1] - ends[0]) / (hi - lo)  # the chord's zero, then secant steps
+        (root,) = bracketed_roots(crossing, ends[:1], ends[1:], [start], abs_tol=_EXTREMUM_TOL, rel_tol=0.0,
+                                  prev=([ends[0]], [sign * lo]))
+        return float(max(gap[k], abs(self.cdf(root) - other.cdf(root))))
 
 
 class LimitLaw(ConditionalLaw):

@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence, get_args
 import numpy as np
 
 from . import testing
-from ._law import ConditionalLaw, LimitLaw
+from ._law import LimitLaw, conditional_laws, quantiles
 from .asymptotics import LocalScenario
 from .estimators import (
     EstimatorConfig,
@@ -197,9 +197,7 @@ def _echo_config(cfg: dict[str, Any]) -> None:
 def _fmt(value: Any) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
+    if isinstance(value, float):  # np.float64 too; "%.12g" writes inf, -inf and nan as such
         return "%.12g" % value
     return str(value)
 
@@ -324,26 +322,42 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
     _plot(cfg, "power.svg", series, "Rejection probability vs scaled conflict", "sqrt(n) * delta", "power")
 
 
+_DENSITY_PROBS = (1e-7, 1.0 - 1e-7, *_QUANTILE_PROBS)  # the grid ends, then the table
+
+
+def _density_laws(
+    config: EstimatorConfig, n: int, m: int, sqrt_n_deltas: Sequence[float]
+) -> tuple[list, np.ndarray]:
+    """One estimator's law at each scaled conflict, and each law's ``_DENSITY_PROBS`` quantiles.
+
+    The laws are built in one pass and all their quantiles solved in one
+    lockstep call; a row of the returned matrix holds one law's quantiles.
+    """
+    laws = conditional_laws(config, n, m, 0.0, np.asarray(sqrt_n_deltas, dtype=float) / math.sqrt(n))
+    values = quantiles([law for law in laws for _ in _DENSITY_PROBS], _DENSITY_PROBS * len(laws))
+    return laws, values.reshape(len(laws), len(_DENSITY_PROBS))
+
+
 def _cmd_densities(cfg: dict[str, Any]) -> None:
     n, m = cfg["n"], cfg["m"]
     for key in ("replicates", "grid_points"):  # a density curve needs two of each
         if cfg[key] < 2:
             raise ConfigError(f"densities needs {key} >= 2, got {key} = {cfg[key]}")
-    configs = _estimator_configs(cfg)
+    scenarios = cfg["sqrt_n_delta"]
+    # curves[scenario][estimator]: the name, grid, log density and table quantiles of one law
+    curves: list[list[tuple]] = [[] for _ in scenarios]
+    for config in _estimator_configs(cfg):
+        name = estimator_id(config)
+        for scen, (law, quants) in zip(curves, zip(*_density_laws(config, n, m, scenarios))):
+            grid = np.linspace(quants[0], quants[1], cfg["grid_points"])
+            scen.append((name, grid, np.log(law.pdf(grid)), quants[2:]))
     rows = []
     quantile_rows = []
-    for scen_i, snd in enumerate(cfg["sqrt_n_delta"]):
-        series = []
-        for config in configs:
-            name = estimator_id(config)
-            law = ConditionalLaw(config, n, m, 0.0, snd / math.sqrt(n))
-            grid = law.grid(cfg["grid_points"])
-            logd = np.log(law.pdf(grid))
-            for x, ld in zip(grid, logd):
-                rows.append([name, snd, x, ld])
-            for prob, value in zip(_QUANTILE_PROBS, law.quantiles(_QUANTILE_PROBS)):
-                quantile_rows.append([name, snd, prob, float(value)])
-            series.append(Series(name, tuple(grid), tuple(logd)))
+    for scen_i, (snd, scen) in enumerate(zip(scenarios, curves)):
+        for name, grid, logd, quants in scen:
+            rows.extend([name, snd, x, ld] for x, ld in zip(grid, logd))
+            quantile_rows.extend([name, snd, prob, float(value)] for prob, value in zip(_QUANTILE_PROBS, quants))
+        series = [Series(name, tuple(grid), tuple(logd)) for name, grid, logd, _ in scen]
         _plot(cfg, f"densities_{scen_i}.svg", series, f"log density, sqrt(n)*delta = {snd:g}",
               "sqrt(n) * (estimate - theta)", "log density")
     _write_csv(cfg, "densities.csv", ["estimator", "sqrt_n_delta_scenario", "x", "log_density"], rows)
@@ -423,10 +437,12 @@ def _cmd_asymptotics_check(cfg: dict[str, Any]) -> None:
     scenarios = [_from_config(LocalScenario, h=h, p=n / (n + m)) for h in cfg["h"]]
     # every limit law first, so that a kind without one is rejected before any work
     limits = [[_from_config(LimitLaw, config, sc.p, sc.h) for config in configs] for sc in scenarios]
+    deltas = np.array([sc.h for sc in scenarios]) / math.sqrt(n)
+    finite = zip(*[conditional_laws(config, n, m, 0.0, deltas) for config in configs])  # by scenario, as limits
     rows = []
-    for sc, laws in zip(scenarios, limits):
-        for config, limit in zip(configs, laws):
-            ks = ConditionalLaw(config, n, m, 0.0, sc.h / math.sqrt(n)).distance(limit)
+    for sc, laws, limit_laws in zip(scenarios, finite, limits):
+        for config, law, limit in zip(configs, laws, limit_laws):
+            ks = law.distance(limit)
             rows.append([estimator_id(config), sc.h, ks, cfg["threshold"], "pass" if ks <= cfg["threshold"] else "fail"])
     _write_csv(cfg, "asymptotics_check.csv", ["estimator", "h", "ks_distance", "threshold", "status"], rows)
 

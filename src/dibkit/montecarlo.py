@@ -194,23 +194,23 @@ def _bootstrap_block(
     n, m = current.trials, external.trials
     p_cur, p_ext = current.rate, external.rate
     if scheme == "nonparametric":
-        k = gen.binomial(n, p_cur, size=count)
-        j = gen.binomial(m, p_ext, size=count)
+        def counts(size: int) -> tuple[np.ndarray, np.ndarray]:
+            return gen.binomial(n, p_cur, size=size), gen.binomial(m, p_ext, size=size)
     elif scheme == "gaussian":
-        k = np.rint(gen.normal(n * p_cur, math.sqrt(n * p_cur * (1 - p_cur)), size=count))
-        j = np.rint(gen.normal(m * p_ext, math.sqrt(m * p_ext * (1 - p_ext)), size=count))
-        k = np.clip(k, 0, n)
-        j = np.clip(j, 0, m)
+        def counts(size: int) -> tuple[np.ndarray, np.ndarray]:
+            k = np.rint(gen.normal(n * p_cur, math.sqrt(n * p_cur * (1 - p_cur)), size=size))
+            j = np.rint(gen.normal(m * p_ext, math.sqrt(m * p_ext * (1 - p_ext)), size=size))
+            return np.clip(k, 0, n), np.clip(j, 0, m)
     else:
         raise ValueError(f"unknown bootstrap scheme {scheme!r}")
 
+    k, j = counts(count)
     redraws = 0
     bad = (k <= 0) | (k >= n) | (j <= 0) | (j >= m)
     while np.any(bad):
         idx = np.flatnonzero(bad)
         redraws += idx.size
-        k[idx] = gen.binomial(n, p_cur, size=idx.size)
-        j[idx] = gen.binomial(m, p_ext, size=idx.size)
+        k[idx], j[idx] = counts(idx.size)
         bad = (k <= 0) | (k >= n) | (j <= 0) | (j >= m)
 
     r_cur = k / n
@@ -238,9 +238,10 @@ def bootstrap_ci(
 
     Each resample redraws both binomial counts, re-standardizes, recomputes
     the estimate, and maps it back to the rate scale.  Degenerate resamples
-    (all successes or none) are redrawn within their block and counted.
-    The ``gaussian`` scheme replaces the binomial draws by their normal
-    approximation as a sensitivity variant.
+    (all successes or none) are redrawn within their block, from the same
+    scheme, and counted.  The ``gaussian`` scheme replaces the binomial draws,
+    first and redrawn alike, by their rounded normal approximation as a
+    sensitivity variant.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")

@@ -224,6 +224,29 @@ def test_exact_check_fails_the_bare_displayed_form(name):
         assert max(bare[:3]) > 0.02 and min(bare[3:], default=1.0) > 0.02
 
 
+@pytest.mark.parametrize("h", H_DEFAULT)
+@pytest.mark.parametrize("name", ["ebpp", "hdpp"])
+def test_distance_matches_a_dense_scan_of_the_cells_beside_the_grid_argmax(name, h):
+    # the finite and limit laws differ only here, at the asymptotics-check defaults
+    n, m = 1000, 100_000
+    kind = config_from_id(name)
+    finite, limit = ConditionalLaw(kind, n, m, 0.0, h / math.sqrt(n)), LimitLaw(kind, n / (n + m), h)
+    z = finite.grid(401)
+    k = int(np.argmax(np.abs(finite.cdf(z) - limit.cdf(z))))
+    # 20,001 points 2.5e-6 apart: the gap is smooth, so the scan falls short of its peak by at
+    # most |f' - g'| (1.25e-6)^2 / 2, below 1e-16 here; 200,001 points agree and cost 5 s a case
+    dense = np.linspace(z[max(k - 1, 0)], z[min(k + 1, z.size - 1)], 20_001)
+    scan = max(np.max(np.abs(finite.cdf(c) - limit.cdf(c))) for c in np.array_split(dense, 20))
+    # 1e-15: the rounding of a difference of two CDFs, all there is at h = 0
+    assert finite.distance(limit) == pytest.approx(scan, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", KS_ESTIMATORS)
+def test_distance_of_a_law_from_itself_is_zero(name):
+    law = ConditionalLaw(config_from_id(name), 1000, 100_000, 0.0, 0.05)
+    assert law.distance(law) <= 1e-14
+
+
 def test_xi_uncorrelated_with_pooled_limit():
     sc = LocalScenario(h=2.5, p=0.35)
     z1 = addressed_normals(8, 0, 0, 1_000_000)

@@ -7,10 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import math
+
+import numpy as np
 import pytest
 
 import dibkit
+from dibkit import cli
+from dibkit._law import ConditionalLaw
 from dibkit.cli import run
+from dibkit.estimators import config_from_id
+from dibkit.montecarlo import _QUANTILE_PROBS
 
 
 def read_csv(path):
@@ -134,6 +141,34 @@ def test_exact_artifacts_ignore_seed_sample_count_and_workers(tmp_path, argv, co
         outputs.append({name: (out / name).read_bytes() for name in header})
         assert {name: read_csv(out / name)[0] for name in header} == header
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (-0.0, "-0"), (np.float64(0.1), "0.1"),
+     (np.float64(-math.inf), "-inf"), (1.0 / 3.0, "0.333333333333"), (None, ""), (7, "7"), ("ebpp", "ebpp")],
+)
+def test_csv_cell_format(value, text):
+    assert cli._fmt(value) == text
+
+
+@pytest.mark.parametrize("n, m", [(1000, 100_000), (94, 20_000)])
+def test_batched_density_laws_equal_the_per_law_grid_and_quantiles(n, m):
+    scenarios = (0.0, 0.32, 1.58, 5.06)  # the densities defaults
+    for name in cli.DENSITY_ESTIMATORS:
+        config = config_from_id(name)
+        laws, values = cli._density_laws(config, n, m, scenarios)
+        # one solve pads every law to the widest; only padding moves a sum's rounding
+        widest = max(law.weights.size for law in laws)
+        for snd, law, quants in zip(scenarios, laws, values):
+            one = ConditionalLaw(config, n, m, 0.0, snd / math.sqrt(n))
+            assert np.array_equal(law.weights, one.weights) and np.array_equal(law.inner, one.inner)
+            got = np.concatenate([np.linspace(quants[0], quants[1], 256), quants[2:]])
+            want = np.concatenate([one.grid(256), one.quantiles(_QUANTILE_PROBS)])
+            if law.weights.size == widest:
+                assert np.array_equal(got, want), (name, snd)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want))), (name, snd)
 
 
 def test_example_prams_report(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import binom, gaussian_kde, norm
 
+from dibkit import streams
 from dibkit.estimators import (
     AdaptiveMmse,
     Mle,
@@ -269,6 +270,25 @@ def test_bootstrap_gaussian_scheme_close_to_binomial():
     b = bootstrap_ci(PRAMS_CUR, PRAMS_EXT, 0.4, 40_000, 0.95, seed=5, scheme="gaussian")
     assert a.lo == pytest.approx(b.lo, abs=0.02)
     assert a.hi == pytest.approx(b.hi, abs=0.02)
+
+
+class _NoBinomial:
+    """A stream whose binomial sampler raises, to show that a scheme never calls it."""
+
+    def __init__(self, gen):
+        self.normal = gen.normal
+
+    def binomial(self, *args, **kwargs):
+        raise AssertionError("drew from the binomial")
+
+
+def test_bootstrap_gaussian_scheme_redraws_from_the_normal_approximation(monkeypatch):
+    real = streams.stream_generator
+    monkeypatch.setattr(streams, "stream_generator", lambda *args, **kwargs: _NoBinomial(real(*args, **kwargs)))
+    # n = 5 at rate 0.2: about 29% of the rounded normal counts are 0 and get redrawn
+    ci = bootstrap_ci(BinomialRaw(1, 5), BinomialRaw(500, 1000), 1.0, 4000, 0.9, seed=8, scheme="gaussian")
+    assert ci.redraws > 1000
+    assert math.isfinite(ci.lo) and math.isfinite(ci.hi)
 
 
 def test_bootstrap_validation():
