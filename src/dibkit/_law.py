@@ -3,15 +3,15 @@
 Every estimator is ``theta_hat + q(delta_hat)``.  Given the observed conflict
 ``delta_hat = t ~ N(delta, 1/n + 1/m)``, ``theta_hat - theta`` is normal with
 mean ``-m/(n+m) (t - delta)`` and variance ``1/(n+m)``, so the statistic
-``Z = sqrt(n) (estimate - theta0)`` is a normal mixture over ``t``:
-
-    P(Z <= z) = E_t[ Phi( sqrt(n+m) * (z/sqrt(n) - (theta-theta0) - q(t)
-                                       + m/(n+m) * (t - delta)) ) ].
-
-Under local conflict ``h/sqrt(n)`` and share ``p`` the same mixture runs over
-the limit ``xi ~ N(sqrt(1-p) h, 1)`` of the conflict z-statistic, with
-conditional mean ``w(xi) xi / sqrt(1-p) - sqrt(1-p) (xi - sqrt(1-p) h)`` and
-variance ``p``.  Either law is a fixed quadrature: Gauss-Legendre panels over
+``Z = sqrt(n) (estimate - theta0)`` is a normal mixture over ``t`` with
+node mean ``sqrt(n) (theta - theta0 + q(t) - m/(n+m) (t - delta))`` and sd
+``sqrt(n/(n+m))``.  Under local conflict ``h/sqrt(n)`` and share ``p`` the
+same mixture runs over the limit ``xi ~ N(sqrt(1-p) h, 1)`` of the conflict
+z-statistic, with node mean ``w(xi) xi / sqrt(1-p) - sqrt(1-p) (xi -
+sqrt(1-p) h)`` and sd ``sqrt(p)``.  Every law is held in that one form, node
+``weights``, node ``mean`` and one ``sd``: ``P(Z <= z) = sum weights *
+Phi((z - mean) / sd)`` and ``E Z^2 = sum weights * (mean^2 + sd^2)``.
+Either law is a fixed quadrature: Gauss-Legendre panels over
 ``+/- _SPAN`` sd of the mixing variable, no wider than ``_PANEL_WIDTH`` sd
 and split at the correction's breakpoints.  Its density and second moment
 are sums over the same nodes.  Its quantiles are solved in lockstep, any
@@ -55,6 +55,7 @@ _SPAN = 9.5  # half-width of the integrated range, in the same units
 _QUANTILE_TOL = 1e-13  # stop tolerance of a quantile z, times 1 + |z|
 _EXTREMUM_TOL = 1e-12  # stop tolerance of the z at which distance's gap peaks
 _MAX_PASSES = 100  # passes of a lockstep root solve before it gives up
+_GRID_TAIL = 1e-7  # a law's plotting grid runs between its _GRID_TAIL and 1 - _GRID_TAIL quantiles
 
 
 def _panels(
@@ -95,8 +96,8 @@ def _normal_panels(centers, sd: float, kinks) -> tuple[np.ndarray, np.ndarray, n
     lo, hi = centers - _SPAN * sd, centers + _SPAN * sd
     spans = lo < hi
     if not spans.all():
-        c = centers[np.argmin(spans)]
-        raise ValueError(f"conflict span {c:g} +/- {_SPAN:g} * {sd:g} rounds to a single point")
+        bad = centers[np.argmin(spans)]
+        raise ValueError(f"conflict span {bad:g} +/- {_SPAN:g} * {sd:g} rounds to a single point")
     # row i: lo, every kink clipped into [lo, hi], hi; a clipped kink only adds empty panels, dropped
     edges = np.empty((centers.size, len(kinks) + 2))
     edges[:, 0], edges[:, -1] = lo, hi
@@ -105,29 +106,28 @@ def _normal_panels(centers, sd: float, kinks) -> tuple[np.ndarray, np.ndarray, n
     row = np.nonzero(nonempty)[0]
     t, w, panel = _panels(edges[:, :-1][nonempty], edges[:, 1:][nonempty], _PANEL_RULE, _PANEL_WIDTH * sd)
     owner = np.repeat(row[panel], _PANEL_RULE[0].size)
-    c = centers[owner]
-    return t, w * (np.exp(-((t - c) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))), owner
+    center = centers[owner]
+    return t, w * (np.exp(-((t - center) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))), owner
 
 
 def conditional_laws(estimator: EstimatorConfig, n: int, m: int, shift: float, deltas) -> list["ConditionalLaw"]:
     """``[ConditionalLaw(estimator, n, m, shift, d) for d in deltas]``, equal bit for bit, built in one pass.
 
     The panels of every conflict, the normal weights, the correction (whose
-    ``delta_true`` is each node's own conflict) and the offsets are each one
-    vectorized expression over all the nodes; every step is elementwise in a
-    node and its conflict, and each law holds its own contiguous slice.
+    ``delta_true`` is each node's own conflict) and the node means are each
+    one vectorized expression over all the nodes; every step is elementwise
+    in a node and its conflict, and each law holds its own contiguous slice.
     """
     deltas = np.asarray(deltas, dtype=float).ravel()
     t, weights, owner = _normal_panels(deltas, math.sqrt(1.0 / n + 1.0 / m), estimator.breakpoints(n, m))
     d = deltas[owner]
     q = conflict_correction(estimator, t, n, m, delta_true=d)
-    inner = -shift - q + (m / (n + m)) * (t - d)
+    mean = math.sqrt(n) * (shift + q - (m / (n + m)) * (t - d))
     bounds = np.searchsorted(owner, np.arange(deltas.size + 1))
     laws = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         law = ConditionalLaw.__new__(ConditionalLaw)
-        law.weights, law.inner = weights[lo:hi], inner[lo:hi]
-        law.root_n, law.root_nm = math.sqrt(n), math.sqrt(n + m)
+        law.weights, law.mean, law.sd = weights[lo:hi], mean[lo:hi], math.sqrt(n / (n + m))
         laws.append(law)
     return laws
 
@@ -135,11 +135,11 @@ def conditional_laws(estimator: EstimatorConfig, n: int, m: int, shift: float, d
 class ConditionalLaw:
     """Law of Z at one truth, as a fixed quadrature over the conflict statistic.
 
-    ``shift`` is ``theta - theta0``.  Holds, per panel node ``t``, its weight
-    times the normal density of ``t`` and the offset ``m/(n+m) (t - delta) -
-    q(t) - shift`` of the standardized conditional mean.  Given ``t``, Z is
-    N(-root_n inner, root_n^2 / root_nm^2).  It is the one-conflict case of
-    :func:`conditional_laws`.
+    ``shift`` is ``theta - theta0``.  Holds, per panel node ``t``, its
+    ``weights`` (the rule's weight times the normal density of ``t``) and
+    the ``mean`` of Z given ``t``, ``sqrt(n) (shift + q(t) - m/(n+m) (t -
+    delta))``, and one ``sd``, ``sqrt(n/(n+m))``: given ``t``, Z is
+    N(mean, sd^2).  It is the one-conflict case of :func:`conditional_laws`.
     """
 
     def __init__(self, estimator: EstimatorConfig, n: int, m: int, shift: float, delta: float) -> None:
@@ -148,7 +148,7 @@ class ConditionalLaw:
 
     def _u(self, z: float | np.ndarray) -> np.ndarray:
         zs = np.atleast_1d(np.asarray(z, dtype=float))
-        return self.root_nm * (zs[:, None] / self.root_n + self.inner)
+        return (zs[:, None] - self.mean) / self.sd
 
     def cdf(self, z: float | np.ndarray) -> float | np.ndarray:
         out = np.sum(self.weights * ndtr(self._u(z)), axis=-1)
@@ -159,20 +159,17 @@ class ConditionalLaw:
         return float(np.sum(self.weights * ndtr(-self._u(z))))
 
     def pdf(self, z: np.ndarray) -> np.ndarray:
-        phi = np.exp(-0.5 * self._u(z) ** 2) * (self.root_nm / (self.root_n * math.sqrt(2.0 * math.pi)))
+        phi = np.exp(-0.5 * self._u(z) ** 2) / (self.sd * math.sqrt(2.0 * math.pi))
         return np.sum(self.weights * phi, axis=-1)
-
-    def quantile(self, prob: float) -> float:
-        return float(quantiles([self], [prob])[0])
 
     def quantiles(self, probs) -> np.ndarray:
         return quantiles([self] * len(probs), probs)
 
     def second_moment(self) -> float:
-        return float(np.sum(self.weights * (self.inner**2 + 1.0 / self.root_nm**2))) * self.root_n**2
+        return float(np.sum(self.weights * (self.mean**2 + self.sd**2)))
 
     def grid(self, points: int) -> np.ndarray:
-        return np.linspace(*self.quantiles([1e-7, 1.0 - 1e-7]), points)
+        return np.linspace(*self.quantiles([_GRID_TAIL, 1.0 - _GRID_TAIL]), points)
 
     def distance(self, other: "ConditionalLaw") -> float:
         """sup |F - G|: the largest gap on 401 points of this law's grid, refined to the extremum beside it.
@@ -208,8 +205,8 @@ class LimitLaw(ConditionalLaw):
     def __init__(self, kind: EstimatorConfig, p: float, h: float) -> None:
         r = math.sqrt(1.0 - p)
         xi, self.weights, _ = _normal_panels([r * h], 1.0, kind.limit_breakpoints)
-        self.inner = r * (xi - r * h) - kind.limit_weight(xi, p, h) * (xi / r)
-        self.root_n, self.root_nm = 1.0, 1.0 / math.sqrt(p)
+        self.mean = kind.limit_weight(xi, p, h) * (xi / r) - r * (xi - r * h)
+        self.sd = math.sqrt(p)
 
 
 def bracketed_roots(fun, lo, hi, z, *, abs_tol: float, rel_tol: float, prev=None) -> np.ndarray:
@@ -260,16 +257,14 @@ def bracketed_roots(fun, lo, hi, z, *, abs_tol: float, rel_tol: float, prev=None
 def quantiles(laws, probs) -> np.ndarray:
     """Quantile ``probs[i]`` of ``laws[i]`` for every ``i``, solved in lockstep.
 
-    The node weights and standardized offsets of the laws are stacked into one
-    matrix padded with zero weights, so each pass is one vectorized sum.  A
-    probability above 1/2 is solved on the upper tail, where its complement
-    keeps all its digits.  Each pass takes a Newton step on the log of that
-    tail, whose slope is the density over the tail, both sums over the same
-    nodes.  Given ``t``, Z is normal with mean ``-root_n inner`` and sd
-    ``root_n / root_nm``; the bracket reaches past the extreme means by
-    ``1 - ndtri(tail)`` of that sd, beyond which every node's tail is below
-    the target.  The start is the law's mean plus its sd times the normal
-    quantile.
+    The node weights and means of the laws are stacked into one matrix padded
+    with zero weights, so each pass is one vectorized sum.  A probability
+    above 1/2 is solved on the upper tail, where its complement keeps all its
+    digits.  Each pass takes a Newton step on the log of that tail, whose
+    slope is the density over the tail, both sums over the same nodes.  The
+    bracket reaches past the extreme node means by ``1 - ndtri(tail)`` of the
+    law's sd, beyond which every node's tail is below the target.  The start
+    is the law's mean plus its sd times the normal quantile.
     """
     probs = np.asarray(probs, dtype=float)
     if not np.all((probs > 0.0) & (probs < 1.0)):
@@ -280,9 +275,8 @@ def quantiles(laws, probs) -> np.ndarray:
     size = max((law.weights.size for law in laws), default=0)
     w, mean = np.zeros((len(laws), size)), np.zeros((len(laws), size))
     for i, law in enumerate(laws):
-        w[i, : law.weights.size], mean[i, : law.weights.size] = law.weights, -law.root_n * law.inner
-    sd = np.array([law.root_n / law.root_nm for law in laws])
-    scale, c = 1.0 / sd, -mean / sd[:, None]  # u = scale z + c is a node's standardized Z
+        w[i, : law.weights.size], mean[i, : law.weights.size] = law.weights, law.mean
+    sd = np.array([law.sd for law in laws])
     real = np.arange(size) < np.array([law.weights.size for law in laws])[:, None]
     lo = np.min(mean, axis=1, where=real, initial=np.inf) - reach * sd
     hi = np.max(mean, axis=1, where=real, initial=-np.inf) + reach * sd
@@ -292,9 +286,9 @@ def quantiles(laws, probs) -> np.ndarray:
     start = np.clip(mu + spread * ndtri(probs), lo, hi)
 
     def log_tail(z: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u = scale[rows, None] * z[:, None] + c[rows]
+        u = (z[:, None] - mean[rows]) / sd[rows, None]  # a node's standardized Z
         tail = np.sum(w[rows] * ndtr(sign[rows, None] * u), axis=1)
-        dens = np.sum(w[rows] * np.exp(-0.5 * u * u), axis=1) * (scale[rows] / math.sqrt(2.0 * math.pi))
+        dens = np.sum(w[rows] * np.exp(-0.5 * u * u), axis=1) / (sd[rows] * math.sqrt(2.0 * math.pi))
         with np.errstate(divide="ignore", invalid="ignore"):
             return sign[rows] * np.log(tail / target[rows]), dens / tail
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence, get_args
 import numpy as np
 
 from . import testing
-from ._law import LimitLaw, conditional_laws, quantiles
+from ._law import _GRID_TAIL, LimitLaw, conditional_laws, quantiles
 from .asymptotics import LocalScenario
 from .estimators import (
     EstimatorConfig,
@@ -240,7 +240,8 @@ def _cmd_estimate(cfg: dict[str, Any]) -> None:
     for config in _estimator_configs(cfg):
         if isinstance(config, OracleMmse) and config.delta_true is None:
             raise ConfigError("ommse estimation requires --delta-true")
-        res = config.result(s)
+        with np.errstate(all="ignore"):  # a non-finite result is reported below, not also warned of
+            res = config.result(s)
         row = [estimator_id(config), res.theta_est, res.delta_est, res.gamma_est, res.weight]
         if not all(math.isfinite(v) for v in row[1:] if v is not None):
             raise FloatingPointError(f"non-finite estimate from {row[0]}: {row[1:]}")
@@ -322,7 +323,7 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
     _plot(cfg, "power.svg", series, "Rejection probability vs scaled conflict", "sqrt(n) * delta", "power")
 
 
-_DENSITY_PROBS = (1e-7, 1.0 - 1e-7, *_QUANTILE_PROBS)  # the grid ends, then the table
+_DENSITY_PROBS = (_GRID_TAIL, 1.0 - _GRID_TAIL, *_QUANTILE_PROBS)  # the grid ends, then the table
 
 
 def _density_laws(
@@ -457,6 +458,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("estimators", _names, ("mle", "pooled", "ammse"), "comma-separated estimator ids"),
         *_tuning("c", "tau", "sens", "gamma", "v"),
         Option("delta_true", float, None, "oracle conflict for ommse"),
+        *_no_effect("closed forms, not plotted", "seed", "svg", "workers", "full_fidelity"),
     ]),
     "srmse-curve": (_cmd_srmse_curve, [
         Option("n", int, 1000, "current sample size"),
@@ -466,6 +468,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("grid_points", int, 41, "points on the conflict grid"),
         _NODES,
         *_tuning("c", "tau", "sens", "v"),
+        *_no_effect("deterministic quadrature", "seed", "workers", "full_fidelity"),
     ]),
     "bayes-risk-table": (_cmd_bayes_risk_table, [
         Option("n", int, 1000, "current sample size"),
@@ -474,6 +477,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("priors", _names, ("pi1", "pi2", "pi3", "pi4", "pi5"), "prior ids"),
         _NODES,
         *_tuning("c", "tau", "sens", "v"),
+        *_no_effect("deterministic quadrature, not plotted", "seed", "svg", "workers", "full_fidelity"),
     ]),
     "power": (_cmd_power, [
         Option("n", int, 1000, "current sample size"),
@@ -487,13 +491,14 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("delta_max", float, 0.0, "top of the conflict grid (0 = convention default)"),
         Option("grid_points", int, 33, "points on the conflict grid"),
         *_tuning("c", "tau", "sens", "v"),
+        *_no_effect("power is exact", "seed", "workers", "full_fidelity"),
     ]),
     "densities": (_cmd_densities, [
         Option("n", int, 1000, "current sample size"),
         Option("m", int, 100_000, "external sample size"),
         Option("estimators", _names, DENSITY_ESTIMATORS, "estimator ids"),
         Option("sqrt_n_delta", _floats, (0.0, 0.32, 1.58, 5.06), "scaled-conflict scenarios"),
-        *_no_effect("densities are exact", "seed", "workers", replicates=50_000),
+        *_no_effect("densities are exact", "seed", "workers", "full_fidelity", replicates=50_000),
         Option("grid_points", int, 256, "log-density grid points"),
         *_tuning("c", "tau", "sens", "v"),
     ]),
@@ -507,7 +512,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("resamples", int, 100_000, "bootstrap resamples (desk scale)"),
         Option("level", float, 0.95, "bootstrap confidence level"),
         Option("delta0_list", _floats, (0.01, 0.05, 0.087), "conflict bounds to profile"),
-        *_no_effect("p-values are exact", mc_draws=200_000),
+        *_no_effect("p-values are exact, not plotted", "svg", mc_draws=200_000),
         Option("target_p", float, 0.05, "tipping-point target p-value"),
     ]),
     "asymptotics-check": (_cmd_asymptotics_check, [
@@ -515,7 +520,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("m", int, 100_000, "external sample size"),
         Option("estimators", _names, KS_ESTIMATORS, "estimator ids with closed limit laws"),
         Option("h", _floats, (0.0, 1.58, 5.06), "local conflict values"),
-        *_no_effect("both laws are exact", "seed", "workers", draws=100_000),
+        *_no_effect("both laws are exact, not plotted", "seed", "svg", "workers", "full_fidelity", draws=100_000),
         Option("threshold", float, 0.02, "KS pass threshold"),
         *_tuning("c", "sens"),
     ]),

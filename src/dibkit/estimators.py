@@ -509,7 +509,7 @@ def alasso_delta(delta_hat: np.ndarray, n: int, m: int, tau: float) -> np.ndarra
     """
     d = np.asarray(delta_hat, dtype=float)
     ad = np.abs(d)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite shrink zeroes the estimate
         shrink = (n + m) ** (1.0 + tau) / (2.0 * n * m * ad)
     out = np.sign(d) * np.maximum(0.0, ad - shrink)
     return np.where(ad == 0.0, 0.0, out)

@@ -2,7 +2,10 @@
 
 MSE of an estimator at a given location/conflict is the double integral of
 the squared error against the Gaussian sampling laws of the two sample means,
-computed with tensor-product Gauss-Hermite quadrature.  Node pairs whose
+computed with tensor-product Gauss-Hermite quadrature.  Its relative error
+in n * MSE, against ``quad`` at n = 1000, m = 100,000 and sqrt(n) delta in {0,
+1.58, 5.06}, is at most: ttpool 3.4e-3, ebpp 4.6e-4, alasso 2.5e-4, ltr 8.4e-5,
+hdpp 3.9e-6, ammse 8.5e-10, lstp 3e-13, the rest 1e-15 (srmse: half).  Node pairs whose
 product weight is below 1e-25 are skipped: at 128 nodes they are three
 quarters of the pairs but hold 3.5e-22 of the weighted mass, so the MSE
 moves by ~1e-16 relative.  The MSE is even in the conflict (every correction
@@ -250,7 +253,7 @@ def _mse_many(
     signed = deltas.ravel()
     folded, first, back = np.unique(np.abs(signed), return_index=True, return_inverse=True)
     out = np.empty(folded.size)
-    with np.errstate(over="ignore"):  # an overflow is caught below as a non-finite value
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below as a non-finite value
         for k, d in enumerate(folded):
             q = conflict_correction(config, d + base, n, m, delta_true=d)
             err = u + q

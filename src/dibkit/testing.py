@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Literal, Union
+from typing import Callable, ClassVar, Literal, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -144,7 +144,7 @@ def sampling_cdf(
 def null_quantile(spec: TestSpec, delta: float, prob: float | None = None) -> float:
     """(1-alpha) quantile of Z under ``theta = theta0`` at the given conflict."""
     prob = 1.0 - spec.alpha if prob is None else prob
-    return ConditionalLaw(spec.estimator, spec.n, spec.m, 0.0, delta).quantile(prob)
+    return float(quantiles([ConditionalLaw(spec.estimator, spec.n, spec.m, 0.0, delta)], [prob])[0])
 
 
 def _default_grid(spec: TestSpec, points: int) -> np.ndarray:
@@ -309,10 +309,11 @@ def p2_p3(s: TwoSampleSummary, delta0: float, theta_assumed: float) -> tuple[flo
     return min(p2, p3), p3
 
 
-def _bounded_statistic(s: TwoSampleSummary, theta0: float, sens: float) -> tuple[SensitivityMmse, float]:
-    """The sensitivity-indexed borrowing estimator and its observed Z."""
+def _bounded_pvalues(s: TwoSampleSummary, theta0: float, sens: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The bounded-conflict p-value at any conflict bounds, with the estimator and its observed Z built once."""
     config = SensitivityMmse(sens)
-    return config, math.sqrt(s.n) * (config.result(s).theta_est - theta0)
+    z_obs = math.sqrt(s.n) * (config.result(s).theta_est - theta0)
+    return lambda delta0s: np.array([law.sf(z_obs) for law in conditional_laws(config, s.n, s.m, 0.0, delta0s)])
 
 
 PValueOption = Literal["mle-alldelta", "pooled-deltazero", "dib-deltabounded"]
@@ -342,8 +343,7 @@ def pvalue(
     if option == "dib-deltabounded":
         if delta0 is None or sens is None:
             raise ValueError("bounded-conflict option needs delta0 and sens")
-        config, z_obs = _bounded_statistic(s, theta0, sens)
-        return ConditionalLaw(config, n, m, 0.0, delta0).sf(z_obs)
+        return float(_bounded_pvalues(s, theta0, sens)([delta0])[0])
     raise ValueError(f"unknown p-value option {option!r}")
 
 
@@ -364,13 +364,9 @@ def tipping_point(
     """
     if not 0.0 < target_p < 1.0:
         raise ValueError("target_p must lie in (0, 1)")
-
-    def excess(d0: float) -> float:
-        return pvalue("dib-deltabounded", s, theta0, d0, sens) - target_p
-
+    pvalues = _bounded_pvalues(s, theta0, sens)  # the grid and every secant step evaluate this one p-value
     grid = np.linspace(bracket[0], bracket[1], grid_points)
-    config, z_obs = _bounded_statistic(s, theta0, sens)
-    gaps = np.array([law.sf(z_obs) - target_p for law in conditional_laws(config, s.n, s.m, 0.0, grid)])
+    gaps = pvalues(grid) - target_p
     k = int(np.argmax(gaps >= 0.0))  # first point at the target; 0 also when none is
     if k == 0:
         raise NoCrossingError(
@@ -380,7 +376,7 @@ def tipping_point(
     lo, hi = grid[k - 1], grid[k]
     start = lo - gaps[k - 1] * (hi - lo) / (gaps[k] - gaps[k - 1])  # false position
     root = bracketed_roots(
-        lambda d0, rows: (np.array([excess(float(d0[0]))]), None),  # secant steps: no slope
+        lambda d0, rows: (pvalues(d0) - target_p, None),  # secant steps: no slope
         [lo], [hi], [start], abs_tol=1e-14, rel_tol=4.0 * np.finfo(float).eps, prev=([hi], [gaps[k]]),
     )
     return float(root[0])

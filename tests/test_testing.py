@@ -104,7 +104,7 @@ def test_law_density_quantiles_and_second_moment_for_mle_and_pooled():
     zs = np.linspace(-5.0, 5.0, 41)
     np.testing.assert_allclose(mle.pdf(zs), norm.pdf(zs), rtol=1e-9)
     for prob in _QUANTILE_PROBS:
-        assert mle.quantile(prob) == pytest.approx(norm.ppf(prob), abs=1e-9)
+        assert mle.quantiles([prob])[0] == pytest.approx(norm.ppf(prob), abs=1e-9)
     assert mle.second_moment() == pytest.approx(1.0, abs=1e-12)
     delta, sd = 0.04, math.sqrt(N / (N + M))
     mean = math.sqrt(N) * M * delta / (N + M)
@@ -123,7 +123,7 @@ def test_law_cdf_matches_seeded_simulation(name):
                        estimators=(config,))
         sample = simulate(plan)[name].draws
         for prob in _QUANTILE_PROBS:
-            below = np.searchsorted(sample, law.quantile(prob), side="right") / draws
+            below = np.searchsorted(sample, law.quantiles([prob])[0], side="right") / draws
             assert abs(below - prob) <= 4.0 * math.sqrt(prob * (1.0 - prob) / draws), (snd, prob)
 
 
@@ -147,7 +147,7 @@ def test_quantiles_of_the_normal_laws_match_ndtri(n, m, shift):
         law = _law.ConditionalLaw(config, n, m, shift, delta)
         want = math.sqrt(n) * shift + mean + scale * ndtri(np.array(ORACLE_PROBS))
         np.testing.assert_allclose(law.quantiles(ORACLE_PROBS), want, rtol=0.0, atol=1e-13)
-        assert law.quantile(0.5) == pytest.approx(want[2], abs=1e-13)
+        assert law.quantiles([0.5])[0] == pytest.approx(want[2], abs=1e-13)
 
 
 @pytest.mark.parametrize("name", ["ammse", "ttpool", "alasso", "ebpp", "hdpp", "ltr", "lstp"])
@@ -186,13 +186,13 @@ CLI_IDS = [kind.id for kind in get_args(EstimatorConfig) if kind is not Generali
 
 
 def _one_law_reference(config, n, m, shift, delta):
-    """Weights and offsets of one conflict's law, built with a scalar conflict throughout."""
+    """Weights and node means of one conflict's law, built with a scalar conflict throughout."""
     sd = math.sqrt(1.0 / n + 1.0 / m)
     lo, hi = delta - _law._SPAN * sd, delta + _law._SPAN * sd
     edges = sorted({lo, hi, *(b for b in config.breakpoints(n, m) if lo < b < hi)})
     t, w = _law._legendre_panels(edges, _law._PANEL_RULE, _law._PANEL_WIDTH * sd)
     w = w * (np.exp(-((t - delta) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi)))
-    return w, -shift - conflict_correction(config, t, n, m, delta_true=delta) + (m / (n + m)) * (t - delta)
+    return w, math.sqrt(n) * (shift + conflict_correction(config, t, n, m, delta_true=delta) - (m / (n + m)) * (t - delta))
 
 
 @pytest.mark.parametrize("name", CLI_IDS)
@@ -209,10 +209,10 @@ def test_conditional_laws_equal_the_per_conflict_laws_bit_for_bit(name, n, m):
     assert len(laws) == len(deltas)
     for delta, law in zip(deltas, laws):
         one = _law.ConditionalLaw(config, n, m, 0.01, delta)
-        weights, inner = _one_law_reference(config, n, m, 0.01, delta)
+        weights, mean = _one_law_reference(config, n, m, 0.01, delta)
         for built in (law, one):
-            assert np.array_equal(built.weights, weights) and np.array_equal(built.inner, inner), delta
-            assert (built.root_n, built.root_nm) == (math.sqrt(n), math.sqrt(n + m))
+            assert np.array_equal(built.weights, weights) and np.array_equal(built.mean, mean), delta
+            assert np.array_equal(built.sd, math.sqrt(n / (n + m)))
 
 
 def test_conditional_laws_reject_a_span_that_rounds_to_a_point_like_one_law():
@@ -250,13 +250,13 @@ def test_a_quantile_solve_that_does_not_converge_raises(monkeypatch):
     law = _law.ConditionalLaw(AdaptiveMmse(), N, M, 0.0, 0.05)
     monkeypatch.setattr(_law, "_MAX_PASSES", 2)
     with pytest.raises(FloatingPointError, match="not within tolerance after 2 passes"):
-        law.quantile(0.975)
+        law.quantiles([0.975])
 
 
 @pytest.mark.parametrize("prob", [0.0, 1.0, -0.1, math.nan])
 def test_quantile_probability_outside_the_open_unit_interval_is_rejected(prob):
     with pytest.raises(ValueError, match="must lie in"):
-        _law.ConditionalLaw(Mle(), N, M, 0.0, 0.0).quantile(prob)
+        _law.ConditionalLaw(Mle(), N, M, 0.0, 0.0).quantiles([prob])
 
 
 # Measured log-density changes where the density is at least 1e-3 of its peak,
