@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .estimators import (
     config_from_id,
     estimator_id,
 )
-from .montecarlo import _QUANTILE_PROBS, bootstrap_ci
+from .montecarlo import _MAX_EXACT_POINTS, _QUANTILE_PROBS, _exact_bootstrap_ci
 from .risk import (
     MAX_NODES,
     MIN_NODES,
@@ -202,15 +203,37 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+def _column(values: Sequence[Any]) -> list[str]:
+    """One column's cells as ``_fmt`` writes them, all floats formatted in one pass."""
+    if set(map(type, values)) <= {float, np.float64}:
+        return list(map("%.12g".__mod__, values))
+    return list(map(_fmt, values))
+
+
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """The header and rows as ``csv.writer`` writes them, with LF line ends and each cell as ``_fmt`` writes it.
+
+    The cells are formatted a column at a time and joined by hand; the text
+    is ``csv``'s own unless a cell needs quoting, in which case ``csv``
+    writes it.  A ragged or one-column table goes to ``csv`` directly.
+    """
+    width = len(header)
+    if width > 1 and all(len(row) == width for row in rows):
+        lines = [header, *zip(*map(_column, zip(*rows)))]
+        text = "".join([",".join(line) + "\n" for line in lines])
+        # csv quotes a cell holding a delimiter, quote or line break; here every comma and LF is a join
+        unquoted = '"' not in text and "\r" not in text
+        if unquoted and text.count(",") == (width - 1) * len(lines) and text.count("\n") == len(lines):
+            return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *([_fmt(v) for v in row] for row in rows)])
+    return out.getvalue()
 
 
 def _write_csv(cfg: dict[str, Any], name: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
     path = os.path.join(cfg["out_dir"], name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(_csv_text(header, rows))
     print(f"wrote {path}")
 
 
@@ -385,11 +408,7 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
     est_st = config.result(s_st)
     estimate_raw = est_st.theta_est * cur_st.sd
 
-    resamples = 10_000_000 if cfg["full_fidelity"] else cfg["resamples"]
-    ci = _from_config(
-        bootstrap_ci, current, external, sens, resamples, cfg["level"], cfg["seed"],
-        workers=cfg["workers"],
-    )
+    ci_lo, ci_hi = _from_config(_exact_bootstrap_ci, current, external, sens, cfg["level"])
 
     p1 = testing.pvalue("mle-alldelta", s_st, theta0_st)
     p2_opt = testing.pvalue("pooled-deltazero", s_st, theta0_st)
@@ -403,9 +422,9 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
         ["estimate_st", "standardized", est_st.theta_est],
         ["estimate_rate", "rate", estimate_raw],
         ["weight", "unitless", est_st.weight],
-        ["ci_lo", "rate", ci.lo],
-        ["ci_hi", "rate", ci.hi],
-        ["bootstrap_resamples", "count", resamples],
+        ["ci_lo", "rate", ci_lo],
+        ["ci_hi", "rate", ci_hi],
+        ["bootstrap_resamples", "count", cfg["resamples"]],  # echoed: the interval draws no resamples
         ["z1", "standardized", math.sqrt(raw.n) * (s_st.theta_hat - theta0_st)],
         ["p_option1", "probability", p1],
         ["p_option2", "probability", p2_opt],
@@ -427,7 +446,7 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
     _write_csv(cfg, "prams_report.csv", ["quantity", "scale", "value"], rows)
     print(
         f"estimate(sens={sens:g}) = {estimate_raw:.4f} on the rate scale, "
-        f"{cfg['level']:.0%} bootstrap CI ({ci.lo:.4f}, {ci.hi:.4f}), "
+        f"{cfg['level']:.0%} bootstrap CI ({ci_lo:.4f}, {ci_hi:.4f}), "
         f"p1 = {p1:.4f}, p2 = {p2_opt:.2e}"
     )
 
@@ -509,10 +528,12 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("external_size", int, 20_000, "external sample size"),
         Option("theta0", float, 1.0 / 3.0, "null event rate"),
         replace(_TUNING["sens"], default=0.4),
-        Option("resamples", int, 100_000, "bootstrap resamples (desk scale)"),
+        Option("resamples", int, 100_000, "echoed in the bootstrap_resamples row; the CI is the bootstrap's "
+               f"exact limit over at most {_MAX_EXACT_POINTS:,} (k, j) count pairs and draws none"),
         Option("level", float, 0.95, "bootstrap confidence level"),
         Option("delta0_list", _floats, (0.01, 0.05, 0.087), "conflict bounds to profile"),
-        *_no_effect("p-values are exact, not plotted", "svg", mc_draws=200_000),
+        *_no_effect("p-values and interval are exact, not plotted", "seed", "svg", "workers", "full_fidelity",
+                    mc_draws=200_000),
         Option("target_p", float, 0.05, "tipping-point target p-value"),
     ]),
     "asymptotics-check": (_cmd_asymptotics_check, [

@@ -81,11 +81,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-_REPORTED = ("delta_est", "gamma_est", "weight")  # the optional EstimateResult fields
-
-
 def _pooled_weight(n: int, m: int) -> float:
     return m / (n + m)
+
+
+def _power_prior_weight(gamma: np.ndarray, n: int, m: int) -> np.ndarray:
+    return m * gamma / (m * gamma + n)  # m/(m + n/gamma), written to stay finite as gamma -> 0
 
 
 def _power_prior_limit_weight(gamma: np.ndarray, p: float) -> np.ndarray:
@@ -112,9 +113,10 @@ class _Estimator:
     A kind sets ``id``, the short stable identifier used in CSV output and CLI
     flags, and defines its vectorized correction: ``correction(d, n, m,
     delta_true)`` itself or, where ``q = w * d``, the mixing weight
-    ``weight(d, n, m, delta_true)``.  Its methods named after optional
-    :class:`EstimateResult` fields (``delta_est``, ``gamma_est``, ``weight``)
-    are the fields it reports.
+    ``weight(d, n, m, delta_true)``.  ``_evaluate`` gives the correction at
+    one conflict together with the optional :class:`EstimateResult` fields
+    the kind reports (``delta_est``, ``gamma_est``, ``weight``), computing
+    each piece they share once.
 
     Contract: every correction is odd in the conflict and the conflict it is
     evaluated at, ``q(-d, n, m, -delta_true) == -q(d, n, m, delta_true)``,
@@ -129,11 +131,15 @@ class _Estimator:
     def correction(self, d: np.ndarray, n: int, m: int, delta_true: float | None = None):
         return self.weight(d, n, m, delta_true) * d
 
+    def _evaluate(self, d: np.ndarray, n: int, m: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The correction at ``d`` and the reported fields, bit for bit as their own methods give them."""
+        w = self.weight(d, n, m)
+        return w * d, {"weight": w}
+
     def result(self, s: TwoSampleSummary) -> EstimateResult:
         """``theta_hat + q(delta_hat)`` on one summary, with the fields the kind reports."""
-        d = np.asarray(s.delta_hat)
-        reported = {f: float(getattr(self, f)(d, s.n, s.m)) for f in _REPORTED if hasattr(self, f)}
-        return EstimateResult(s.theta_hat + float(self.correction(d, s.n, s.m)), **reported)
+        q, reported = self._evaluate(np.asarray(s.delta_hat), s.n, s.m)
+        return EstimateResult(s.theta_hat + float(q), **{f: float(v) for f, v in reported.items()})
 
     def breakpoints(self, n: int, m: int) -> tuple[float, ...]:
         """Conflict values where the correction is non-smooth (for quadrature splits)."""
@@ -158,9 +164,12 @@ class _PowerPrior(_Estimator):
     """Power prior: the external likelihood raised to the power ``gamma_est``."""
 
     def weight(self, d, n, m, delta_true=None):
+        return _power_prior_weight(self.gamma_est(d, n, m), n, m)
+
+    def _evaluate(self, d, n, m):
         gamma = self.gamma_est(d, n, m)
-        # m/(m + n/gamma), written to stay finite as gamma -> 0
-        return m * gamma / (m * gamma + n)
+        w = _power_prior_weight(gamma, n, m)
+        return w * d, {"gamma_est": gamma, "weight": w}
 
 
 class _ConflictMode(_Estimator):
@@ -172,6 +181,10 @@ class _ConflictMode(_Estimator):
 
     def correction(self, d, n, m, delta_true=None):
         return _pooled_weight(n, m) * (d - self.delta_est(d, n, m))
+
+    def _evaluate(self, d, n, m):
+        delta_est = self.delta_est(d, n, m)
+        return _pooled_weight(n, m) * (d - delta_est), {"delta_est": delta_est}
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +397,11 @@ class NormalPriorBayes(_Estimator):
     def delta_est(self, d, n, m):
         return self.weight(d, n, m) * d
 
+    def _evaluate(self, d, n, m):
+        w = self.weight(d, n, m)
+        q = w * d
+        return q, {"delta_est": q, "weight": w}
+
 
 @dataclass(frozen=True)
 class StudentTPriorBayes(_ConflictMode):
@@ -417,6 +435,9 @@ class LimitedTranslation(_Estimator):
     def delta_est(self, d, n, m):
         big_m, big_c = _ltr_constants(n, m)
         return np.where(d > big_c, d - big_m, np.where(d < -big_c, d + big_m, m / (2.0 * m + n) * d))
+
+    def _evaluate(self, d, n, m):
+        return self.correction(d, n, m), {"delta_est": self.delta_est(d, n, m)}
 
     def breakpoints(self, n, m):
         _, big_c = _ltr_constants(n, m)

@@ -5,6 +5,10 @@ consumes the same counter positions of the plan's seed, and work runs in fixed
 blocks, so any number of workers reproduces the single-worker output bit for bit.
 All estimators in a plan are evaluated on the same simulated mean pairs,
 making per-replicate comparisons across estimators meaningful.
+
+The percentile bootstrap of the worked example also has an exact form: the
+interval its resamples converge to is a weighted percentile over the finite
+grid of resampled counts, which ``_exact_bootstrap_ci`` computes without a draw.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 import numpy as np
+from scipy.special import betaln
 
 from . import streams
 from .estimators import EstimatorConfig, SensitivityMmse, conflict_correction, estimator_id
@@ -31,6 +36,8 @@ __all__ = [
 _BLOCK = 1 << 16  # fixed work block size; the worker count changes only scheduling
 _KDE_SUBBINS = 32  # fine-grid cells per default-grid interval: cost set by ``points``
 _KDE_BLOCK = 32  # grid points per kernel block, which stays within about 2 MB
+_EXACT_FLOOR = 1e-18  # each margin of the exact bootstrap keeps the counts whose pmf is this share of its peak
+_MAX_EXACT_POINTS = 1 << 20  # the most (k, j) points the exact bootstrap grid may hold
 
 
 @dataclass(frozen=True)
@@ -212,15 +219,30 @@ def _bootstrap_block(
         redraws += idx.size
         k[idx], j[idx] = counts(idx.size)
         bad = (k <= 0) | (k >= n) | (j <= 0) | (j >= m)
+    return _resampled_estimate(config, k, j, n, m), redraws
 
+
+def _resampled_estimate(config: SensitivityMmse, k: np.ndarray, j: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The estimate on the rate scale from resampled counts ``k`` of ``n`` and ``j`` of ``m``.
+
+    Each resample is re-standardized by its own rates, estimated, and mapped
+    back to the rate scale; ``k`` and ``j`` broadcast against each other.
+    """
     r_cur = k / n
     r_ext = j / m
     sd_cur = np.sqrt(r_cur * (1.0 - r_cur))
     sd_ext = np.sqrt(r_ext * (1.0 - r_ext))
     th_st = r_cur / sd_cur
     dh_st = r_ext / sd_ext - th_st
-    est_raw = (th_st + conflict_correction(config, dh_st, n, m)) * sd_cur  # back to the rate scale
-    return est_raw, redraws
+    return (th_st + conflict_correction(config, dh_st, n, m)) * sd_cur
+
+
+def _tail_probs(level: float) -> list[float]:
+    """The lower and upper percentile of a two-sided interval at ``level``."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
+    alpha = 1.0 - level
+    return [alpha / 2.0, 1.0 - alpha / 2.0]
 
 
 def bootstrap_ci(
@@ -243,8 +265,7 @@ def bootstrap_ci(
     first and redrawn alike, by their rounded normal approximation as a
     sensitivity variant.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    probs = _tail_probs(level)
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     config = SensitivityMmse(sens)
@@ -253,6 +274,91 @@ def bootstrap_ci(
     )
     draws = np.concatenate([p[0] for p in parts])
     redraws = sum(p[1] for p in parts)
-    alpha = 1.0 - level
-    lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
+    lo, hi = np.quantile(draws, probs)
     return BootstrapInterval(float(lo), float(hi), resamples, redraws)
+
+
+def _log_pmf_ratio(k, mode: int, trials: int, rate: float):
+    """``log(pmf(k) / pmf(mode))`` of the binomial law of ``trials`` at ``rate``.
+
+    Written with ``betaln``, which keeps its digits at large ``trials``, where a
+    difference of ``gammaln`` values cancels (at 1e12 trials and 3 successes the
+    latter is off by 3e-3, the former by 1e-14).
+    """
+    log_odds = math.log(rate) - math.log1p(-rate)
+    return betaln(trials - mode + 1.0, mode + 1.0) - betaln(trials - k + 1.0, k + 1.0) + (k - mode) * log_odds
+
+
+def _kept_counts(trials: int, rate: float, floor: float) -> tuple[int, int, int]:
+    """The first and last kept count of a margin, and its mode.
+
+    A margin keeps the counts in ``[1, trials - 1]`` whose pmf is at least
+    ``floor`` of the largest there.  The binomial pmf is log-concave, so they
+    form one interval about the mode, and each end is found by bisection.
+    """
+    if not (trials >= 2 and 0.0 < rate < 1.0):
+        raise ValueError(
+            f"the bootstrap needs a rate strictly inside (0, 1) of 2 or more trials, got {rate} of {trials}"
+        )
+    mode = min(max(math.floor((trials + 1) * rate), 1), trials - 1)
+    cut = math.log(floor)
+
+    def last_kept(kept: int, dropped: int) -> int:
+        while abs(dropped - kept) > 1:
+            mid = (kept + dropped) // 2
+            if _log_pmf_ratio(mid, mode, trials, rate) >= cut:
+                kept = mid
+            else:
+                dropped = mid
+        return kept
+
+    return last_kept(mode, 0), last_kept(mode, trials), mode
+
+
+def _exact_bootstrap_ci(
+    current: BinomialRaw, external: BinomialRaw, sens: float, level: float, *, floor: float = _EXACT_FLOOR
+) -> tuple[float, float]:
+    """The interval ``bootstrap_ci`` converges to as its resamples grow, computed exactly.
+
+    The nonparametric bootstrap draws the two counts from independent
+    binomials and redraws a degenerate pair, so its resamples follow the
+    binomial law of both counts conditioned on ``1 <= k <= n - 1`` and
+    ``1 <= j <= m - 1``.  Each margin keeps the counts whose pmf is at least
+    ``floor`` (1e-18) of its largest; the estimate is evaluated once on the
+    whole ``(k, j)`` grid of kept counts, standardized as each resample is,
+    and each endpoint is the generalized inverse ``min{x : F(x) >= p}`` of
+    the grid's weighted values, which is where ``np.quantile`` of the
+    resamples converges.  A grid of more than ``_MAX_EXACT_POINTS`` points is
+    rejected with a ``ValueError`` before it is built; it grows as
+    ``sqrt(n m)``.
+
+    Dropped tail mass: on each side of a log-concave margin the first
+    dropped count is below ``floor`` times the peak, ``L`` counts from it,
+    and the pmf falls from there at least geometrically with ratio
+    ``floor ** (1 / L)``, so that side drops less than
+    ``floor * (1 + L / ln(1 / floor))`` of the margin's kept mass.  The
+    interval is therefore exact for a law within
+    ``floor * (4 + (K + J + 2) / ln(1 / floor))`` of the conditioned one in
+    total variation, ``K`` and ``J`` being the kept counts: below 4e-17 at
+    the worked example (K = 79, J = 1,252) and below 3e-14 for any grid
+    within the cap.
+    """
+    probs = _tail_probs(level)
+    n, m = current.trials, external.trials
+    k_lo, k_hi, k_mode = _kept_counts(n, current.rate, floor)
+    j_lo, j_hi, j_mode = _kept_counts(m, external.rate, floor)
+    points = (k_hi - k_lo + 1) * (j_hi - j_lo + 1)
+    if points > _MAX_EXACT_POINTS:
+        raise ValueError(
+            f"the exact bootstrap grid would hold {points} (k, j) points, above the cap of {_MAX_EXACT_POINTS}"
+        )
+    k = np.arange(k_lo, k_hi + 1.0)
+    j = np.arange(j_lo, j_hi + 1.0)
+    values = _resampled_estimate(SensitivityMmse(sens), k[:, None], j, n, m).ravel()
+    weights = np.outer(
+        np.exp(_log_pmf_ratio(k, k_mode, n, current.rate)), np.exp(_log_pmf_ratio(j, j_mode, m, external.rate))
+    ).ravel()
+    order = np.argsort(values)
+    cumulative = np.cumsum(weights[order])
+    lo, hi = values[order[np.searchsorted(cumulative, np.multiply(probs, cumulative[-1]))]]
+    return float(lo), float(hi)

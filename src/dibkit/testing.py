@@ -17,6 +17,7 @@ its tipping point is a root of that p-value in the conflict bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Literal, Union
@@ -282,6 +283,17 @@ def sweet_spot(
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _p2_p3_rule() -> tuple[np.ndarray, np.ndarray]:
+    """``p2_p3``'s 96-node Gauss-Legendre rule on [-1, 1], built on first use.
+
+    Its weights come times the N(0, 1) density at 4x and the half-width 4,
+    so they integrate against the current mean's N(obs, 1/n) law over +/- 4 sd.
+    """
+    xg, wg = leggauss(96)
+    return xg, wg * np.exp(-8.0 * xg * xg) * (4.0 / math.sqrt(2.0 * math.pi))
+
+
 def p2_p3(s: TwoSampleSummary, delta0: float, theta_assumed: float) -> tuple[float, float]:
     """Plug-in probabilities that the conflict sits in the favorable ranges.
 
@@ -298,10 +310,8 @@ def p2_p3(s: TwoSampleSummary, delta0: float, theta_assumed: float) -> tuple[flo
     p3 = float(ndtr((delta0 - s.delta_hat) / s_del))
 
     # theta_hat* ~ N(obs, 1/n); delta_hat* | theta_hat* ~ N(obs - (theta_hat*-obs), 1/m)
-    xg, wg = leggauss(96)
+    xg, wts = _p2_p3_rule()
     th_star = s.theta_hat + 4.0 / math.sqrt(n) * xg
-    # the N(obs, 1/n) density at th_star, times the rule's half-width 4/sqrt(n)
-    wts = wg * np.exp(-8.0 * xg * xg) * (4.0 / math.sqrt(2.0 * math.pi))
     mu_cond = s.delta_hat - (th_star - s.theta_hat)
     upper = ndtr((delta0 - mu_cond) * math.sqrt(m))
     lower = ndtr((delta0 - (th_star - theta_assumed) - mu_cond) * math.sqrt(m))

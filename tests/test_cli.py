@@ -1,5 +1,6 @@
 import csv
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -193,17 +194,19 @@ def test_example_prams_report(tmp_path, capsys):
     assert "bootstrap CI" in out
 
 
-def test_example_prams_seed_moves_only_the_bootstrap_ci(tmp_path):
+def test_example_prams_seed_moves_nothing(tmp_path):
     base = ["example-prams", "--resamples", "2000", "--delta0-list", "0.05,0.087"]
     reports = []
     for seed, draws in (("1", "1"), ("2", "500000")):  # --mc-draws has no effect
         out = tmp_path / seed
         assert run(base + ["--seed", seed, "--mc-draws", draws, "--out-dir", str(out)]) == 0
         reports.append({(r[0], r[1]): r[2] for r in read_csv(out / "prams_report.csv")[1:]})
-    moved = {key[0] for key in reports[0] if reports[0][key] != reports[1][key]}
-    assert moved == {"ci_lo", "ci_hi"}
+    assert reports[0] == reports[1]
     tip = float(reports[0][("tipping_point", "standardized-conflict")])
     assert tip == pytest.approx(0.0902580796, abs=1e-9)
+    # the interval is the bootstrap's exact limit; --resamples is only echoed
+    assert (reports[0][("ci_lo", "rate")], reports[0][("ci_hi", "rate")]) == ("0.334410993353", "0.449365182374")
+    assert reports[0][("bootstrap_resamples", "count")] == "2000"
 
 
 def test_asymptotics_check(tmp_path):
@@ -352,6 +355,11 @@ _ERROR_CASES = [
          "--estimators", "lstp"],
         3, "FloatingPointError", "non-finite estimate from lstp",
     ),
+    (
+        ["example-prams", "--successes", "400000", "--trials", "1000000"],
+        2, "ConfigError", "11167840 (k, j) points, above the cap of 1048576",
+    ),
+    (["example-prams", "--level", "0"], 2, "ConfigError", "level must lie in (0, 1)"),
 ]
 
 
@@ -400,7 +408,8 @@ _IGNORED = {
     "power": (["power", "--estimators", "ammse", "--grid-points", "3"], ("seed", "workers", "full_fidelity")),
     "densities": (["densities", "--estimators", "ammse", "--sqrt-n-delta", "1.58", "--grid-points", "4"],
                   ("seed", "workers", "full_fidelity")),
-    "example-prams": (["example-prams", "--resamples", "1000", "--delta0-list", "0.05"], ("svg",)),
+    "example-prams": (["example-prams", "--resamples", "1000", "--delta0-list", "0.05"],
+                      ("seed", "svg", "workers", "full_fidelity")),
     "asymptotics-check": (["asymptotics-check", "--estimators", "ammse", "--h", "1.58"],
                           ("seed", "svg", "workers", "full_fidelity")),
 }
@@ -480,3 +489,23 @@ def test_import_leaves_scipy_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        (["a", "b", "c"], [["x", 1.5, np.float64(-2e-300)], [None, float("nan"), float("-inf")], ["y", 7, True]]),
+        (["a", "b"], [['say "hi"', 0.1], ["x,y", 2.0], ["line\nbreak", 3.0], ["cr\r", 4.0]]),
+        (["a", "b"], [["", ""], [" padded ", np.float32(0.1)]]),
+        (["a", "b", "c"], [["ragged", 1.0], ["row", 2.0, 3.0, 4.0]]),
+        (["only"], [[""], ["x"], [1.25]]),
+        (["a", "b"], []),
+    ],
+)
+def test_csv_text_is_what_csv_writer_writes(header, rows):
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cli._fmt(v) for v in row])
+    assert cli._csv_text(header, rows) == want.getvalue()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import dibkit as dk
-from dibkit import TwoSampleSummary
+from dibkit import TwoSampleSummary, estimators
 from dibkit.estimators import (
     AdaptiveLasso,
     AdaptiveMmse,
@@ -613,6 +613,35 @@ def test_scalar_estimate_equals_vector_kernel(s):
         assert abs(res.theta_est - (s.theta_hat + q)) <= 1e-12 * (1.0 + abs(res.theta_est))
         reported = {f for f in ("delta_est", "gamma_est", "weight") if getattr(res, f) is not None}
         assert reported == REPORTED_FIELDS[estimator_id(config)]
+
+
+@pytest.mark.parametrize("s", [S_WIDE, TwoSampleSummary(0.1, 94, 0.13, 20_000), TwoSampleSummary(0.0, 50, -3e-3, 60)])
+def test_result_evaluates_each_shared_piece_once(monkeypatch, s):
+    # each result equals its own methods bit for bit, but calls the shared kernels once
+    d = np.asarray(s.delta_hat)
+    want = {}
+    for config in ALL_KINDS:
+        fields = {f: float(getattr(config, f)(d, s.n, s.m)) for f in REPORTED_FIELDS[estimator_id(config)]}
+        want[estimator_id(config)] = (s.theta_hat + float(config.correction(d, s.n, s.m)), fields)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("lstp_delta_mode", "alasso_delta"):
+        monkeypatch.setattr(estimators, name, counted(name, getattr(estimators, name)))
+    for kind in (FixedPowerPrior, HellingerPowerPrior, EmpiricalBayesPowerPrior):
+        monkeypatch.setattr(kind, "gamma_est", counted("gamma_est", kind.gamma_est))
+    for config in ALL_KINDS:
+        calls.clear()
+        res = config.result(s)
+        theta_est, fields = want[estimator_id(config)]
+        assert res.theta_est == theta_est
+        assert {f: getattr(res, f) for f in fields} == fields
+        assert len(calls) == len(set(calls)) <= 1, (estimator_id(config), calls)
 
 
 def test_lstp_profile_objective_stationary_at_mode():

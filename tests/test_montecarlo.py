@@ -14,10 +14,21 @@ from dibkit.estimators import (
     TestThenPool as TtPool,
     config_from_id,
 )
-from dibkit.montecarlo import EmpiricalDist, SimPlan, bootstrap_ci, ks_distance, simulate
+from dibkit.estimators import SensitivityMmse
+from dibkit.montecarlo import (
+    _EXACT_FLOOR,
+    EmpiricalDist,
+    SimPlan,
+    _exact_bootstrap_ci,
+    _kept_counts,
+    _log_pmf_ratio,
+    bootstrap_ci,
+    ks_distance,
+    simulate,
+)
 from dibkit.risk import mse_numeric
 from dibkit.streams import addressed_normals, addressed_uniforms
-from dibkit.summaries import BinomialRaw
+from dibkit.summaries import BinomialRaw, TwoSampleSummary
 
 
 def test_addressed_draws_are_offset_consistent():
@@ -298,3 +309,100 @@ def test_bootstrap_validation():
         bootstrap_ci(PRAMS_CUR, PRAMS_EXT, 0.4, 0, 0.95, seed=0)
     with pytest.raises(ValueError):
         bootstrap_ci(PRAMS_CUR, PRAMS_EXT, 0.4, 100, 0.95, seed=0, scheme="jackknife")
+
+
+# -- the exact bootstrap interval ---------------------------------------------
+
+
+def _brute_force_interval(current, external, sens, level):
+    """Every (k, j) of the conditioned law, its exact binomial weight and its estimate, then the percentiles."""
+    n, m = current.trials, external.trials
+    config = SensitivityMmse(sens)
+    points = []
+    for k in range(1, n):
+        r_cur = k / n
+        sd_cur = math.sqrt(r_cur * (1.0 - r_cur))
+        for j in range(1, m):
+            r_ext = j / m
+            s = TwoSampleSummary(r_cur / sd_cur, n, r_ext / math.sqrt(r_ext * (1.0 - r_ext)), m)
+            weight = (
+                math.comb(n, k) * current.rate**k * (1 - current.rate) ** (n - k)
+                * math.comb(m, j) * external.rate**j * (1 - external.rate) ** (m - j)
+            )
+            points.append((config.result(s).theta_est * sd_cur, weight))
+    points.sort()
+    total = sum(w for _, w in points)
+    ends = []
+    for p in ((1 - level) / 2, 1 - (1 - level) / 2):
+        cumulative = 0.0
+        for value, weight in points:  # min{x : F(x) >= p}
+            cumulative += weight
+            if cumulative >= p * total:
+                ends.append(value)
+                break
+    return tuple(ends)
+
+
+@pytest.mark.parametrize(
+    "current, external, sens, level",
+    [
+        (BinomialRaw(3, 7), BinomialRaw(4, 9), 0.4, 0.95),
+        (BinomialRaw(2, 5), BinomialRaw(9, 12), 1.0, 0.8),
+        (BinomialRaw(5, 8), BinomialRaw(2, 11), 0.0, 0.5),
+    ],
+)
+def test_exact_bootstrap_ci_is_the_brute_force_enumeration(current, external, sens, level):
+    for raw in (current, external):  # nothing is truncated at these sizes
+        assert _kept_counts(raw.trials, raw.rate, _EXACT_FLOOR)[:2] == (1, raw.trials - 1)
+    assert _exact_bootstrap_ci(current, external, sens, level) == _brute_force_interval(current, external, sens, level)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bootstrap_ci_converges_to_the_exact_interval(seed):
+    # the worst distance over seeds 1-6 at 10**6 resamples is 2.1e-5
+    exact = _exact_bootstrap_ci(PRAMS_CUR, PRAMS_EXT, 0.4, 0.95)
+    ci = bootstrap_ci(PRAMS_CUR, PRAMS_EXT, 0.4, 1_000_000, 0.95, seed=seed)
+    assert abs(ci.lo - exact[0]) <= 3e-5 and abs(ci.hi - exact[1]) <= 3e-5
+
+
+def test_exact_bootstrap_ci_ignores_a_tighter_truncation():
+    exact = _exact_bootstrap_ci(PRAMS_CUR, PRAMS_EXT, 0.4, 0.95)
+    assert exact == (0.33441099335291585, 0.4493651823742797)
+    assert _exact_bootstrap_ci(PRAMS_CUR, PRAMS_EXT, 0.4, 0.95, floor=_EXACT_FLOOR / 1000) == exact
+
+
+def test_exact_bootstrap_margins_and_their_dropped_mass():
+    # the worked example's margins: 79 * 1,252 = 98,908 grid points
+    assert _kept_counts(94, 37 / 94, _EXACT_FLOOR) == (1, 79, 37)
+    assert _kept_counts(20_000, 0.384, _EXACT_FLOOR) == (7058, 8309, 7680)
+    # the dropped mass of a margin stays within the docstring's bound
+    counts = np.arange(1.0, 20_000)
+    pmf = np.exp(_log_pmf_ratio(counts, 7680, 20_000, 0.384))
+    kept = (counts >= 7058) & (counts <= 8309)
+    dropped = pmf[~kept].sum() / pmf[kept].sum()
+    assert 0 < dropped <= _EXACT_FLOOR * (2 + (kept.sum() + 1) / math.log(1 / _EXACT_FLOOR))
+
+
+def test_log_pmf_ratio_keeps_its_digits_at_large_trials():
+    # a difference of gammaln values is off by up to 3e-3 at 10**12 trials
+    mpmath = pytest.importorskip("mpmath")
+    for trials, successes in ((94, 37), (20_000, 7680), (10**12, 3)):
+        rate = successes / trials
+        lo, hi, mode = _kept_counts(trials, rate, _EXACT_FLOOR)
+
+        def log_pmf(k):
+            return mpmath.log(mpmath.binomial(trials, k)) + k * mpmath.log(rate) + (trials - k) * mpmath.log1p(-rate)
+
+        with mpmath.workdps(40):
+            for k in (lo, mode + 1, hi):
+                want = float(log_pmf(k) - log_pmf(mode))
+                assert _log_pmf_ratio(k, mode, trials, rate) == pytest.approx(want, abs=1e-10)
+
+
+def test_exact_bootstrap_validation():
+    with pytest.raises(ValueError, match="level"):
+        _exact_bootstrap_ci(PRAMS_CUR, PRAMS_EXT, 0.4, 1.0)
+    with pytest.raises(ValueError, match="strictly inside"):
+        _exact_bootstrap_ci(BinomialRaw(0, 94), PRAMS_EXT, 0.4, 0.95)
+    with pytest.raises(ValueError, match="above the cap of 1048576"):
+        _exact_bootstrap_ci(BinomialRaw(400_000, 1_000_000), PRAMS_EXT, 0.4, 0.95)

@@ -3,9 +3,10 @@ from typing import get_args
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from dibkit import _law, streams, testing
@@ -370,6 +371,30 @@ def test_p2_p3_prams_values(prams):
     assert p3s[1] == pytest.approx(0.74, abs=0.005)
     assert p3s[2] == pytest.approx(0.8408, abs=0.005)
     assert p3s[0] < p3s[1] < p3s[2]
+
+
+def test_p2_p3_builds_its_rule_once_and_keeps_its_bits(monkeypatch, prams):
+    s, theta0_st = prams["st"], prams["theta0_st"]
+    builds = []
+
+    def counted(points):
+        builds.append(points)
+        return leggauss(points)
+
+    monkeypatch.setattr(testing, "leggauss", counted)
+    testing._p2_p3_rule.cache_clear()
+    got = [p2_p3(s, d0, theta0_st) for d0 in (0.01, 0.05, 0.087)]
+    assert builds == [96]
+    # an uncached rule, built and weighted the same way
+    xg, wg = leggauss(96)
+    wts = wg * np.exp(-8.0 * xg * xg) * (4.0 / math.sqrt(2.0 * math.pi))
+    for d0, (p2, p3) in zip((0.01, 0.05, 0.087), got):
+        th_star = s.theta_hat + 4.0 / math.sqrt(s.n) * xg
+        mu_cond = s.delta_hat - (th_star - s.theta_hat)
+        upper = ndtr((d0 - mu_cond) * math.sqrt(s.m))
+        lower = ndtr((d0 - (th_star - theta0_st) - mu_cond) * math.sqrt(s.m))
+        assert p2 == min(float(np.sum(wts * np.maximum(0.0, upper - lower))), p3)
+    testing._p2_p3_rule.cache_clear()
 
 
 def test_p3_limit_and_bound():
