@@ -78,12 +78,10 @@ def _panels(
     return (half[:, None] * rule[0] + 0.5 * (lo + hi)[:, None]).ravel(), (half[:, None] * rule[1]).ravel(), panel
 
 
-def _legendre_panels(
-    edges: np.ndarray, rule: tuple[np.ndarray, np.ndarray], max_width: float = math.inf
-) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_panels(edges: np.ndarray, rule: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of ``rule`` on every panel between sorted ``edges``."""
     edges = np.asarray(edges, dtype=float)
-    return _panels(edges[:-1], edges[1:], rule, max_width)[:2]
+    return _panels(edges[:-1], edges[1:], rule, math.inf)[:2]
 
 
 def _normal_panels(centers, sd: float, kinks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,7 +167,8 @@ class ConditionalLaw:
         return float(np.sum(self.weights * (self.mean**2 + self.sd**2)))
 
     def grid(self, points: int) -> np.ndarray:
-        return np.linspace(*self.quantiles([_GRID_TAIL, 1.0 - _GRID_TAIL]), points)
+        grid, _ = grids([self], points)
+        return grid[0]
 
     def distance(self, other: "ConditionalLaw") -> float:
         """sup |F - G|: the largest gap on 401 points of this law's grid, refined to the extremum beside it.
@@ -207,6 +206,16 @@ class LimitLaw(ConditionalLaw):
         xi, self.weights, _ = _normal_panels([r * h], 1.0, kind.limit_breakpoints)
         self.mean = kind.limit_weight(xi, p, h) * (xi / r) - r * (xi - r * h)
         self.sd = math.sqrt(p)
+
+
+def grids(laws, points: int, probs=()) -> tuple[np.ndarray, np.ndarray]:
+    """Each law's ``points``-point plotting grid and its quantiles at ``probs``, a row per law, in one solve.
+
+    A wider batch pads the stacked ``quantiles`` matrix, which can move a quantile's last bit.
+    """
+    every = (_GRID_TAIL, 1.0 - _GRID_TAIL, *probs)
+    values = quantiles([law for law in laws for _ in every], every * len(laws)).reshape(len(laws), len(every))
+    return np.linspace(values[:, 0], values[:, 1], points, axis=1), values[:, 2:]
 
 
 def bracketed_roots(fun, lo, hi, z, *, abs_tol: float, rel_tol: float, prev=None) -> np.ndarray:

@@ -21,22 +21,24 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Sequence, get_args
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import testing
-from ._law import _GRID_TAIL, LimitLaw, conditional_laws, quantiles
+from ._law import LimitLaw, conditional_laws, grids
 from .asymptotics import LocalScenario
 from .estimators import (
     EstimatorConfig,
     OracleMmse,
     SensitivityMmse,
+    _kind_by_id,
     config_from_id,
     estimator_id,
 )
 from .montecarlo import _MAX_EXACT_POINTS, _QUANTILE_PROBS, _exact_bootstrap_ci
 from .risk import (
+    _TAIL_SPAN,
     MAX_NODES,
     MIN_NODES,
     NodeEvaluationError,
@@ -56,9 +58,7 @@ ENV_OUT_DIR = "DIBKIT_OUTPUT_DIR"
 TABLE_ESTIMATORS = (
     "mle", "pooled", "np", "ammse", "ttpool", "alasso", "ebpp", "hdpp", "ltr", "lstp", "ommse",
 )
-DENSITY_ESTIMATORS = (
-    "mle", "pooled", "np", "ammse", "ttpool", "alasso", "ebpp", "hdpp", "ltr", "lstp",
-)
+DENSITY_ESTIMATORS = tuple(e for e in TABLE_ESTIMATORS if e != "ommse")
 KS_ESTIMATORS = ("mle", "pooled", "ttpool", "ammse", "ebpp", "hdpp")
 
 
@@ -90,12 +90,14 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in str(text).split(",") if x.strip())
 
 
+_NO_EFFECT = "accepted; has no effect ({})"
+
 _COMMON = [
     Option("out_dir", str, None, "output directory (default: $DIBKIT_OUTPUT_DIR or '.')"),
-    Option("seed", int, 20240, "master seed"),
+    Option("seed", int, 20240, _NO_EFFECT.format("nothing is drawn at random")),
     Option("svg", bool, False, "also write SVG plots"),
-    Option("workers", int, 1, "worker count for partitioned Monte Carlo"),
-    Option("full_fidelity", bool, False, "paper-scale replicate counts instead of desk scale"),
+    Option("workers", int, 1, _NO_EFFECT.format("nothing is drawn at random")),
+    Option("full_fidelity", bool, False, _NO_EFFECT.format("every artifact is exact")),
 ]
 
 _COUNTS = ("n", "m", "grid_points", "replicates", "draws", "resamples", "mc_draws", "workers")
@@ -118,8 +120,8 @@ def _tuning(*names: str) -> list[Option]:
 
 
 def _no_effect(why: str, *common: str, **counts: int) -> list[Option]:
-    """Counts, then common options, that are accepted but leave an exact artifact unchanged."""
-    note = f"accepted; has no effect ({why})"
+    """Counts, then common options (only ``svg`` varies by subcommand), accepted but without effect."""
+    note = _NO_EFFECT.format(why)
     by_name = {o.name: o for o in _COMMON}
     return [Option(k, int, v, note) for k, v in counts.items()] + [replace(by_name[k], help=note) for k in common]
 
@@ -309,15 +311,12 @@ def _cmd_bayes_risk_table(cfg: dict[str, Any]) -> None:
     for pname in cfg["priors"]:
         mass = priors[pname].truncation_mass()
         if mass > 0:
-            print(f"note: prior {pname} truncated at 8 scale units, tail mass {mass:.3e}")
+            print(f"note: prior {pname} truncated at {_TAIL_SPAN:g} scale units, tail mass {mass:.3e}")
 
 
 def _convention(cfg: dict[str, Any]) -> Convention:
     """The convention whose ``id`` is ``--convention``, its fields filled from the flags of the same names."""
-    kinds = get_args(Convention)
-    kind = next((k for k in kinds if k.id == cfg["convention"]), None)
-    if kind is None:
-        raise ConfigError(f"unknown convention {cfg['convention']!r}; known: {sorted(k.id for k in kinds)}")
+    kind = _from_config(_kind_by_id, Convention, cfg["convention"], "convention")
     return _from_config(kind, **{f.name: cfg[f.name] for f in fields(kind)})
 
 
@@ -329,7 +328,9 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
     conv = _convention(cfg)
     s_del = math.sqrt(1.0 / n + 1.0 / m)
     delta_max = cfg["delta_max"]
-    if delta_max <= 0:
+    if delta_max < 0:
+        raise ConfigError(f"delta_max must be 0 (convention default) or positive, got {delta_max}")
+    if delta_max == 0:
         delta_max = cfg["delta0"] if isinstance(conv, DeltaBounded) else 6.0 * s_del
     grid = np.linspace(0.0, delta_max, cfg["grid_points"])
     rows = []
@@ -346,22 +347,6 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
     _plot(cfg, "power.svg", series, "Rejection probability vs scaled conflict", "sqrt(n) * delta", "power")
 
 
-_DENSITY_PROBS = (_GRID_TAIL, 1.0 - _GRID_TAIL, *_QUANTILE_PROBS)  # the grid ends, then the table
-
-
-def _density_laws(
-    config: EstimatorConfig, n: int, m: int, sqrt_n_deltas: Sequence[float]
-) -> tuple[list, np.ndarray]:
-    """One estimator's law at each scaled conflict, and each law's ``_DENSITY_PROBS`` quantiles.
-
-    The laws are built in one pass and all their quantiles solved in one
-    lockstep call; a row of the returned matrix holds one law's quantiles.
-    """
-    laws = conditional_laws(config, n, m, 0.0, np.asarray(sqrt_n_deltas, dtype=float) / math.sqrt(n))
-    values = quantiles([law for law in laws for _ in _DENSITY_PROBS], _DENSITY_PROBS * len(laws))
-    return laws, values.reshape(len(laws), len(_DENSITY_PROBS))
-
-
 def _cmd_densities(cfg: dict[str, Any]) -> None:
     n, m = cfg["n"], cfg["m"]
     for key in ("replicates", "grid_points"):  # a density curve needs two of each
@@ -370,11 +355,12 @@ def _cmd_densities(cfg: dict[str, Any]) -> None:
     scenarios = cfg["sqrt_n_delta"]
     # curves[scenario][estimator]: the name, grid, log density and table quantiles of one law
     curves: list[list[tuple]] = [[] for _ in scenarios]
+    deltas = np.asarray(scenarios, dtype=float) / math.sqrt(n)
     for config in _estimator_configs(cfg):
         name = estimator_id(config)
-        for scen, (law, quants) in zip(curves, zip(*_density_laws(config, n, m, scenarios))):
-            grid = np.linspace(quants[0], quants[1], cfg["grid_points"])
-            scen.append((name, grid, np.log(law.pdf(grid)), quants[2:]))
+        laws = conditional_laws(config, n, m, 0.0, deltas)  # one solve per estimator keeps its padded matrix small
+        for scen, law, grid, quants in zip(curves, laws, *grids(laws, cfg["grid_points"], _QUANTILE_PROBS)):
+            scen.append((name, grid, np.log(law.pdf(grid)), quants))
     rows = []
     quantile_rows = []
     for scen_i, (snd, scen) in enumerate(zip(scenarios, curves)):
@@ -477,7 +463,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("estimators", _names, ("mle", "pooled", "ammse"), "comma-separated estimator ids"),
         *_tuning("c", "tau", "sens", "gamma", "v"),
         Option("delta_true", float, None, "oracle conflict for ommse"),
-        *_no_effect("closed forms, not plotted", "seed", "svg", "workers", "full_fidelity"),
+        *_no_effect("closed forms, not plotted", "svg"),
     ]),
     "srmse-curve": (_cmd_srmse_curve, [
         Option("n", int, 1000, "current sample size"),
@@ -487,7 +473,6 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("grid_points", int, 41, "points on the conflict grid"),
         _NODES,
         *_tuning("c", "tau", "sens", "v"),
-        *_no_effect("deterministic quadrature", "seed", "workers", "full_fidelity"),
     ]),
     "bayes-risk-table": (_cmd_bayes_risk_table, [
         Option("n", int, 1000, "current sample size"),
@@ -496,7 +481,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("priors", _names, ("pi1", "pi2", "pi3", "pi4", "pi5"), "prior ids"),
         _NODES,
         *_tuning("c", "tau", "sens", "v"),
-        *_no_effect("deterministic quadrature, not plotted", "seed", "svg", "workers", "full_fidelity"),
+        *_no_effect("deterministic quadrature, not plotted", "svg"),
     ]),
     "power": (_cmd_power, [
         Option("n", int, 1000, "current sample size"),
@@ -510,14 +495,13 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("delta_max", float, 0.0, "top of the conflict grid (0 = convention default)"),
         Option("grid_points", int, 33, "points on the conflict grid"),
         *_tuning("c", "tau", "sens", "v"),
-        *_no_effect("power is exact", "seed", "workers", "full_fidelity"),
     ]),
     "densities": (_cmd_densities, [
         Option("n", int, 1000, "current sample size"),
         Option("m", int, 100_000, "external sample size"),
         Option("estimators", _names, DENSITY_ESTIMATORS, "estimator ids"),
         Option("sqrt_n_delta", _floats, (0.0, 0.32, 1.58, 5.06), "scaled-conflict scenarios"),
-        *_no_effect("densities are exact", "seed", "workers", "full_fidelity", replicates=50_000),
+        *_no_effect("densities are exact", replicates=50_000),
         Option("grid_points", int, 256, "log-density grid points"),
         *_tuning("c", "tau", "sens", "v"),
     ]),
@@ -532,8 +516,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
                f"exact limit over at most {_MAX_EXACT_POINTS:,} (k, j) count pairs and draws none"),
         Option("level", float, 0.95, "bootstrap confidence level"),
         Option("delta0_list", _floats, (0.01, 0.05, 0.087), "conflict bounds to profile"),
-        *_no_effect("p-values and interval are exact, not plotted", "seed", "svg", "workers", "full_fidelity",
-                    mc_draws=200_000),
+        *_no_effect("p-values and interval are exact, not plotted", "svg", mc_draws=200_000),
         Option("target_p", float, 0.05, "tipping-point target p-value"),
     ]),
     "asymptotics-check": (_cmd_asymptotics_check, [
@@ -541,7 +524,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("m", int, 100_000, "external sample size"),
         Option("estimators", _names, KS_ESTIMATORS, "estimator ids with closed limit laws"),
         Option("h", _floats, (0.0, 1.58, 5.06), "local conflict values"),
-        *_no_effect("both laws are exact, not plotted", "seed", "svg", "workers", "full_fidelity", draws=100_000),
+        *_no_effect("both laws are exact, not plotted", "svg", draws=100_000),
         Option("threshold", float, 0.02, "KS pass threshold"),
         *_tuning("c", "sens"),
     ]),

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Union, get_args
+from typing import Any, Callable, ClassVar, Union, get_args
 
 import numpy as np
 
@@ -467,6 +467,15 @@ def estimator_id(config: EstimatorConfig) -> str:
     return config.id
 
 
+def _kind_by_id(kinds: Any, name: str, what: str) -> type:
+    """The member of the ``Union`` ``kinds`` whose ``id`` is ``name``; a ValueError naming every ``id`` if none is."""
+    members = get_args(kinds)
+    kind = next((k for k in members if k.id == name), None)
+    if kind is None:
+        raise ValueError(f"unknown {what} {name!r}; known: {sorted(k.id for k in members)}")
+    return kind
+
+
 def config_from_id(
     name: str,
     *,
@@ -481,10 +490,7 @@ def config_from_id(
 
     Each flag is named after the configuration field it sets.
     """
-    kinds = get_args(EstimatorConfig)
-    kind = next((k for k in kinds if k.id == name), None)
-    if kind is None:
-        raise ValueError(f"unknown estimator id {name!r}; known: {sorted(k.id for k in kinds)}")
+    kind = _kind_by_id(EstimatorConfig, name, "estimator id")
     if kind is GeneralizedBorrow:
         raise ValueError("gdib needs a mixing function and cannot be built from the CLI")
     flags = {"c": c, "tau": tau, "sens": sens, "gamma": gamma, "v": v, "delta_true": delta_true}

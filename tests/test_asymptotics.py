@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dibkit.estimators import (
     AdaptiveLasso,
     AdaptiveMmse,
     EmpiricalBayesPowerPrior,
+    EstimatorConfig,
     GeneralizedBorrow,
     HellingerPowerPrior,
     LimitedTranslation,
@@ -189,6 +191,31 @@ def test_power_prior_limit_weight_stays_finite_far_out():
     assert limit_value(HellingerPowerPrior(), sc, [-7.0], [7.0]) == pytest.approx([-7.0])
     for kind in (HellingerPowerPrior(), EmpiricalBayesPowerPrior()):
         assert math.isfinite(limit_srmse(kind, sc, 1))
+
+
+@pytest.mark.parametrize("n, m", [(1000, 100_000), (94, 20_000), (50, 50), (3, 7)])
+def test_limit_weight_is_the_finite_weight_at_the_scaled_conflict(n, m):
+    # the identity behind asymptotics-check: with p = n/(n+m), delta_hat = xi sqrt(1/n + 1/m)
+    # and delta = h/sqrt(n), the finite weight is the limit weight; hdpp's 1 - sqrt(1 - e)
+    # cancellation leaves the largest gap (1.2e-12 on this grid), every other kind is within 8e-16
+    kinds = [config_from_id(k.id) for k in get_args(EstimatorConfig) if k is not GeneralizedBorrow]
+    kinds.append(GeneralizedBorrow(g=lambda x: 1.0 / (1.0 + x), sens=0.5))
+    p, s_del = n / (n + m), math.sqrt(1.0 / n + 1.0 / m)
+    xi = np.linspace(-12.0, 12.0, 2401)
+    checked = set()
+    for kind in kinds:
+        try:
+            kind.limit_weight(xi, p, 0.0)
+        except ValueError:
+            continue
+        checked.add(kind.id)
+        for h in H_DEFAULT:
+            limit = np.broadcast_to(kind.limit_weight(xi, p, h), xi.shape)
+            finite = np.broadcast_to(kind.weight(xi * s_del, n, m, delta_true=h / math.sqrt(n)), xi.shape)
+            np.testing.assert_allclose(finite, limit, rtol=1e-11, atol=0.0, err_msg=f"{kind.id} h={h}")
+    assert checked == {"mle", "pooled", "ttpool", "ommse", "ammse", "ammse-s", "gdib", "ebpp", "hdpp"}
+    ttpool = TtPool()
+    np.testing.assert_allclose(np.array(ttpool.breakpoints(n, m)) / s_del, ttpool.limit_breakpoints, rtol=1e-15)
 
 
 @dataclass(frozen=True)

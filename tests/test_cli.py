@@ -16,7 +16,7 @@ import pytest
 
 import dibkit
 from dibkit import cli
-from dibkit._law import ConditionalLaw
+from dibkit._law import ConditionalLaw, conditional_laws, grids
 from dibkit.cli import run
 from dibkit.estimators import config_from_id
 from dibkit.montecarlo import _QUANTILE_PROBS
@@ -159,14 +159,14 @@ def test_batched_density_laws_equal_the_per_law_grid_and_quantiles(n, m):
     scenarios = (0.0, 0.32, 1.58, 5.06)  # the densities defaults
     for name in cli.DENSITY_ESTIMATORS:
         config = config_from_id(name)
-        laws, values = cli._density_laws(config, n, m, scenarios)
+        laws = conditional_laws(config, n, m, 0.0, np.asarray(scenarios) / math.sqrt(n))
         # one solve pads every law to the widest; only padding moves a sum's rounding
         widest = max(law.weights.size for law in laws)
-        for snd, law, quants in zip(scenarios, laws, values):
+        for snd, law, grid, quants in zip(scenarios, laws, *grids(laws, 256, _QUANTILE_PROBS)):
             one = ConditionalLaw(config, n, m, 0.0, snd / math.sqrt(n))
             assert np.array_equal(law.weights, one.weights) and np.array_equal(law.mean, one.mean)
             assert np.array_equal(law.sd, one.sd)
-            got = np.concatenate([np.linspace(quants[0], quants[1], 256), quants[2:]])
+            got = np.concatenate([grid, quants])
             want = np.concatenate([one.grid(256), one.quantiles(_QUANTILE_PROBS)])
             if law.weights.size == widest:
                 assert np.array_equal(got, want), (name, snd)
@@ -360,6 +360,7 @@ _ERROR_CASES = [
         2, "ConfigError", "11167840 (k, j) points, above the cap of 1048576",
     ),
     (["example-prams", "--level", "0"], 2, "ConfigError", "level must lie in (0, 1)"),
+    (["power", "--delta-max=-1"], 2, "ConfigError", "delta_max must be 0 (convention default) or positive, got -1"),
 ]
 
 

@@ -191,7 +191,7 @@ def _one_law_reference(config, n, m, shift, delta):
     sd = math.sqrt(1.0 / n + 1.0 / m)
     lo, hi = delta - _law._SPAN * sd, delta + _law._SPAN * sd
     edges = sorted({lo, hi, *(b for b in config.breakpoints(n, m) if lo < b < hi)})
-    t, w = _law._legendre_panels(edges, _law._PANEL_RULE, _law._PANEL_WIDTH * sd)
+    t, w, _ = _law._panels(np.array(edges[:-1]), np.array(edges[1:]), _law._PANEL_RULE, _law._PANEL_WIDTH * sd)
     w = w * (np.exp(-((t - delta) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi)))
     return w, math.sqrt(n) * (shift + conflict_correction(config, t, n, m, delta_true=delta) - (m / (n + m)) * (t - delta))
 
