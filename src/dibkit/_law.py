@@ -14,7 +14,15 @@ Phi((z - mean) / sd)`` and ``E Z^2 = sum weights * (mean^2 + sd^2)``.
 Either law is a fixed quadrature: Gauss-Legendre panels over
 ``+/- _SPAN`` sd of the mixing variable, no wider than ``_PANEL_WIDTH`` sd
 and split at the correction's breakpoints.  Its density and second moment
-are sums over the same nodes.  Its quantiles are solved in lockstep, any
+are sums over the same nodes.  The CDF and the density at ``z`` sum only
+the nodes whose mean is within ``_BAND`` (12) sd of ``z``, in a window of
+the node means in sorted order as wide as the most means any such interval
+holds; the nodes below the window count their whole weight in the CDF.
+Each node left out is off by less than ``Phi(-12)``, about 1.8e-33, of its
+weight in the CDF and ``phi(12) / sd``, about 2.1e-32 / sd, in the density,
+and a point's value depends only on ``z`` and the law.  The upper tail
+``sf`` and the quantile solve sum over every node, so that deep tails keep
+their relative digits.  Its quantiles are solved in lockstep, any
 number of (law, probability) pairs at once, by Newton steps on the log of the
 tail that holds the probability (the lower tail up to 1/2, the upper tail
 above), kept inside a bracket from each law's own range and bisected when a
@@ -36,14 +44,18 @@ points of the first law's grid and then solves for the extremum beside it:
 the gap peaks where the densities cross, so one secant solve of ``f - g = 0``
 on the two grid cells around the grid argmax (the same ``bracketed_roots``)
 gives the peak to rounding.  A higher peak in another cell, narrower than the
-grid spacing, is not searched for.
+grid spacing, is not searched for.  ``distances`` does this for many pairs,
+their grids in one ``grids`` solve and their crossings in one lockstep
+solve; ``ConditionalLaw.distance`` is its one-pair case.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
@@ -54,8 +66,11 @@ _PANEL_WIDTH = 0.5  # widest panel, in sd units of the mixing variable
 _SPAN = 9.5  # half-width of the integrated range, in the same units
 _QUANTILE_TOL = 1e-13  # stop tolerance of a quantile z, times 1 + |z|
 _EXTREMUM_TOL = 1e-12  # stop tolerance of the z at which distance's gap peaks
+_DISTANCE_POINTS = 401  # grid points on which distance finds the largest gap before it solves for the peak
 _MAX_PASSES = 100  # passes of a lockstep root solve before it gives up
 _GRID_TAIL = 1e-7  # a law's plotting grid runs between its _GRID_TAIL and 1 - _GRID_TAIL quantiles
+_BAND = 12.0  # a law's CDF and density sum only the nodes whose mean is within _BAND sd of z
+_BLOCK = 64  # points of z whose node windows are gathered at a time
 
 
 def _panels(
@@ -148,17 +163,66 @@ class ConditionalLaw:
         zs = np.atleast_1d(np.asarray(z, dtype=float))
         return (zs[:, None] - self.mean) / self.sd
 
+    @cached_property
+    def _window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The node means in sorted order and their weights, padded, the weight below each, and the width.
+
+        The width is the most means in any interval ``2 _BAND sd`` wide, so
+        the ``width`` sorted nodes from the first mean at or above ``z -
+        _BAND sd`` hold every node within ``_BAND sd`` of ``z``.  Both arrays
+        are padded with ``width`` nodes of mean +inf and weight 0, so every
+        window has that width.  The law's own ``weights`` and ``mean`` keep
+        their node order.
+        """
+        order = np.argsort(self.mean, kind="stable")
+        mean, weights = self.mean[order], self.weights[order]
+        width = int(np.max(np.searchsorted(mean, mean + 2.0 * _BAND * self.sd, side="right") - np.arange(mean.size)))
+        below = np.concatenate(([0.0], np.cumsum(weights)))
+        return np.concatenate((mean, np.full(width, np.inf))), np.concatenate((weights, np.zeros(width))), below, width
+
+    def _window_sums(self, z: float | np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
+        """Per point ``z``: the weight of the nodes below its window, and the window's sum of ``w kernel(u)``.
+
+        ``z`` is taken in blocks of ``_BLOCK`` points, so the gathered windows
+        stay small; each point's sums depend only on ``z`` and the law.
+        """
+        mean, weights, below, width = self._window
+        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        start = np.searchsorted(mean[:-width], zs - _BAND * self.sd)  # first mean >= z - _BAND sd
+        # z = +inf meets the padding as the largest float: u = -inf there, not inf - inf
+        zs = np.minimum(zs, np.finfo(float).max)
+        means, masses = sliding_window_view(mean, width), sliding_window_view(weights, width)
+        sums = np.empty(zs.size)
+        for lo in range(0, zs.size, _BLOCK):
+            rows = start[lo : lo + _BLOCK]
+            u = (zs[lo : lo + _BLOCK, None] - means[rows]) / self.sd
+            sums[lo : lo + _BLOCK] = np.sum(masses[rows] * kernel(u), axis=-1)
+        return below[start], sums
+
     def cdf(self, z: float | np.ndarray) -> float | np.ndarray:
-        out = np.sum(self.weights * ndtr(self._u(z)), axis=-1)
+        """P(Z <= z): the weight of the nodes below ``z``'s window plus the window's ``sum w Phi(u)``.
+
+        Only the nodes whose mean is within ``_BAND`` sd of ``z`` are
+        summed; a node below counts its whole weight and a node above none,
+        each off by less than ``Phi(-_BAND)``, about 1.8e-33, of its weight.
+        ``cdf(-inf)`` is 0 and ``cdf(inf)`` the law's mass.
+        """
+        below, sums = self._window_sums(z, ndtr)
+        out = below + sums
         return out if np.ndim(z) else float(out[0])
 
     def sf(self, z: float) -> float:
-        """P(Z > z), summed over upper tails so that small probabilities keep their digits."""
+        """P(Z > z), summed over upper tails of every node so that small probabilities keep their digits."""
         return float(np.sum(self.weights * ndtr(-self._u(z))))
 
     def pdf(self, z: np.ndarray) -> np.ndarray:
-        phi = np.exp(-0.5 * self._u(z) ** 2) / (self.sd * math.sqrt(2.0 * math.pi))
-        return np.sum(self.weights * phi, axis=-1)
+        """Density of Z: ``sum w phi(u) / sd`` over the nodes whose mean is within ``_BAND`` sd of ``z``.
+
+        Each node left out adds less than ``phi(_BAND)``, about 2.1e-32, of
+        its weight over sd.
+        """
+        _, sums = self._window_sums(z, lambda u: np.exp(-0.5 * u * u))
+        return sums / (self.sd * math.sqrt(2.0 * math.pi))
 
     def quantiles(self, probs) -> np.ndarray:
         return quantiles([self] * len(probs), probs)
@@ -171,31 +235,8 @@ class ConditionalLaw:
         return grid[0]
 
     def distance(self, other: "ConditionalLaw") -> float:
-        """sup |F - G|: the largest gap on 401 points of this law's grid, refined to the extremum beside it.
-
-        Around the grid argmax ``k`` the gap peaks where the densities cross,
-        so ``f - g = 0`` is solved on ``[z[k-1], z[k+1]]`` by secant steps to
-        ``_EXTREMUM_TOL``, and the larger of the two gaps is returned.  When
-        ``f - g`` has one sign on the whole cell there is no crossing to find
-        and the grid gap stands.  Only the cells beside the grid argmax are
-        searched: a higher peak elsewhere, narrower than the grid, is missed.
-        """
-        z = self.grid(401)
-        gap = np.abs(self.cdf(z) - other.cdf(z))
-        k = int(np.argmax(gap))
-        ends = np.array([z[max(k - 1, 0)], z[min(k + 1, z.size - 1)]])
-        lo, hi = self.pdf(ends) - other.pdf(ends)
-        if not lo * hi < 0.0:
-            return float(gap[k])
-        sign = 1.0 if lo < 0.0 else -1.0  # the solve wants f - g negative at the left end
-
-        def crossing(at: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, None]:
-            return sign * (self.pdf(at) - other.pdf(at)), None
-
-        start = ends[0] - lo * (ends[1] - ends[0]) / (hi - lo)  # the chord's zero, then secant steps
-        (root,) = bracketed_roots(crossing, ends[:1], ends[1:], [start], abs_tol=_EXTREMUM_TOL, rel_tol=0.0,
-                                  prev=([ends[0]], [sign * lo]))
-        return float(max(gap[k], abs(self.cdf(root) - other.cdf(root))))
+        """sup |F - G| of this law and ``other``: the one-pair case of :func:`distances`."""
+        return float(distances([self], [other])[0])
 
 
 class LimitLaw(ConditionalLaw):
@@ -216,6 +257,43 @@ def grids(laws, points: int, probs=()) -> tuple[np.ndarray, np.ndarray]:
     every = (_GRID_TAIL, 1.0 - _GRID_TAIL, *probs)
     values = quantiles([law for law in laws for _ in every], every * len(laws)).reshape(len(laws), len(every))
     return np.linspace(values[:, 0], values[:, 1], points, axis=1), values[:, 2:]
+
+
+def distances(laws, others) -> np.ndarray:
+    """sup |F - G| of every pair ``(laws[i], others[i])``, each grid from one :func:`grids` solve.
+
+    Each pair takes the largest gap on ``_DISTANCE_POINTS`` points of the
+    first law's grid.  Around the grid argmax ``k`` the gap peaks where the
+    densities cross, so ``f - g = 0`` is solved on ``[z[k-1], z[k+1]]`` by
+    secant steps to ``_EXTREMUM_TOL``, every such pair in one lockstep solve,
+    and the larger of the two gaps is returned.  When ``f - g`` has one sign
+    on the whole cell there is no crossing to find and the grid gap stands.
+    Only the cells beside the grid argmax are searched: a higher peak
+    elsewhere, narrower than the grid, is missed.
+    """
+    zs, _ = grids(laws, _DISTANCE_POINTS)
+    gaps = np.array([np.abs(law.cdf(z) - other.cdf(z)) for law, other, z in zip(laws, others, zs)])
+    pairs = np.arange(len(laws))
+    k = np.argmax(gaps, axis=1)
+    best = gaps[pairs, k]
+    ends = np.column_stack([zs[pairs, np.maximum(k - 1, 0)], zs[pairs, np.minimum(k + 1, _DISTANCE_POINTS - 1)]])
+    lo, hi = np.array([law.pdf(end) - other.pdf(end) for law, other, end in zip(laws, others, ends)]).T
+    cross = np.nonzero(lo * hi < 0.0)[0]
+    if cross.size == 0:
+        return best
+    sign = np.where(lo[cross] < 0.0, 1.0, -1.0)  # the solve wants f - g negative at the left end
+
+    def crossing(at: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, None]:
+        gap = [laws[i].pdf(z) - others[i].pdf(z) for i, z in zip(cross[rows], at[:, None])]
+        return sign[rows] * np.concatenate(gap), None
+
+    left, right = ends[cross, 0], ends[cross, 1]
+    start = left - lo[cross] * (right - left) / (hi[cross] - lo[cross])  # the chord's zero, then secant steps
+    roots = bracketed_roots(crossing, left, right, start, abs_tol=_EXTREMUM_TOL, rel_tol=0.0,
+                            prev=(left, sign * lo[cross]))
+    for i, root in zip(cross, roots):
+        best[i] = max(best[i], abs(laws[i].cdf(root) - others[i].cdf(root)))
+    return best
 
 
 def bracketed_roots(fun, lo, hi, z, *, abs_tol: float, rel_tol: float, prev=None) -> np.ndarray:

@@ -93,6 +93,15 @@ def _power_prior_limit_weight(gamma: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * gamma / ((1.0 - p) * gamma + p)  # finite as gamma -> 0, like the finite weight
 
 
+def _hellinger_gamma(x: np.ndarray) -> np.ndarray:
+    """``(1 - sqrt(1 - e))^2`` with ``e = exp(-x)``, written as ``(e / (1 + sqrt(1 - e)))^2`` to keep its digits.
+
+    The first form cancels once ``e`` is small (0 where the value is 9.3e-45);
+    ``1 - e`` is taken as ``-expm1(-x)``, which keeps its digits as ``x -> 0``.
+    """
+    return (np.exp(-x) / (1.0 + np.sqrt(-np.expm1(-x)))) ** 2
+
+
 def _mixing(values: np.ndarray) -> np.ndarray:
     """A user mixing function's values, checked to lie in [0, 1]."""
     w = np.asarray(values, dtype=float)
@@ -363,10 +372,10 @@ class HellingerPowerPrior(_PowerPrior):
     limit_breakpoints: ClassVar[tuple[float, ...]] = (0.0,)
 
     def gamma_est(self, d, n, m):
-        return (1.0 - np.sqrt(1.0 - np.exp(-n * d * d / 8.0))) ** 2
+        return _hellinger_gamma(n * d * d / 8.0)
 
     def limit_weight(self, xi, p, h):
-        gamma = (1.0 - np.sqrt(1.0 - np.exp(-xi * xi / (8.0 - 8.0 * p)))) ** 2
+        gamma = _hellinger_gamma(xi * xi / (8.0 - 8.0 * p))
         return _power_prior_limit_weight(gamma, p)
 
 

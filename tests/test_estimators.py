@@ -240,6 +240,26 @@ def test_hdpp_ebpp():
         )
 
 
+@pytest.mark.parametrize("delta_hat", [1e-3, 0.1, 1.0, 1.5, 2.0])
+def test_hdpp_gamma_matches_mpmath(delta_hat):
+    # (1 - sqrt(1 - e))^2 with e = exp(-n delta_hat^2 / 8) cancels: it read 0 at delta_hat = 2
+    # (exact 9.3e-45) and was 6.9e-11 off at 1; the limit gamma is the same function of xi^2 / (8 - 8p)
+    mpmath = pytest.importorskip("mpmath")
+    n, m = 100, 400
+    p = n / (n + m)
+    xi = delta_hat * math.sqrt(n * (1.0 - p))
+    with mpmath.workdps(50):
+        def gamma(x):
+            return (1 - mpmath.sqrt(1 - mpmath.exp(-x))) ** 2
+
+        want = gamma(mpmath.mpf(n) * mpmath.mpf(delta_hat) ** 2 / 8)
+        limit_gamma = gamma(mpmath.mpf(xi) ** 2 / (8 - 8 * mpmath.mpf(p)))
+        want_limit = float((1 - p) * limit_gamma / ((1 - p) * limit_gamma + p))
+    got = HellingerPowerPrior().gamma_est(np.array([delta_hat]), n, m)[0]
+    assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
+    assert HellingerPowerPrior().limit_weight(np.array([xi]), p, 0.0)[0] == pytest.approx(want_limit, rel=1e-14, abs=0.0)
+
+
 def test_np():
     s0 = TwoSampleSummary(0.4, 100, 0.4, 400)
     r0 = dk.est_np(s0)

@@ -196,16 +196,72 @@ def _one_law_reference(config, n, m, shift, delta):
     return w, math.sqrt(n) * (shift + conflict_correction(config, t, n, m, delta_true=delta) - (m / (n + m)) * (t - delta))
 
 
+def _kink_conflicts(n: int, m: int) -> list[float]:
+    """Conflicts whose span just takes in or just leaves ttpool's kinks, the kinks themselves and a spread."""
+    kink = TtPool().breakpoints(n, m)[1]
+    edge = _law._SPAN * math.sqrt(1.0 / n + 1.0 / m)
+    return [kink - edge - 1e-12, kink - edge + 1e-12, kink + edge - 1e-12, kink + edge + 1e-12,
+            -kink, kink, 0.0, *np.linspace(-3.0 * kink, 3.0 * kink, 7)]
+
+
+def assert_window_sums_match_the_dense_sums(law, grid, label) -> None:
+    """The windowed CDF within 2e-15 and density within 1e-13 relative of the sums over every node.
+
+    The CDF is checked on the law's plotting ``grid`` and on as many points
+    from 20 sd below its lowest node mean to 20 sd above its highest, the
+    density on the grid.  Where the density is itself no larger than what
+    the nodes left out of the window can add, ``phi(_BAND) / sd`` times the
+    law's mass (in the gap a jump of ttpool's correction leaves, 6.2e-35 at
+    n = 1000), that bound stands in for the relative one.
+    """
+    outer = np.linspace(law.mean.min() - 20.0 * law.sd, law.mean.max() + 20.0 * law.sd, grid.size)
+    zs = np.concatenate([grid, outer])
+    u = (zs[:, None] - law.mean) / law.sd
+    cdf = np.sum(law.weights * ndtr(u), axis=1)
+    np.testing.assert_allclose(law.cdf(zs), cdf, rtol=0.0, atol=2e-15, err_msg=label)
+    u = u[: grid.size]
+    pdf = np.sum(law.weights * np.exp(-0.5 * u * u), axis=1) / (law.sd * math.sqrt(2.0 * math.pi))
+    left_out = np.sum(law.weights) * math.exp(-0.5 * _law._BAND**2) / (law.sd * math.sqrt(2.0 * math.pi))
+    np.testing.assert_allclose(law.pdf(grid), pdf, rtol=1e-13, atol=left_out, err_msg=label)
+
+
+@pytest.mark.parametrize("name", CLI_IDS)
+@pytest.mark.parametrize("n, m", [(1000, 100_000), (94, 20_000), (300, 3000), (50, 50)])
+def test_window_sums_match_the_dense_sums_over_every_node(name, n, m):
+    deltas = _kink_conflicts(n, m)
+    laws = _law.conditional_laws(config_from_id(name), n, m, 0.01, deltas)
+    for delta, law, grid in zip(deltas, laws, _law.grids(laws, 101)[0]):
+        assert_window_sums_match_the_dense_sums(law, grid, f"delta={delta!r}")
+
+
+LIMIT_KINDS = ["mle", "pooled", "ttpool", "ommse", "ammse", "ammse-s", "gdib", "hdpp", "ebpp"]
+
+
+@pytest.mark.parametrize("name", LIMIT_KINDS)
+def test_limit_law_window_sums_match_the_dense_sums_over_every_node(name):
+    kind = GeneralizedBorrow(g=lambda x: 1.0 / (1.0 + x), sens=0.5) if name == "gdib" else config_from_id(name)
+    for p in (N / (N + M), 0.4):
+        for h in (0.0, 1.58, 5.06, -2.0):
+            law = _law.LimitLaw(kind, p, h)
+            assert_window_sums_match_the_dense_sums(law, law.grid(101), f"p={p} h={h}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["mle", "pooled", "ttpool", "hdpp"])
+def test_window_sums_at_infinite_points(name):
+    law = _law.ConditionalLaw(config_from_id(name), N, M, 0.0, 0.05)
+    assert law.cdf(-math.inf) == 0.0
+    assert law.cdf(math.inf) == pytest.approx(np.sum(law.weights), rel=0.0, abs=2e-15)
+    both = law.cdf(np.array([-math.inf, 0.0, math.inf]))
+    assert both[0] == 0.0 and both[2] == law.cdf(math.inf) and 0.0 < both[1] < 1.0
+    assert law.pdf(np.array([-math.inf, math.inf])).tolist() == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("name", CLI_IDS)
 @pytest.mark.parametrize("n, m", [(50, 50), (300, 3000), (94, 20_022), (1000, 100_000)])
 def test_conditional_laws_equal_the_per_conflict_laws_bit_for_bit(name, n, m):
     config = config_from_id(name)  # ommse tracks each law's own conflict as delta_true
-    sd = math.sqrt(1.0 / n + 1.0 / m)
-    kink = TtPool().breakpoints(n, m)[1]
-    # conflicts whose span just takes in or just leaves ttpool's kinks, the kinks themselves and a spread
-    edge = _law._SPAN * sd
-    deltas = [kink - edge - 1e-12, kink - edge + 1e-12, kink + edge - 1e-12, kink + edge + 1e-12,
-              -kink, kink, 0.0, *np.linspace(-3.0 * kink, 3.0 * kink, 7)]
+    deltas = _kink_conflicts(n, m)
     laws = _law.conditional_laws(config, n, m, 0.01, deltas)
     assert len(laws) == len(deltas)
     for delta, law in zip(deltas, laws):
@@ -333,10 +389,15 @@ def test_lstp_sampling_cdf_matches_seeded_draws(monkeypatch):
 def test_sampling_cdf_vector_equals_scalar_calls(estimator):
     spec = spec_for(estimator, DeltaZero())
     zs = np.linspace(-3.0, 5.0, 41)
+    # the density too, on more points than one block of node windows
+    dense = np.linspace(-3.0, 5.0, 2 * _law._BLOCK + 1)
     for delta in (0.0, 0.04, 0.2):
         vector = sampling_cdf(spec, zs, 0.01, delta)
         scalar = [sampling_cdf(spec, float(z), 0.01, delta) for z in zs]
         assert vector.tolist() == scalar
+        law = _law.ConditionalLaw(estimator, N, M, 0.01, delta)
+        assert law.pdf(dense).tolist() == [float(law.pdf(np.array([z]))[0]) for z in dense]
+        assert law.cdf(dense).tolist() == [law.cdf(float(z)) for z in dense]
 
 
 def test_sweet_spot_exists_at_moderate_theta():
