@@ -8,9 +8,11 @@ node mean ``sqrt(n) (theta - theta0 + q(t) - m/(n+m) (t - delta))`` and sd
 ``sqrt(n/(n+m))``.  Under local conflict ``h/sqrt(n)`` and share ``p`` the
 same mixture runs over the limit ``xi ~ N(sqrt(1-p) h, 1)`` of the conflict
 z-statistic, with node mean ``w(xi) xi / sqrt(1-p) - sqrt(1-p) (xi -
-sqrt(1-p) h)`` and sd ``sqrt(p)``.  Every law is held in that one form, node
-``weights``, node ``mean`` and one ``sd``: ``P(Z <= z) = sum weights *
-Phi((z - mean) / sd)`` and ``E Z^2 = sum weights * (mean^2 + sd^2)``.
+sqrt(1-p) h)`` and sd ``sqrt(p)``, whose borrowing term is the finite
+correction at ``n = p``, ``m = 1 - p`` (``limit_borrowing``).  Every law is
+held in that one form, node ``weights``, node ``mean`` and one ``sd``:
+``P(Z <= z) = sum weights * Phi((z - mean) / sd)`` and ``E Z^2 = sum
+weights * (mean^2 + sd^2)``.
 Either law is a fixed quadrature: Gauss-Legendre panels over
 ``+/- _SPAN`` sd of the mixing variable, no wider than ``_PANEL_WIDTH`` sd
 and split at the correction's breakpoints.  Its density and second moment
@@ -28,8 +30,8 @@ tail that holds the probability (the lower tail up to 1/2, the upper tail
 above), kept inside a bracket from each law's own range and bisected when a
 step leaves it or stalls; a quantile ``z`` is returned once its step is
 within ``_QUANTILE_TOL * (1 + |z|)``.  The panels resolve a smooth
-correction to rounding, so ``breakpoints`` and ``limit_breakpoints`` must
-name every kink and jump of ``q``.
+correction to rounding, so ``breakpoints`` (and, for a limit law,
+``limit_breakpoints``) must name every kink and jump of ``q``.
 
 The laws over a grid of conflicts are built in one pass,
 ``conditional_laws``, and a single ``ConditionalLaw`` is its one-conflict
@@ -239,13 +241,29 @@ class ConditionalLaw:
         return float(distances([self], [other])[0])
 
 
+def limit_borrowing(kind: EstimatorConfig, xi: np.ndarray, p: float, h: float) -> np.ndarray:
+    """The limit's borrowing term ``w(xi) xi / sqrt(1-p)`` at the limit ``xi`` of the conflict z-statistic.
+
+    A limit kind's correction, in sd units of the conflict statistic,
+    depends on ``n`` and ``m`` only through ``p``, so the term is ``sqrt(p)``
+    times its correction at ``n = p``, ``m = 1 - p``, ``delta_hat = xi /
+    sqrt(p (1-p))`` and ``delta = h / sqrt(p)``.  A kind whose
+    ``limit_breakpoints`` is None has no limit law.
+    """
+    if kind.limit_breakpoints is None:
+        raise ValueError(f"no closed limit law implemented for {kind.id!r}")
+    t = xi / math.sqrt(p * (1.0 - p))
+    return math.sqrt(p) * conflict_correction(kind, t, p, 1.0 - p, delta_true=h / math.sqrt(p))
+
+
 class LimitLaw(ConditionalLaw):
     """Local limit law of ``sqrt(n) (estimate - theta)`` at conflict ``h/sqrt(n)`` and share ``p``."""
 
     def __init__(self, kind: EstimatorConfig, p: float, h: float) -> None:
-        r = math.sqrt(1.0 - p)
-        xi, self.weights, _ = _normal_panels([r * h], 1.0, kind.limit_breakpoints)
-        self.mean = kind.limit_weight(xi, p, h) * (xi / r) - r * (xi - r * h)
+        r, scale = math.sqrt(1.0 - p), math.sqrt(p * (1.0 - p))
+        kinks = [b * scale for b in kind.breakpoints(p, 1.0 - p)] + list(kind.limit_breakpoints or ())
+        xi, self.weights, _ = _normal_panels([r * h], 1.0, kinks)
+        self.mean = limit_borrowing(kind, xi, p, h) - r * (xi - r * h)
         self.sd = math.sqrt(p)
 
 

@@ -14,9 +14,11 @@ Mixing-weight form: the scaled estimation error converges to
 ``zeta1 + w(xi) * xi / sqrt(1-p)`` where ``w`` is the limit of the
 finite-sample mixing weight.  The bare displayed form ``zeta1 + g(.) * xi``
 drops the ``1/sqrt(1-p)`` carried by the conflict scaling in the underlying
-argument.  The exact limit law is the conditional-normal mixture over ``xi``
-of :mod:`dibkit._law`; at ``p = n/(n+m)`` it is the finite law of this
-Gaussian model to quadrature error, and the bare form is 0.02-0.4 off.
+argument.  The borrowing term ``w(xi) xi / sqrt(1-p)`` is the kind's finite
+correction at ``n = p``, ``m = 1 - p`` (``_law.limit_borrowing``).  The exact
+limit law is the conditional-normal mixture over ``xi`` of :mod:`dibkit._law`;
+at ``p = n/(n+m)`` it is the finite law of this Gaussian model to quadrature
+error, and the bare form is 0.02-0.4 off.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Literal, Union
 import numpy as np
 
 from . import streams
-from ._law import LimitLaw
+from ._law import LimitLaw, limit_borrowing
 from .estimators import EstimatorConfig
 
 __all__ = [
@@ -91,8 +93,7 @@ def limit_value(
     p = sc.p
     if kind == EXTERNAL_MLE:
         return math.sqrt(p / (1.0 - p)) * z2 + sc.h
-    xi = _xi(sc, z1, z2)
-    return z1 + kind.limit_weight(xi, p, sc.h) * (xi / math.sqrt(1.0 - p))
+    return z1 + limit_borrowing(kind, _xi(sc, z1, z2), p, sc.h)
 
 
 def limit_draw(kind: LimitKind, sc: LocalScenario, rng: np.random.Generator) -> LimitDraw:
@@ -126,7 +127,7 @@ def limit_srmse(
     """Root mean squared scaled error of the limit law.
 
     Exact: ``sqrt(p/(1-p) + h^2)`` for the external-data MLE and the limit
-    law's second moment for every kind with a limit weight.  ``draws`` and
+    law's second moment for every kind with a limit law.  ``draws`` and
     ``seed`` are accepted and have no effect; the standard error reported on
     request is 0.
     """

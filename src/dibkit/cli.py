@@ -438,6 +438,8 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
 
 
 def _cmd_asymptotics_check(cfg: dict[str, Any]) -> None:
+    if cfg["threshold"] < 0:
+        raise ConfigError(f"threshold must be non-negative, got {cfg['threshold']:g}")
     n, m = cfg["n"], cfg["m"]
     configs = _estimator_configs(cfg)
     scenarios = [_from_config(LocalScenario, h=h, p=n / (n + m)) for h in cfg["h"]]

@@ -4,8 +4,8 @@ Every estimator here can be written as ``theta_hat + q(delta_hat)`` where
 ``delta_hat = beta_hat - theta_hat`` is the observed conflict and ``q`` is an
 estimator-specific correction.  Each configuration class carries its own
 formulas: the vectorized correction (or the mixing weight ``w`` where
-``q = w * delta_hat``), the kinks of the correction, the closed limit weight
-where one exists, and the fields it reports on a single summary.
+``q = w * delta_hat``), the kinks of the correction, whether it has a local
+limit law, and the fields it reports on a single summary.
 :func:`conflict_correction` is the vectorized workhorse shared by the risk,
 testing and Monte Carlo modules; the public ``est_*`` functions run the same
 kernel on one summary.
@@ -89,10 +89,6 @@ def _power_prior_weight(gamma: np.ndarray, n: int, m: int) -> np.ndarray:
     return m * gamma / (m * gamma + n)  # m/(m + n/gamma), written to stay finite as gamma -> 0
 
 
-def _power_prior_limit_weight(gamma: np.ndarray, p: float) -> np.ndarray:
-    return (1.0 - p) * gamma / ((1.0 - p) * gamma + p)  # finite as gamma -> 0, like the finite weight
-
-
 def _hellinger_gamma(x: np.ndarray) -> np.ndarray:
     """``(1 - sqrt(1 - e))^2`` with ``e = exp(-x)``, written as ``(e / (1 + sqrt(1 - e)))^2`` to keep its digits.
 
@@ -135,7 +131,9 @@ class _Estimator:
     """
 
     id: ClassVar[str]
-    limit_breakpoints: ClassVar[tuple[float, ...]] = ()  # where the limit weight is non-smooth in xi
+    # None: no local limit law.  A tuple: the limit law is the finite law at n = p, m = 1 - p
+    # (_law.limit_borrowing), with these kinks in xi that ``breakpoints`` does not declare
+    limit_breakpoints: ClassVar[tuple[float, ...] | None] = None
 
     def correction(self, d: np.ndarray, n: int, m: int, delta_true: float | None = None):
         return self.weight(d, n, m, delta_true) * d
@@ -154,19 +152,14 @@ class _Estimator:
         """Conflict values where the correction is non-smooth (for quadrature splits)."""
         return ()
 
-    def limit_weight(self, xi: np.ndarray, p: float, h: float) -> np.ndarray:
-        """Limit of the mixing weight, given the limit ``xi`` of the conflict z-statistic."""
-        raise ValueError(f"no closed limit law implemented for {self.id!r}")
-
 
 class _Mmse(_Estimator):
     """MSE-optimal mixing weight with the conflict's pull scaled by ``sens``."""
 
+    limit_breakpoints: ClassVar[tuple[float, ...]] = ()
+
     def weight(self, d, n, m, delta_true=None):
         return m / (n + m + m * n * d * d * self.sens)
-
-    def limit_weight(self, xi, p, h):
-        return (1.0 - p) / (1.0 + self.sens * xi * xi)
 
 
 class _PowerPrior(_Estimator):
@@ -206,11 +199,9 @@ class Mle(_Estimator):
     """Current-data mean only; never borrows."""
 
     id: ClassVar[str] = "mle"
+    limit_breakpoints: ClassVar[tuple[float, ...]] = ()
 
     def weight(self, d, n, m, delta_true=None):
-        return 0.0
-
-    def limit_weight(self, xi, p, h):
         return 0.0
 
 
@@ -219,12 +210,10 @@ class Pooled(_Estimator):
     """Precision-weighted combination of both means; optimal at zero conflict."""
 
     id: ClassVar[str] = "pooled"
+    limit_breakpoints: ClassVar[tuple[float, ...]] = ()
 
     def weight(self, d, n, m, delta_true=None):
         return _pooled_weight(n, m)
-
-    def limit_weight(self, xi, p, h):
-        return 1.0 - p
 
 
 @dataclass(frozen=True)
@@ -232,6 +221,7 @@ class TestThenPool(_Estimator):
     """Pool unless the squared conflict z-statistic reaches ``c`` (default 3.84)."""
 
     id: ClassVar[str] = "ttpool"
+    limit_breakpoints: ClassVar[tuple[float, ...]] = ()
     c: float = 3.84
 
     def __post_init__(self) -> None:
@@ -246,14 +236,6 @@ class TestThenPool(_Estimator):
     def breakpoints(self, n, m):
         b = math.sqrt(self.c * (1.0 / n + 1.0 / m))
         return (-b, b)
-
-    def limit_weight(self, xi, p, h):
-        # joint indicator form from the proof, not an independent two-point mixture
-        return np.where(xi * xi >= self.c, 0.0, 1.0 - p)
-
-    @property
-    def limit_breakpoints(self):
-        return (-math.sqrt(self.c), math.sqrt(self.c))
 
 
 @dataclass(frozen=True)
@@ -279,9 +261,6 @@ class OracleMmse(_Mmse):
         if dt is None:
             raise ValueError("oracle MMSE needs a conflict value (delta_true)")
         return super().weight(dt, n, m)
-
-    def limit_weight(self, xi, p, h):
-        return (1.0 - p) / (1.0 + (1.0 - p) * h * h)
 
 
 @dataclass(frozen=True)
@@ -316,6 +295,7 @@ class GeneralizedBorrow(_Estimator):
     """
 
     id: ClassVar[str] = "gdib"
+    limit_breakpoints: ClassVar[tuple[float, ...]] = ()
     g: Callable[[np.ndarray], np.ndarray]
     sens: float
 
@@ -325,9 +305,6 @@ class GeneralizedBorrow(_Estimator):
 
     def weight(self, d, n, m, delta_true=None):
         return _mixing(self.g(n * d * d * self.sens))
-
-    def limit_weight(self, xi, p, h):
-        return _mixing(self.g(self.sens * xi * xi / (1.0 - p)))
 
 
 @dataclass(frozen=True)
@@ -374,10 +351,6 @@ class HellingerPowerPrior(_PowerPrior):
     def gamma_est(self, d, n, m):
         return _hellinger_gamma(n * d * d / 8.0)
 
-    def limit_weight(self, xi, p, h):
-        gamma = _hellinger_gamma(xi * xi / (8.0 - 8.0 * p))
-        return _power_prior_limit_weight(gamma, p)
-
 
 @dataclass(frozen=True)
 class EmpiricalBayesPowerPrior(_PowerPrior):
@@ -387,11 +360,8 @@ class EmpiricalBayesPowerPrior(_PowerPrior):
     limit_breakpoints: ClassVar[tuple[float, ...]] = (-1.0, 1.0)
 
     def gamma_est(self, d, n, m):
-        return (1.0 / m) / (np.maximum(d * d, 1.0 / n + 1.0 / m) - 1.0 / n)
-
-    def limit_weight(self, xi, p, h):
-        gamma = p / (np.maximum(xi * xi, 1.0) - 1.0 + p)
-        return _power_prior_limit_weight(gamma, p)
+        # (1/m) / (max(d^2, 1/n + 1/m) - 1/n), whose (1/n + 1/m) - 1/n cancels when m >> n
+        return 1.0 / np.maximum(m * d * d - m / n, 1.0)
 
 
 @dataclass(frozen=True)

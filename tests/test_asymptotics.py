@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dibkit import _law
-from dibkit._law import ConditionalLaw, LimitLaw
+from dibkit._law import ConditionalLaw, LimitLaw, limit_borrowing
 from dibkit.asymptotics import (
     EXTERNAL_MLE,
     LocalScenario,
@@ -195,28 +195,40 @@ def test_power_prior_limit_weight_stays_finite_far_out():
 
 @pytest.mark.parametrize("n, m", [(1000, 100_000), (94, 20_000), (50, 50), (3, 7)])
 def test_limit_weight_is_the_finite_weight_at_the_scaled_conflict(n, m):
-    # the identity behind asymptotics-check: with p = n/(n+m), delta_hat = xi sqrt(1/n + 1/m)
-    # and delta = h/sqrt(n), the finite weight is the limit weight; hdpp's exp(-x) of the two
-    # roundings of the same x leaves the largest gap (2.2e-14 on this grid), every other kind is
-    # within 8e-16
+    # the limit law is the finite law at n = p, m = 1 - p: a limit kind's correction, in sd units of
+    # the conflict statistic, depends on n and m only through p.  So with p = n/(n+m), delta_hat =
+    # xi sqrt(1/n + 1/m) and delta = h/sqrt(n) the finite weight at (n, m) is the limit weight, the
+    # borrowing term over xi / sqrt(1 - p); hdpp's exp(-x) of the two roundings of the same x leaves
+    # the largest gap
     kinds = [config_from_id(k.id) for k in get_args(EstimatorConfig) if k is not GeneralizedBorrow]
     kinds.append(GeneralizedBorrow(g=lambda x: 1.0 / (1.0 + x), sens=0.5))
-    p, s_del = n / (n + m), math.sqrt(1.0 / n + 1.0 / m)
+    p, r, s_del = n / (n + m), math.sqrt(m / (n + m)), math.sqrt(1.0 / n + 1.0 / m)
     xi = np.linspace(-12.0, 12.0, 2401)
+    # the closed forms from the proofs, as independent oracles, for the kinds no other test writes out
+    ebpp_gamma = p / (np.maximum(xi * xi, 1.0) - 1.0 + p)
+    closed = {
+        "ttpool": lambda h: np.where(xi * xi >= 3.84, 0.0, 1.0 - p),
+        "ommse": lambda h: (1.0 - p) / (1.0 + (1.0 - p) * h * h),
+        "ebpp": lambda h: (1.0 - p) * ebpp_gamma / ((1.0 - p) * ebpp_gamma + p),
+    }
     checked = set()
     for kind in kinds:
         try:
-            kind.limit_weight(xi, p, 0.0)
+            limit_borrowing(kind, xi, p, 0.0)
         except ValueError:
             continue
         checked.add(kind.id)
         for h in H_DEFAULT:
-            limit = np.broadcast_to(kind.limit_weight(xi, p, h), xi.shape)
-            finite = np.broadcast_to(kind.weight(xi * s_del, n, m, delta_true=h / math.sqrt(n)), xi.shape)
+            limit = limit_borrowing(kind, xi, p, h)
+            finite = kind.weight(xi * s_del, n, m, delta_true=h / math.sqrt(n)) * (xi / r)
             np.testing.assert_allclose(finite, limit, rtol=1e-13, atol=0.0, err_msg=f"{kind.id} h={h}")
+            if kind.id in closed:
+                oracle = closed[kind.id](h) * (xi / r)
+                np.testing.assert_allclose(limit, oracle, rtol=1e-15, atol=0.0, err_msg=f"{kind.id} h={h}")
     assert checked == {"mle", "pooled", "ttpool", "ommse", "ammse", "ammse-s", "gdib", "ebpp", "hdpp"}
-    ttpool = TtPool()
-    np.testing.assert_allclose(np.array(ttpool.breakpoints(n, m)) / s_del, ttpool.limit_breakpoints, rtol=1e-15)
+    # the limit law splits its panels at the finite breakpoints at n = p, m = 1 - p, in sd units
+    ttpool_kinks = np.array(TtPool().breakpoints(p, 1.0 - p)) * math.sqrt(p * (1.0 - p))
+    np.testing.assert_allclose(ttpool_kinks, [-math.sqrt(3.84), math.sqrt(3.84)], rtol=1e-15)
 
 
 @dataclass(frozen=True)
@@ -225,8 +237,11 @@ class _BareForm:
 
     kind: object
 
-    def limit_weight(self, xi, p, h):
-        return self.kind.limit_weight(xi, p, h) * math.sqrt(1.0 - p)
+    def correction(self, d, n, m, delta_true=None):
+        return self.kind.correction(d, n, m, delta_true) * math.sqrt(m / (n + m))
+
+    def breakpoints(self, n, m):
+        return self.kind.breakpoints(n, m)
 
     @property
     def limit_breakpoints(self):

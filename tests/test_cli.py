@@ -361,6 +361,7 @@ _ERROR_CASES = [
     ),
     (["example-prams", "--level", "0"], 2, "ConfigError", "level must lie in (0, 1)"),
     (["power", "--delta-max=-1"], 2, "ConfigError", "delta_max must be 0 (convention default) or positive, got -1"),
+    (["asymptotics-check", "--threshold=-1"], 2, "ConfigError", "threshold must be non-negative, got -1"),
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import dibkit as dk
-from dibkit import TwoSampleSummary, estimators
+from dibkit import TwoSampleSummary, _law, estimators
 from dibkit.estimators import (
     AdaptiveLasso,
     AdaptiveMmse,
@@ -243,7 +243,8 @@ def test_hdpp_ebpp():
 @pytest.mark.parametrize("delta_hat", [1e-3, 0.1, 1.0, 1.5, 2.0])
 def test_hdpp_gamma_matches_mpmath(delta_hat):
     # (1 - sqrt(1 - e))^2 with e = exp(-n delta_hat^2 / 8) cancels: it read 0 at delta_hat = 2
-    # (exact 9.3e-45) and was 6.9e-11 off at 1; the limit gamma is the same function of xi^2 / (8 - 8p)
+    # (exact 9.3e-45) and was 6.9e-11 off at 1; the limit gamma is the same function of xi^2 / (8 - 8p),
+    # and the limit weight is the borrowing term over xi / sqrt(1 - p)
     mpmath = pytest.importorskip("mpmath")
     n, m = 100, 400
     p = n / (n + m)
@@ -257,7 +258,21 @@ def test_hdpp_gamma_matches_mpmath(delta_hat):
         want_limit = float((1 - p) * limit_gamma / ((1 - p) * limit_gamma + p))
     got = HellingerPowerPrior().gamma_est(np.array([delta_hat]), n, m)[0]
     assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
-    assert HellingerPowerPrior().limit_weight(np.array([xi]), p, 0.0)[0] == pytest.approx(want_limit, rel=1e-14, abs=0.0)
+    limit = _law.limit_borrowing(HellingerPowerPrior(), np.array([xi]), p, 0.0)[0] * math.sqrt(1.0 - p) / xi
+    assert limit == pytest.approx(want_limit, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n, m", [(1, 10**9), (1000, 10**5), (3, 7)])
+def test_ebpp_gamma_matches_mpmath(n, m):
+    # (1/m) / (max(d^2, 1/n + 1/m) - 1/n) cancels in (1/n + 1/m) - 1/n when m >> n: inside the
+    # clamp it read 0.99999991726 at n = 1, m = 1e9, where gamma is exactly 1
+    mpmath = pytest.importorskip("mpmath")
+    s = math.sqrt(1.0 / n + 1.0 / m)
+    inside, outside = np.array([0.0, 1e-5 * s, 0.5 * s, -0.99 * s]), np.array([1.5 * s, -2.0 * s, 10.0 * s])
+    np.testing.assert_array_equal(EmpiricalBayesPowerPrior().gamma_est(inside, n, m), 1.0)
+    with mpmath.workdps(50):
+        want = [float((1 / mpmath.mpf(m)) / (mpmath.mpf(d) ** 2 - 1 / mpmath.mpf(n))) for d in outside]
+    np.testing.assert_allclose(EmpiricalBayesPowerPrior().gamma_est(outside, n, m), want, rtol=1e-14, atol=0.0)
 
 
 def test_np():
@@ -757,19 +772,16 @@ def test_every_correction_is_odd(config, n, m):
         assert np.all(np.abs(minus + plus)[three] <= 4.0 * np.spacing(np.abs(t[three]))), (n, m, delta)
 
 
-def _has_limit_weight(config):
-    try:
-        config.limit_weight(np.zeros(1), 0.5, 0.0)
-    except ValueError:
-        return False
-    return True
-
-
-@pytest.mark.parametrize("config", [c for c in ALL_KINDS if _has_limit_weight(c)], ids=estimator_id)
+@pytest.mark.parametrize("config", [c for c in ALL_KINDS if c.limit_breakpoints is not None], ids=estimator_id)
 @pytest.mark.parametrize("h", [0.0, 1.58])
 def test_every_kink_of_the_limit_weight_is_declared(config, h):
+    # the limit weight is the borrowing term over xi / sqrt(1 - p); the limit law splits its panels
+    # at the finite breakpoints at n = p, m = 1 - p, in sd units of the conflict, and at limit_breakpoints
     p = 1000 / 101_000
+    scaled = np.array(config.breakpoints(p, 1.0 - p)) * math.sqrt(p * (1.0 - p))
+    if isinstance(config, TtPool):
+        np.testing.assert_allclose(scaled, [-math.sqrt(config.c), math.sqrt(config.c)], rtol=1e-15)
     _assert_kinks_declared(
-        lambda xi: np.zeros_like(xi) + config.limit_weight(xi, p, h),
-        np.array(config.limit_breakpoints),
+        lambda xi: _law.limit_borrowing(config, xi, p, h) * math.sqrt(1.0 - p) / xi,
+        np.concatenate([scaled, config.limit_breakpoints]),
     )
