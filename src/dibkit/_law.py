@@ -244,11 +244,11 @@ class ConditionalLaw:
 def limit_borrowing(kind: EstimatorConfig, xi: np.ndarray, p: float, h: float) -> np.ndarray:
     """The limit's borrowing term ``w(xi) xi / sqrt(1-p)`` at the limit ``xi`` of the conflict z-statistic.
 
-    A limit kind's correction, in sd units of the conflict statistic,
-    depends on ``n`` and ``m`` only through ``p``, so the term is ``sqrt(p)``
-    times its correction at ``n = p``, ``m = 1 - p``, ``delta_hat = xi /
-    sqrt(p (1-p))`` and ``delta = h / sqrt(p)``.  A kind whose
-    ``limit_breakpoints`` is None has no limit law.
+    Where a kind's correction, in sd units of the conflict statistic, depends
+    on ``n`` and ``m`` only through ``p``, the term is ``sqrt(p)`` times its
+    correction at ``n = p``, ``m = 1 - p``, ``delta_hat = xi / sqrt(p (1-p))``
+    and ``delta = h / sqrt(p)``.  Every kind's does but alasso's and a non-zero
+    set oracle conflict's, which have no limit law: their ``limit_breakpoints`` is None.
     """
     if kind.limit_breakpoints is None:
         raise ValueError(f"no closed limit law implemented for {kind.id!r}")

@@ -156,18 +156,27 @@ def _effective_config(subcommand: str, namespace: argparse.Namespace) -> dict[st
                 raise ConfigError(f"config file {config_path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
+        # an echoed config names its subcommand
+        named = raw.pop("subcommand", subcommand)
+        if named != subcommand:
+            raise ConfigError(f"config key 'subcommand' must be {subcommand!r}, got {named!r}")
         unknown = set(raw) - set(options)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
             opt = options[key]
-            if opt.type is bool:
-                if not isinstance(value, bool):
-                    raise ConfigError(f"config key {key!r} must be a boolean")
+            if value is None:  # null stands for a default of None, and for no other value
+                if opt.default is not None:
+                    raise ConfigError(f"config key {key!r} must not be null")
+            elif isinstance(value, bool) != (opt.type is bool):
+                raise ConfigError(f"config key {key!r} must {'' if opt.type is bool else 'not '}be a boolean")
+            elif opt.type is int and isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"config key {key!r} must be an integer, got {value}")
+            elif opt.type is bool:
                 merged[key] = value
-            elif opt.type in (_floats, _names) and isinstance(value, (list, tuple)):
-                merged[key] = opt.type(",".join(str(v) for v in value))
             else:
+                if opt.type in (_floats, _names) and isinstance(value, list):
+                    value = ",".join(str(v) for v in value)
                 try:
                     merged[key] = opt.type(value)
                 except (TypeError, ValueError, OverflowError) as exc:

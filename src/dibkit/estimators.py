@@ -131,9 +131,9 @@ class _Estimator:
     """
 
     id: ClassVar[str]
-    # None: no local limit law.  A tuple: the limit law is the finite law at n = p, m = 1 - p
-    # (_law.limit_borrowing), with these kinks in xi that ``breakpoints`` does not declare
-    limit_breakpoints: ClassVar[tuple[float, ...] | None] = None
+    # the limit law is the finite law at n = p, m = 1 - p (_law.limit_borrowing), split also at these kinks
+    # in xi that ``breakpoints`` misses; None (no limit law) where the correction depends on n beyond p
+    limit_breakpoints: ClassVar[tuple[float, ...] | None] = ()
 
     def correction(self, d: np.ndarray, n: int, m: int, delta_true: float | None = None):
         return self.weight(d, n, m, delta_true) * d
@@ -155,8 +155,6 @@ class _Estimator:
 
 class _Mmse(_Estimator):
     """MSE-optimal mixing weight with the conflict's pull scaled by ``sens``."""
-
-    limit_breakpoints: ClassVar[tuple[float, ...]] = ()
 
     def weight(self, d, n, m, delta_true=None):
         return m / (n + m + m * n * d * d * self.sens)
@@ -199,7 +197,6 @@ class Mle(_Estimator):
     """Current-data mean only; never borrows."""
 
     id: ClassVar[str] = "mle"
-    limit_breakpoints: ClassVar[tuple[float, ...]] = ()
 
     def weight(self, d, n, m, delta_true=None):
         return 0.0
@@ -210,7 +207,6 @@ class Pooled(_Estimator):
     """Precision-weighted combination of both means; optimal at zero conflict."""
 
     id: ClassVar[str] = "pooled"
-    limit_breakpoints: ClassVar[tuple[float, ...]] = ()
 
     def weight(self, d, n, m, delta_true=None):
         return _pooled_weight(n, m)
@@ -221,7 +217,6 @@ class TestThenPool(_Estimator):
     """Pool unless the squared conflict z-statistic reaches ``c`` (default 3.84)."""
 
     id: ClassVar[str] = "ttpool"
-    limit_breakpoints: ClassVar[tuple[float, ...]] = ()
     c: float = 3.84
 
     def __post_init__(self) -> None:
@@ -255,6 +250,10 @@ class OracleMmse(_Mmse):
     def __post_init__(self) -> None:
         if self.delta_true is not None and not math.isfinite(self.delta_true):
             raise ValueError("delta_true must be finite")
+
+    @property
+    def limit_breakpoints(self) -> tuple[float, ...] | None:  # n m delta_true^2 grows with n; 0 is pooled
+        return () if not self.delta_true else None
 
     def weight(self, d, n, m, delta_true=None):
         dt = self.delta_true if self.delta_true is not None else delta_true
@@ -295,7 +294,6 @@ class GeneralizedBorrow(_Estimator):
     """
 
     id: ClassVar[str] = "gdib"
-    limit_breakpoints: ClassVar[tuple[float, ...]] = ()
     g: Callable[[np.ndarray], np.ndarray]
     sens: float
 
@@ -312,6 +310,7 @@ class AdaptiveLasso(_ConflictMode):
     """Penalized likelihood with an adaptive L1 penalty on the conflict."""
 
     id: ClassVar[str] = "alasso"
+    limit_breakpoints: ClassVar[None] = None  # its threshold in sqrt(n) delta_hat units grows as (n+m)^tau
     tau: float = 0.25
 
     def __post_init__(self) -> None:

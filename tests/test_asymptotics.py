@@ -4,6 +4,7 @@ from typing import get_args
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from dibkit import _law
 from dibkit._law import ConditionalLaw, LimitLaw, limit_borrowing
@@ -22,23 +23,30 @@ from dibkit.estimators import (
     AdaptiveMmse,
     EmpiricalBayesPowerPrior,
     EstimatorConfig,
+    FixedPowerPrior,
     GeneralizedBorrow,
     HellingerPowerPrior,
-    LimitedTranslation,
     Mle,
     NormalPriorBayes,
     OracleMmse,
     Pooled,
     SensitivityMmse,
-    StudentTPriorBayes,
     TestThenPool as TtPool,
     config_from_id,
+    conflict_correction,
+    estimator_id,
 )
 from dibkit.montecarlo import ks_distance
 from dibkit.streams import addressed_normals
 
 P_PAPER = 1000 / 101_000
 H_DEFAULT = (0.0, 1.58, 5.06)  # the asymptotics-check defaults
+# the default check's kinds and the other kinds with a limit law, power-prior at a gamma that borrows less than pooled
+LIMIT_KINDS = (*KS_ESTIMATORS, "np", "lstp", "ltr", "power-prior")
+
+
+def _limit_kind(name):
+    return config_from_id(name, gamma=0.4)
 
 
 def test_scenario_validation():
@@ -148,9 +156,12 @@ def test_pooled_limit_srmse_is_the_closed_form(h, p):
     assert limit_srmse(Pooled(), sc, 1, seed=5, return_stderr=True)[1] == 0.0
 
 
-@pytest.mark.parametrize("name", KS_ESTIMATORS)
+# Largest measured |sample share below a law quantile - prob| over the default h, in binomial sds:
+# 2.5 mle, 3.0 pooled, 2.5 ttpool, 2.6 ammse, 2.7 ebpp, 1.7 hdpp, 2.1 np, 2.4 lstp, 2.5 ltr,
+# 2.7 power-prior; of the root mean square, in its standard errors, at most 2.6 (power-prior)
+@pytest.mark.parametrize("name", LIMIT_KINDS)
 def test_limit_law_matches_limit_sample(name):
-    kind, draws = config_from_id(name), 400_000
+    kind, draws = _limit_kind(name), 400_000
     for i, h in enumerate(H_DEFAULT):
         sc = LocalScenario(h=h, p=P_PAPER)
         law = LimitLaw(kind, sc.p, sc.h)
@@ -165,14 +176,15 @@ def test_limit_law_matches_limit_sample(name):
 
 
 # Measured CDF changes on the 401-point grid between the 1e-7 quantiles,
-# largest over the default h: 7.0e-13 mle, 4.4e-16 pooled, 3.3e-13 ttpool,
-# 8.2e-12 ammse, 6.8e-9 ebpp and 2.5e-6 hdpp.
+# largest over the default h: 7.0e-13 mle, 3.3e-16 pooled, 3.3e-13 ttpool,
+# 8.2e-12 ammse, 6.8e-9 ebpp, 2.5e-6 hdpp, 6.7e-16 np, 2.3e-11 lstp,
+# 3.3e-13 ltr and 4.4e-16 power-prior.
 LIMIT_HALVING_TOLERANCE = {"ebpp": 1e-8, "hdpp": 5e-6}
 
 
-@pytest.mark.parametrize("name", KS_ESTIMATORS)
+@pytest.mark.parametrize("name", LIMIT_KINDS)
 def test_limit_law_panel_halving(name, monkeypatch):
-    kind = config_from_id(name)
+    kind = _limit_kind(name)
     for h in H_DEFAULT:
         coarse = LimitLaw(kind, P_PAPER, h)
         zs = coarse.grid(401)
@@ -193,14 +205,13 @@ def test_power_prior_limit_weight_stays_finite_far_out():
         assert math.isfinite(limit_srmse(kind, sc, 1))
 
 
-@pytest.mark.parametrize("n, m", [(1000, 100_000), (94, 20_000), (50, 50), (3, 7)])
+@pytest.mark.parametrize("n, m", [(1000, 100_000), (94, 20_000), (50, 50), (3, 7), (1, 10**9)])
 def test_limit_weight_is_the_finite_weight_at_the_scaled_conflict(n, m):
     # the limit law is the finite law at n = p, m = 1 - p: a limit kind's correction, in sd units of
     # the conflict statistic, depends on n and m only through p.  So with p = n/(n+m), delta_hat =
-    # xi sqrt(1/n + 1/m) and delta = h/sqrt(n) the finite weight at (n, m) is the limit weight, the
-    # borrowing term over xi / sqrt(1 - p); hdpp's exp(-x) of the two roundings of the same x leaves
-    # the largest gap
-    kinds = [config_from_id(k.id) for k in get_args(EstimatorConfig) if k is not GeneralizedBorrow]
+    # xi sqrt(1/n + 1/m) and delta = h/sqrt(n), sqrt(n) times the finite correction at (n, m) is the
+    # limit's borrowing term; hdpp's exp(-x) of the two roundings of the same x leaves the largest gap
+    kinds = [config_from_id(k.id, gamma=0.4) for k in get_args(EstimatorConfig) if k is not GeneralizedBorrow]
     kinds.append(GeneralizedBorrow(g=lambda x: 1.0 / (1.0 + x), sens=0.5))
     p, r, s_del = n / (n + m), math.sqrt(m / (n + m)), math.sqrt(1.0 / n + 1.0 / m)
     xi = np.linspace(-12.0, 12.0, 2401)
@@ -220,15 +231,29 @@ def test_limit_weight_is_the_finite_weight_at_the_scaled_conflict(n, m):
         checked.add(kind.id)
         for h in H_DEFAULT:
             limit = limit_borrowing(kind, xi, p, h)
-            finite = kind.weight(xi * s_del, n, m, delta_true=h / math.sqrt(n)) * (xi / r)
+            finite = math.sqrt(n) * conflict_correction(kind, xi * s_del, n, m, delta_true=h / math.sqrt(n))
             np.testing.assert_allclose(finite, limit, rtol=1e-13, atol=0.0, err_msg=f"{kind.id} h={h}")
             if kind.id in closed:
                 oracle = closed[kind.id](h) * (xi / r)
                 np.testing.assert_allclose(limit, oracle, rtol=1e-15, atol=0.0, err_msg=f"{kind.id} h={h}")
-    assert checked == {"mle", "pooled", "ttpool", "ommse", "ammse", "ammse-s", "gdib", "ebpp", "hdpp"}
+    assert checked == {k.id for k in get_args(EstimatorConfig)} - {"alasso"}
     # the limit law splits its panels at the finite breakpoints at n = p, m = 1 - p, in sd units
     ttpool_kinks = np.array(TtPool().breakpoints(p, 1.0 - p)) * math.sqrt(p * (1.0 - p))
     np.testing.assert_allclose(ttpool_kinks, [-math.sqrt(3.84), math.sqrt(3.84)], rtol=1e-15)
+
+
+@pytest.mark.parametrize("p", (P_PAPER, 0.4))
+@pytest.mark.parametrize("kind", [NormalPriorBayes(), FixedPowerPrior(0.4)], ids=estimator_id)
+def test_normal_limit_laws_are_the_closed_forms(kind, p):
+    # a constant weight w makes the limit zeta1 + w (h - zeta1) + w sqrt(p/(1-p)) zeta2, which is normal
+    # with mean w h and variance (1 - w)^2 + w^2 p/(1-p)
+    w = {"np": (1.0 - p) / (2.0 - p), "power-prior": (1.0 - p) * 0.4 / ((1.0 - p) * 0.4 + p)}[kind.id]
+    for h in H_DEFAULT + (-2.0,):
+        mean, sd = w * h, math.sqrt((1.0 - w) ** 2 + w * w * p / (1.0 - p))
+        z = mean + sd * np.linspace(-10.0, 10.0, 2001)
+        np.testing.assert_allclose(LimitLaw(kind, p, h).cdf(z), ndtr((z - mean) / sd), rtol=0.0, atol=1e-14)
+        root = limit_srmse(kind, LocalScenario(h=h, p=p), 1)
+        assert root == pytest.approx(math.sqrt(mean * mean + sd * sd), rel=0.0, abs=1e-15), h
 
 
 @dataclass(frozen=True)
@@ -301,11 +326,17 @@ def test_xi_uncorrelated_with_pooled_limit():
 
 
 def test_unsupported_kinds_raise():
+    # their corrections in sd units of the conflict grow with n at a fixed p: alasso's threshold as
+    # (n+m)^tau, and a set oracle conflict through n m delta_true^2
     sc = LocalScenario(h=0.0, p=0.2)
     rng = np.random.default_rng(0)
-    for kind in (AdaptiveLasso(), NormalPriorBayes(), StudentTPriorBayes(), LimitedTranslation()):
-        with pytest.raises(ValueError, match="no closed limit law"):
+    for kind in (AdaptiveLasso(), OracleMmse(delta_true=0.3)):
+        with pytest.raises(ValueError, match=f"no closed limit law implemented for '{kind.id}'"):
             limit_draw(kind, sc, rng)
+    # at a set conflict of 0 the oracle weight is pooled's at every n
+    for h in H_DEFAULT:
+        zero, pooled = LimitLaw(OracleMmse(delta_true=0.0), 0.2, h), LimitLaw(Pooled(), 0.2, h)
+        assert np.array_equal(zero.weights, pooled.weights) and np.array_equal(zero.mean, pooled.mean), h
 
 
 def test_limit_draw_fields():

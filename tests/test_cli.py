@@ -5,6 +5,7 @@ import json
 import os
 import pkgutil
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +270,35 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "env_out" / "estimates.csv").exists()
 
 
+def test_every_echoed_config_reproduces_its_run(tmp_path, capsys):
+    # the config line a run echoes is a --config file that writes the same bytes, out_dir included
+    for subcommand in cli._SUBCOMMANDS:
+        out_dir = tmp_path / subcommand
+        argv = _ESTIMATE[1:] if subcommand == "estimate" else []
+        assert run([subcommand, *argv, "--out-dir", str(out_dir)]) == 0
+        echoed = capsys.readouterr().out.splitlines()[0]
+        want = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        shutil.rmtree(out_dir)
+        config = tmp_path / f"{subcommand}.json"
+        config.write_text(echoed[len("config: "):])
+        assert run([subcommand, "--config", str(config)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == echoed, subcommand
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == want, subcommand
+
+
+def test_config_integral_float_and_null_read_as_flags_do(tmp_path, monkeypatch, capsys):
+    # 1000.0 is the count 1000, as --n 1000 is; a null out_dir is its default, not a directory "None"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DIBKIT_OUTPUT_DIR", str(tmp_path / "env_out"))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": 1000.0, "estimators": ["mle"], "grid_points": 3, "out_dir": None}))
+    assert run(["srmse-curve", "--config", str(config)]) == 0
+    echoed = json.loads(capsys.readouterr().out.splitlines()[0][len("config: "):])
+    assert echoed["n"] == 1000 and isinstance(echoed["n"], int)
+    assert echoed["out_dir"] == str(tmp_path / "env_out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["env_out", "run.json"]
+
+
 def test_unknown_subcommand_is_config_error():
     assert run(["no-such-command"]) == 2
 
@@ -362,6 +392,14 @@ _ERROR_CASES = [
     (["example-prams", "--level", "0"], 2, "ConfigError", "level must lie in (0, 1)"),
     (["power", "--delta-max=-1"], 2, "ConfigError", "delta_max must be 0 (convention default) or positive, got -1"),
     (["asymptotics-check", "--threshold=-1"], 2, "ConfigError", "threshold must be non-negative, got -1"),
+    (["srmse-curve", "--config", "{fractional_n_config}"], 2, "ConfigError", "config key 'n' must be an integer"),
+    (["srmse-curve", "--config", "{bool_grid_config}"], 2, "ConfigError", "config key 'grid_points' must not be a boolean"),
+    (["power", "--config", "{bool_theta_config}"], 2, "ConfigError", "config key 'theta' must not be a boolean"),
+    (["power", "--config", "{number_svg_config}"], 2, "ConfigError", "config key 'svg' must be a boolean"),
+    (["power", "--config", "{other_subcommand_config}"], 2, "ConfigError",
+     "config key 'subcommand' must be 'power', got 'srmse-curve'"),
+    (["power", "--config", "{null_seed_config}"], 2, "ConfigError", "config key 'seed' must not be null"),
+    (["asymptotics-check", "--config", "{word_h_config}"], 2, "ConfigError", "config key 'h': could not convert"),
 ]
 
 
@@ -374,6 +412,13 @@ def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, messag
         "empty_config": json.dumps({"estimators": []}),
         "malformed_config": '{"n": ',
         "huge_v_config": '{"estimators": ["lstp"], "v": 1' + "0" * 400 + "}",
+        "fractional_n_config": json.dumps({"n": 1000.7}),
+        "bool_grid_config": json.dumps({"grid_points": True}),
+        "bool_theta_config": json.dumps({"theta": True}),
+        "number_svg_config": json.dumps({"svg": 1}),
+        "other_subcommand_config": json.dumps({"subcommand": "srmse-curve"}),
+        "null_seed_config": json.dumps({"seed": None}),
+        "word_h_config": json.dumps({"h": ["abc"]}),
     }
     for name, text in configs.items():
         (tmp_path / f"{name}.json").write_text(text)

@@ -725,19 +725,28 @@ _UNDECLARED_KINKS = {
 }
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        pytest.param(c, marks=pytest.mark.xfail(strict=True, reason=_UNDECLARED_KINKS[c.id]))
-        if c.id in _UNDECLARED_KINKS else c
-        for c in ALL_KINDS
-    ],
-    ids=estimator_id,
+_LSTP_ROOT_SWITCH = (
+    "at m < n/5 the posterior mode switches roots, where p > 1 - (v+1)/(8v) (5/6 at v = 3): at "
+    "(n, m) = (1000, 100) q jumps by 0.19 sd of the conflict at xi = 4.03, and one panel halving moves "
+    "the law's CDF at a conflict of 4 sd by 8.1e-5 (2.3e-11 at the defaults)"
 )
-def test_every_kink_of_the_weight_is_a_declared_breakpoint(config):
+
+
+@pytest.mark.parametrize(
+    "config, n, m",
+    [
+        pytest.param(c, 1000, 100_000, id=c.id, marks=[
+            pytest.mark.xfail(strict=True, reason=_UNDECLARED_KINKS[c.id])
+        ] if c.id in _UNDECLARED_KINKS else [])
+        for c in ALL_KINDS
+    ] + [
+        pytest.param(StudentTPriorBayes(), 1000, 100, id="lstp-1000-100",
+                     marks=pytest.mark.xfail(strict=True, reason=_LSTP_ROOT_SWITCH)),
+    ],
+)
+def test_every_kink_of_the_weight_is_a_declared_breakpoint(config, n, m):
     # in sd units of delta_hat, on the weight q(d)/d: q = w d is kinked where w
     # is, except at 0, where a kink of w leaves q with a jump in curvature
-    n, m = 1000, 100_000
     s = math.sqrt(1.0 / n + 1.0 / m)
     _assert_kinks_declared(
         lambda u: conflict_correction(config, u * s, n, m) / (u * s),
@@ -772,7 +781,9 @@ def test_every_correction_is_odd(config, n, m):
         assert np.all(np.abs(minus + plus)[three] <= 4.0 * np.spacing(np.abs(t[three]))), (n, m, delta)
 
 
-@pytest.mark.parametrize("config", [c for c in ALL_KINDS if c.limit_breakpoints is not None], ids=estimator_id)
+@pytest.mark.parametrize(
+    "config", [c for c in [*ALL_KINDS, OracleMmse()] if c.limit_breakpoints is not None], ids=estimator_id
+)
 @pytest.mark.parametrize("h", [0.0, 1.58])
 def test_every_kink_of_the_limit_weight_is_declared(config, h):
     # the limit weight is the borrowing term over xi / sqrt(1 - p); the limit law splits its panels
