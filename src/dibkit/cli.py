@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -28,14 +28,7 @@ import numpy as np
 from . import testing
 from ._law import LimitLaw, conditional_laws, distances, grids
 from .asymptotics import LocalScenario
-from .estimators import (
-    EstimatorConfig,
-    OracleMmse,
-    SensitivityMmse,
-    _kind_by_id,
-    config_from_id,
-    estimator_id,
-)
+from .estimators import _FIELD_DEFAULTS, EstimatorConfig, SensitivityMmse, _from_id, estimator_id
 from .montecarlo import _MAX_EXACT_POINTS, _QUANTILE_PROBS, _exact_bootstrap_ci
 from .risk import (
     _TAIL_SPAN,
@@ -102,13 +95,13 @@ _COMMON = [
 
 _COUNTS = ("n", "m", "grid_points", "replicates", "draws", "resamples", "mc_draws", "workers")
 
-# estimator tuning options, each passed to config_from_id under its own name
-_TUNING = {o.name: o for o in [
-    Option("c", float, 3.84, "test-then-pool threshold"),
-    Option("tau", float, 0.25, "adaptive-lasso tuning exponent"),
-    Option("sens", float, 1.0, "sensitivity-to-conflict"),
-    Option("gamma", float, 1.0, "fixed power-prior weight"),
-    Option("v", int, 3, "t-prior degrees of freedom"),
+# estimator tuning options, each named after the configuration field it sets and defaulting as that field does
+_TUNING = {name: Option(name, kind, _FIELD_DEFAULTS[name], help) for name, kind, help in [
+    ("c", float, "test-then-pool threshold"),
+    ("tau", float, "adaptive-lasso tuning exponent"),
+    ("sens", float, "sensitivity-to-conflict"),
+    ("gamma", float, "fixed power-prior weight"),
+    ("v", int, "t-prior degrees of freedom"),
 ]}
 
 _NODES = Option("nodes", int, 0, "quadrature nodes per axis (0 = per-estimator default); "
@@ -256,8 +249,8 @@ def _plot(cfg: dict[str, Any], name: str, series: Sequence[Series], title: str, 
 
 
 def _estimator_configs(cfg: dict[str, Any]) -> list[EstimatorConfig]:
-    flags = {key: cfg[key] for key in (*_TUNING, "delta_true") if key in cfg}
-    return [_from_config(config_from_id, name, **flags) for name in cfg["estimators"]]
+    """The configuration of each ``--estimators`` id, its fields filled from the flags of the same names."""
+    return [_from_config(_from_id, EstimatorConfig, name, "estimator id", cfg) for name in cfg["estimators"]]
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +265,8 @@ def _cmd_estimate(cfg: dict[str, Any]) -> None:
     s = _from_config(TwoSampleSummary, cfg["theta_hat"], cfg["n"], cfg["beta_hat"], cfg["m"])
     rows = []
     for config in _estimator_configs(cfg):
-        if isinstance(config, OracleMmse) and config.delta_true is None:
-            raise ConfigError("ommse estimation requires --delta-true")
         with np.errstate(all="ignore"):  # a non-finite result is reported below, not also warned of
-            res = config.result(s)
+            res = _from_config(config.result, s)  # ommse without --delta-true is a config error
         row = [estimator_id(config), res.theta_est, res.delta_est, res.gamma_est, res.weight]
         if not all(math.isfinite(v) for v in row[1:] if v is not None):
             raise FloatingPointError(f"non-finite estimate from {row[0]}: {row[1:]}")
@@ -325,8 +316,7 @@ def _cmd_bayes_risk_table(cfg: dict[str, Any]) -> None:
 
 def _convention(cfg: dict[str, Any]) -> Convention:
     """The convention whose ``id`` is ``--convention``, its fields filled from the flags of the same names."""
-    kind = _from_config(_kind_by_id, Convention, cfg["convention"], "convention")
-    return _from_config(kind, **{f.name: cfg[f.name] for f in fields(kind)})
+    return _from_config(_from_id, Convention, cfg["convention"], "convention", cfg)
 
 
 def _cmd_power(cfg: dict[str, Any]) -> None:
@@ -358,9 +348,8 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
 
 def _cmd_densities(cfg: dict[str, Any]) -> None:
     n, m = cfg["n"], cfg["m"]
-    for key in ("replicates", "grid_points"):  # a density curve needs two of each
-        if cfg[key] < 2:
-            raise ConfigError(f"densities needs {key} >= 2, got {key} = {cfg[key]}")
+    if cfg["grid_points"] < 2:  # a density curve needs two points
+        raise ConfigError(f"densities needs grid_points >= 2, got grid_points = {cfg['grid_points']}")
     scenarios = cfg["sqrt_n_delta"]
     # curves[scenario][estimator]: the name, grid, log density and table quantiles of one law
     curves: list[list[tuple]] = [[] for _ in scenarios]

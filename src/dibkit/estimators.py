@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import Any, Callable, ClassVar, Union, get_args
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, ClassVar, Mapping, Union, get_args
 
 import numpy as np
 
@@ -125,8 +125,7 @@ class _Estimator:
 
     Contract: every correction is odd in the conflict and the conflict it is
     evaluated at, ``q(-d, n, m, -delta_true) == -q(d, n, m, delta_true)``,
-    bit for bit (a weight is even in both); lstp's three-root cubic branch
-    holds it to a few ulps of ``d``.  The risk module relies on it to
+    bit for bit (a weight is even in both).  The risk module relies on it to
     evaluate the MSE once per distinct ``|delta|``.
     """
 
@@ -279,7 +278,7 @@ class SensitivityMmse(_Mmse):
     """
 
     id: ClassVar[str] = "ammse-s"
-    sens: float
+    sens: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.sens >= 0:
@@ -330,7 +329,7 @@ class FixedPowerPrior(_PowerPrior):
     """External likelihood raised to a fixed power ``gamma`` in (0, 1]."""
 
     id: ClassVar[str] = "power-prior"
-    gamma: float
+    gamma: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 < self.gamma <= 1:
@@ -395,6 +394,33 @@ class StudentTPriorBayes(_ConflictMode):
     def delta_est(self, d, n, m):
         return lstp_delta_mode(d, n, m, self.v)
 
+    def breakpoints(self, n, m):
+        """Where the posterior mode jumps between the cubic's outer roots, if it does.
+
+        In x = sqrt(n/v) d and y = sqrt(n/v) delta_hat the stationary points
+        solve x/(1+x^2) = k (y - x) with k = m/(n+m) v/(v+1).  The curve's least
+        slope is -1/8, so the line cuts it three times only when k < 1/8.  The
+        three-root interval of y ends where the line is tangent, at u = x^2
+        solving k u^2 + (2k-1) u + k + 1 = 0; between those ends a bisection
+        finds the conflict where the mode leaves the inner root.
+        """
+        v = self.v
+        k = m / (n + m) * (v / (v + 1.0))
+        if not k < 0.125:
+            return ()
+        u_outer = (1.0 - 2.0 * k + math.sqrt(1.0 - 8.0 * k)) / (2.0 * k)
+        u_inner = (k + 1.0) / (k * u_outer)  # the two roots' product is (k + 1)/k
+        x_inner, x_outer = math.sqrt(v / n * u_inner), math.sqrt(v / n * u_outer)  # in units of d
+        # a stationary d has delta_hat = d (1 + 1/(k (1 + u))); at the outer tangent point that is the lower end
+        lo = x_outer * (1.0 + 1.0 / (k * (1.0 + u_outer)))
+        hi = x_inner * (1.0 + 1.0 / (k * (1.0 + u_inner)))
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if lstp_delta_mode(mid, n, m, v) > x_inner:  # the outer root, past the inner tangent point
+                hi = mid
+            else:
+                lo = mid
+        return (-hi, hi)
+
 
 @dataclass(frozen=True)
 class LimitedTranslation(_Estimator):
@@ -445,34 +471,37 @@ def estimator_id(config: EstimatorConfig) -> str:
     return config.id
 
 
-def _kind_by_id(kinds: Any, name: str, what: str) -> type:
-    """The member of the ``Union`` ``kinds`` whose ``id`` is ``name``; a ValueError naming every ``id`` if none is."""
+# the tuning fields, each with its class default: every field a kind defaults (gdib's g has no default)
+_FIELD_DEFAULTS = {f.name: f.default for k in get_args(EstimatorConfig) for f in fields(k) if f.default is not MISSING}
+
+
+def _from_id(kinds: Any, name: str, what: str, flags: Mapping[str, Any]) -> Any:
+    """The member of the ``Union`` ``kinds`` whose ``id`` is ``name``, each field set from the flag of its name.
+
+    A field without a flag takes its class default.  A ValueError names every
+    ``id`` if none is ``name``, and every field that neither a flag nor a
+    default sets.
+    """
     members = get_args(kinds)
     kind = next((k for k in members if k.id == name), None)
     if kind is None:
         raise ValueError(f"unknown {what} {name!r}; known: {sorted(k.id for k in members)}")
-    return kind
+    unset = [f.name for f in fields(kind) if f.name not in flags and f.default is MISSING]
+    if unset:
+        raise ValueError(f"{what} {name!r} has no flag or default for {unset}")
+    return kind(**{f.name: flags[f.name] for f in fields(kind) if f.name in flags})
 
 
-def config_from_id(
-    name: str,
-    *,
-    c: float = 3.84,
-    tau: float = 0.25,
-    sens: float = 1.0,
-    gamma: float = 1.0,
-    v: int = 3,
-    delta_true: float | None = None,
-) -> EstimatorConfig:
+def config_from_id(name: str, **flags: Any) -> EstimatorConfig:
     """Build a configuration from its CLI identifier and tuning flags.
 
-    Each flag is named after the configuration field it sets.
+    Each flag is named after the configuration field it sets; a field without
+    one takes its class default.
     """
-    kind = _kind_by_id(EstimatorConfig, name, "estimator id")
-    if kind is GeneralizedBorrow:
-        raise ValueError("gdib needs a mixing function and cannot be built from the CLI")
-    flags = {"c": c, "tau": tau, "sens": sens, "gamma": gamma, "v": v, "delta_true": delta_true}
-    return kind(**{f.name: flags[f.name] for f in fields(kind)})
+    unknown = sorted(set(flags) - set(_FIELD_DEFAULTS))
+    if unknown:
+        raise TypeError(f"config_from_id() got unexpected keyword arguments {unknown}")
+    return _from_id(EstimatorConfig, name, "estimator id", flags)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +561,7 @@ def lstp_profile_objective(
     return 0.5 * (v + 1) * np.log(v + n * d * d) + a * (delta_hat - d) ** 2
 
 
-def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = 3) -> np.ndarray:
+def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = StudentTPriorBayes.v) -> np.ndarray:
     """Conflict value at the joint posterior mode, by exact stationary points.
 
     Setting the derivative of :func:`lstp_profile_objective` to zero and
@@ -576,16 +605,21 @@ def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = 3) -> np.nda
         out[one] = dh[one] * (qb[one] / (u * u + p3u + w * w) + 1.0 / 3.0)
     three = np.flatnonzero(~one)
     if three.size:
+        # solved at |delta_hat| and negated back: arccos(-x) = pi - arccos(x) only to
+        # rounding, and where two minima tie the choice of root must still be odd
+        ad = np.abs(dh[three])
+        Ba = ad * math.ldexp(-1.0, -e)
         pp = p[three]
-        qq = q[three]
+        qq = Ba * qb[three]
         r = np.sqrt(np.maximum(-pp / 3.0, 0.0))
         # clip guards round-off at the double-root boundary (disc ~ 0)
         cos_arg = np.clip(3.0 * qq / (2.0 * pp) * np.sqrt(np.where(pp < 0, -3.0 / pp, 0.0)), -1.0, 1.0)
         theta = np.arccos(cos_arg)[:, None]
         t = 2.0 * r[:, None] * np.cos(theta / 3.0 - 2.0 * math.pi * np.arange(3) / 3.0)
-        cand = np.ldexp(t - B[three, None] / 3.0, e)
-        f = lstp_profile_objective(cand, dh[three, None], n, m, v)
-        out[three] = np.take_along_axis(cand, np.argmin(f, axis=1)[:, None], axis=1).ravel()
+        cand = np.ldexp(t - Ba[:, None] / 3.0, e)
+        f = lstp_profile_objective(cand, ad[:, None], n, m, v)
+        mode = np.take_along_axis(cand, np.argmin(f, axis=1)[:, None], axis=1).ravel()
+        out[three] = np.where(np.signbit(dh[three]), -mode, mode)
     return out.reshape(d.shape)
 
 
@@ -620,7 +654,7 @@ def est_pooled(s: TwoSampleSummary) -> EstimateResult:
     return Pooled().result(s)
 
 
-def est_ttpool(s: TwoSampleSummary, c: float = 3.84) -> EstimateResult:
+def est_ttpool(s: TwoSampleSummary, c: float = TestThenPool.c) -> EstimateResult:
     """Pool unless the conflict test rejects; ties resolve to rejection."""
     return TestThenPool(c).result(s)
 
@@ -647,7 +681,7 @@ def est_gdib(
     return GeneralizedBorrow(g, sens).result(s)
 
 
-def est_alasso(s: TwoSampleSummary, tau: float = 0.25) -> EstimateResult:
+def est_alasso(s: TwoSampleSummary, tau: float = AdaptiveLasso.tau) -> EstimateResult:
     """Adaptive-lasso estimate: soft-threshold the conflict, then re-pool."""
     return AdaptiveLasso(tau).result(s)
 
@@ -680,7 +714,7 @@ def est_np(s: TwoSampleSummary) -> EstimateResult:
     return NormalPriorBayes().result(s)
 
 
-def est_lstp(s: TwoSampleSummary, v: int = 3) -> EstimateResult:
+def est_lstp(s: TwoSampleSummary, v: int = StudentTPriorBayes.v) -> EstimateResult:
     """Posterior mode under the location-scale t conflict prior.
 
     The location parameter is profiled out in closed form, leaving a

@@ -54,7 +54,7 @@ def test_estimate_requires_inputs(tmp_path, capsys):
     assert json.loads(err.splitlines()[-1])["error"] == "ConfigError"
 
 
-def test_estimate_ommse_needs_delta(tmp_path):
+def test_estimate_ommse_needs_delta(tmp_path, capsys):
     code = run(
         [
             "estimate", "--theta-hat", "0", "--n", "10", "--beta-hat", "1", "--m", "10",
@@ -62,6 +62,8 @@ def test_estimate_ommse_needs_delta(tmp_path):
         ]
     )
     assert code == 2
+    record = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert record["error"] == "ConfigError" and "delta_true" in record["message"]
 
 
 def test_srmse_curve_deterministic(tmp_path):
@@ -138,7 +140,7 @@ def test_power_subcommand(tmp_path, convention):
 )
 def test_exact_artifacts_ignore_seed_sample_count_and_workers(tmp_path, argv, count, header):
     outputs = []
-    for seed, size, workers in (("1", "2", "1"), ("2", "500000", "8")):  # none has an effect
+    for seed, size, workers in (("1", "1", "1"), ("2", "500000", "8")):  # none has an effect
         out = tmp_path / seed
         assert run(argv + ["--seed", seed, count, size, "--workers", workers, "--out-dir", str(out)]) == 0
         outputs.append({name: (out / name).read_bytes() for name in header})
@@ -337,7 +339,7 @@ _ERROR_CASES = [
     (["example-prams", "--mc-draws", "0"], 2, "ConfigError", "mc_draws = 0"),
     (["densities", "--workers", "0"], 2, "ConfigError", "workers = 0"),
     (["example-prams", "--target-p", "2"], 2, "ConfigError", "target_p"),
-    (["densities", "--replicates", "1"], 2, "ConfigError", "replicates = 1"),
+    (_ESTIMATE + ["--estimators", "mle,gdib"], 2, "ConfigError", "estimator id 'gdib' has no flag or default for ['g']"),
     (["densities", "--grid-points", "1"], 2, "ConfigError", "grid_points = 1"),
     (["example-prams", "--successes", "0"], 2, "ConfigError", "degenerate rate"),
     (["example-prams", "--successes", "94"], 2, "ConfigError", "degenerate rate"),
