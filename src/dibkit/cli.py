@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, get_args
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .asymptotics import LocalScenario
 from .estimators import _FIELD_DEFAULTS, EstimatorConfig, SensitivityMmse, _from_id, estimator_id
 from .montecarlo import _MAX_EXACT_POINTS, _QUANTILE_PROBS, _exact_bootstrap_ci
 from .risk import (
+    _PAIR_WEIGHT_FLOOR,
     _TAIL_SPAN,
     MAX_NODES,
     MIN_NODES,
@@ -105,7 +106,10 @@ _TUNING = {name: Option(name, kind, _FIELD_DEFAULTS[name], help) for name, kind,
 ]}
 
 _NODES = Option("nodes", int, 0, "quadrature nodes per axis (0 = per-estimator default); "
-                "node pairs with product weight below 1e-25 are skipped")
+                f"node pairs with product weight below {_PAIR_WEIGHT_FLOOR:g} are skipped")
+
+# the paper's sample sizes; estimate takes both without a default
+_N, _M = Option("n", int, 1000, "current sample size"), Option("m", int, 100_000, "external sample size")
 
 
 def _tuning(*names: str) -> list[Option]:
@@ -458,17 +462,16 @@ def _cmd_asymptotics_check(cfg: dict[str, Any]) -> None:
 _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] = {
     "estimate": (_cmd_estimate, [
         Option("theta_hat", float, None, "current-data mean"),
-        Option("n", int, None, "current sample size"),
+        replace(_N, default=None),
         Option("beta_hat", float, None, "external-data mean"),
-        Option("m", int, None, "external sample size"),
+        replace(_M, default=None),
         Option("estimators", _names, ("mle", "pooled", "ammse"), "comma-separated estimator ids"),
         *_tuning("c", "tau", "sens", "gamma", "v"),
         Option("delta_true", float, None, "oracle conflict for ommse"),
         *_no_effect("closed forms, not plotted", "svg"),
     ]),
     "srmse-curve": (_cmd_srmse_curve, [
-        Option("n", int, 1000, "current sample size"),
-        Option("m", int, 100_000, "external sample size"),
+        _N, _M,
         Option("estimators", _names, TABLE_ESTIMATORS, "comma-separated estimator ids"),
         Option("sqrt_n_delta_max", float, 8.0, "top of the scaled-conflict grid"),
         Option("grid_points", int, 41, "points on the conflict grid"),
@@ -476,8 +479,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         *_tuning("c", "tau", "sens", "v"),
     ]),
     "bayes-risk-table": (_cmd_bayes_risk_table, [
-        Option("n", int, 1000, "current sample size"),
-        Option("m", int, 100_000, "external sample size"),
+        _N, _M,
         Option("estimators", _names, TABLE_ESTIMATORS, "comma-separated estimator ids"),
         Option("priors", _names, ("pi1", "pi2", "pi3", "pi4", "pi5"), "prior ids"),
         _NODES,
@@ -485,10 +487,9 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         *_no_effect("deterministic quadrature, not plotted", "svg"),
     ]),
     "power": (_cmd_power, [
-        Option("n", int, 1000, "current sample size"),
-        Option("m", int, 100_000, "external sample size"),
+        _N, _M,
         Option("estimators", _names, ("mle", "pooled", "ammse", "ebpp", "hdpp", "ttpool", "alasso", "np", "ltr"), "estimator ids"),
-        Option("convention", str, "delta-bounded", "all-delta | delta-zero | delta-bounded"),
+        Option("convention", str, "delta-bounded", " | ".join(k.id for k in get_args(Convention))),
         Option("delta0", float, 0.0636, "conflict bound for delta-bounded"),
         Option("theta", float, 0.03, "true location minus null value"),
         Option("theta0", float, 0.0, "null value"),
@@ -498,8 +499,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         *_tuning("c", "tau", "sens", "v"),
     ]),
     "densities": (_cmd_densities, [
-        Option("n", int, 1000, "current sample size"),
-        Option("m", int, 100_000, "external sample size"),
+        _N, _M,
         Option("estimators", _names, DENSITY_ESTIMATORS, "estimator ids"),
         Option("sqrt_n_delta", _floats, (0.0, 0.32, 1.58, 5.06), "scaled-conflict scenarios"),
         *_no_effect("densities are exact", replicates=50_000),
@@ -521,8 +521,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("target_p", float, 0.05, "tipping-point target p-value"),
     ]),
     "asymptotics-check": (_cmd_asymptotics_check, [
-        Option("n", int, 1000, "current sample size"),
-        Option("m", int, 100_000, "external sample size"),
+        _N, _M,
         Option("estimators", _names, KS_ESTIMATORS, "estimator ids with closed limit laws"),
         Option("h", _floats, (0.0, 1.58, 5.06), "local conflict values"),
         *_no_effect("both laws are exact, not plotted", "svg", draws=100_000),

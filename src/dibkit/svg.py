@@ -31,8 +31,6 @@ def _fmt(v: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -46,6 +44,16 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         ticks.append(round(t, 10))
         t += step
     return ticks
+
+
+def _text(x: float, y: float, size: int, body: str, anchor: str = "", extra: str = "") -> str:
+    anchored = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchored} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = "#333", extra: str = "") -> str:
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="{stroke}"{extra}/>'
 
 
 def emit_plot(
@@ -86,10 +94,7 @@ def emit_plot(
     )
     parts.append(f'<rect width="{_fmt(_W)}" height="{_fmt(_H)}" fill="white"/>')
     if title:
-        parts.append(
-            f'<text x="{_fmt(_ML + pw / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
+        parts.append(_text(_ML + pw / 2, 24, 16, title, "middle"))
     # axes box
     parts.append(
         f'<rect x="{_fmt(_ML)}" y="{_fmt(_MT)}" width="{_fmt(pw)}" height="{_fmt(ph)}" '
@@ -99,35 +104,19 @@ def emit_plot(
         if t < x_lo - 1e-12 or t > x_hi + 1e-12:
             continue
         x = sx(t)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(_MT + ph)}" x2="{_fmt(x)}" y2="{_fmt(_MT + ph + 5)}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(_MT + ph + 20)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_fmt(t)}</text>'
-        )
+        parts.append(_line(x, _MT + ph, x, _MT + ph + 5))
+        parts.append(_text(x, _MT + ph + 20, 12, _fmt(t), "middle"))
     for t in _nice_ticks(y_lo, y_hi):
         if t < y_lo - 1e-12 or t > y_hi + 1e-12:
             continue
         y = sy(t)
-        parts.append(
-            f'<line x1="{_fmt(_ML - 5)}" y1="{_fmt(y)}" x2="{_fmt(_ML)}" y2="{_fmt(y)}" stroke="#333"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_ML - 9)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_fmt(t)}</text>'
-        )
+        parts.append(_line(_ML - 5, y, _ML, y))
+        parts.append(_text(_ML - 9, y + 4, 12, _fmt(t), "end"))
     if x_label:
-        parts.append(
-            f'<text x="{_fmt(_ML + pw / 2)}" y="{_fmt(_H - 12)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{x_label}</text>'
-        )
+        parts.append(_text(_ML + pw / 2, _H - 12, 13, x_label, "middle"))
     if y_label:
-        parts.append(
-            f'<text x="18" y="{_fmt(_MT + ph / 2)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {_fmt(_MT + ph / 2)})">{y_label}</text>'
-        )
+        mid = _MT + ph / 2
+        parts.append(_text(18, mid, 13, y_label, "middle", f' transform="rotate(-90 18 {_fmt(mid)})"'))
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(
@@ -139,14 +128,8 @@ def emit_plot(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
         ly = _MT + 16 + 18 * i
-        parts.append(
-            f'<line x1="{_fmt(_W - _MR + 12)}" y1="{_fmt(ly - 4)}" '
-            f'x2="{_fmt(_W - _MR + 34)}" y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_W - _MR + 40)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="12">{s.name}</text>'
-        )
+        parts.append(_line(_W - _MR + 12, ly - 4, _W - _MR + 34, ly - 4, color, ' stroke-width="2"'))
+        parts.append(_text(_W - _MR + 40, ly, 12, s.name))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -172,9 +172,8 @@ def critical_value(
     unrestricted convention).
     """
     conv = spec.convention
-    if isinstance(conv, DeltaZero):
-        return CriticalValue(null_quantile(spec, 0.0), sup_at=0.0)
-
+    if isinstance(conv, DeltaZero):  # the one null conflict is 0
+        delta_grid = np.zeros(1)
     grid = np.asarray(_default_grid(spec, points) if delta_grid is None else delta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("critical_value needs at least one null conflict")

@@ -474,11 +474,11 @@ def test_criterion_8_cli_determinism(tmp_path):
         ],
         "power": [
             "power", "--n", "300", "--m", "3000", "--estimators", "mle,ammse",
-            "--convention", "delta-bounded", "--delta0", "0.1", "--grid-points", "5",
+            "--convention", "delta-bounded", "--delta0", "0.1", "--grid-points", "5", "--svg",
         ],
         "densities": [
             "densities", "--n", "300", "--m", "3000", "--estimators", "mle,pooled,ammse",
-            "--sqrt-n-delta", "0,1.58", "--replicates", "6000",
+            "--sqrt-n-delta", "0,1.58", "--replicates", "6000", "--svg",
         ],
         "example-prams": [
             "example-prams", "--resamples", "20000", "--mc-draws", "30000",

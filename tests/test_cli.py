@@ -308,100 +308,115 @@ def test_unknown_subcommand_is_config_error():
 _ESTIMATE = ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1", "--m", "400"]
 
 
+def _case(label, argv, code, error, message):
+    """An error case whose id its label fixes, so that adding or deleting a case renames no other."""
+    return pytest.param(argv, code, error, message, id=f"argv{label}-{code}-{error}-{message}")
+
+
 _ERROR_CASES = [
-    (_ESTIMATE + ["--estimators", "ttpool", "--c", "-1"], 2, "ConfigError", "threshold c"),
-    (_ESTIMATE + ["--n", "0"], 2, "ConfigError", "sample sizes"),
-    (["power", "--alpha", "1.5"], 2, "ConfigError", "alpha"),
-    (["bayes-risk-table", "--nodes", "10"], 2, "ConfigError", "nodes"),
-    (_ESTIMATE + ["--theta-hat", "nan"], 2, "ConfigError", "finite"),
-    (
-        ["srmse-curve", "--n", "1", "--m", "1", "--estimators", "lstp",
-         "--grid-points", "2", "--sqrt-n-delta-max", "1e300"],
+    _case(0, _ESTIMATE + ["--estimators", "ttpool", "--c", "-1"], 2, "ConfigError", "threshold c"),
+    _case(1, _ESTIMATE + ["--n", "0"], 2, "ConfigError", "sample sizes"),
+    _case(2, ["power", "--alpha", "1.5"], 2, "ConfigError", "alpha"),
+    _case(3, ["bayes-risk-table", "--nodes", "10"], 2, "ConfigError", "nodes"),
+    _case(4, _ESTIMATE + ["--theta-hat", "nan"], 2, "ConfigError", "finite"),
+    _case(
+        5, ["srmse-curve", "--n", "1", "--m", "1", "--estimators", "lstp",
+            "--grid-points", "2", "--sqrt-n-delta-max", "1e300"],
         3, "NodeEvaluationError", "non-finite estimate",
     ),
-    (["estimate", "--config", "{bad_config}"], 2, "ConfigError", "config key 'n'"),
-    (["densities", "--sqrt-n-delta", "nan", "--estimators", "ammse"], 2, "ConfigError", "finite"),
-    (["srmse-curve", "--sqrt-n-delta-max", "nan"], 2, "ConfigError", "finite"),
-    (["power", "--theta", "inf"], 2, "ConfigError", "finite"),
-    (["example-prams", "--delta0-list", "0"], 2, "ConfigError", "delta0 must be positive"),
-    (["example-prams", "--sens", "-1"], 2, "ConfigError", "sensitivity"),
-    (
-        ["power", "--delta-max", "1e308", "--grid-points", "2", "--estimators", "mle"],
+    _case(6, ["estimate", "--config", "{bad_config}"], 2, "ConfigError", "config key 'n'"),
+    _case(7, ["densities", "--sqrt-n-delta", "nan", "--estimators", "ammse"], 2, "ConfigError", "finite"),
+    _case(8, ["srmse-curve", "--sqrt-n-delta-max", "nan"], 2, "ConfigError", "finite"),
+    _case(9, ["power", "--theta", "inf"], 2, "ConfigError", "finite"),
+    _case(10, ["example-prams", "--delta0-list", "0"], 2, "ConfigError", "delta0 must be positive"),
+    _case(11, ["example-prams", "--sens", "-1"], 2, "ConfigError", "sensitivity"),
+    _case(
+        12, ["power", "--delta-max", "1e308", "--grid-points", "2", "--estimators", "mle"],
         3, "ValueError", "conflict span",
     ),
-    (["bayes-risk-table", "--n", "0"], 2, "ConfigError", "n = 0"),
-    (["power", "--n", "0"], 2, "ConfigError", "n = 0"),
-    (["srmse-curve", "--m", "0"], 2, "ConfigError", "m = 0"),
-    (["srmse-curve", "--n", "-5"], 2, "ConfigError", "n = -5"),
-    (["srmse-curve", "--grid-points", "-1"], 2, "ConfigError", "grid_points = -1"),
-    (["example-prams", "--resamples", "0"], 2, "ConfigError", "resamples = 0"),
-    (["example-prams", "--level", "1.5"], 2, "ConfigError", "level"),
-    (["example-prams", "--mc-draws", "0"], 2, "ConfigError", "mc_draws = 0"),
-    (["densities", "--workers", "0"], 2, "ConfigError", "workers = 0"),
-    (["example-prams", "--target-p", "2"], 2, "ConfigError", "target_p"),
-    (_ESTIMATE + ["--estimators", "mle,gdib"], 2, "ConfigError", "estimator id 'gdib' has no flag or default for ['g']"),
-    (["densities", "--grid-points", "1"], 2, "ConfigError", "grid_points = 1"),
-    (["example-prams", "--successes", "0"], 2, "ConfigError", "degenerate rate"),
-    (["example-prams", "--successes", "94"], 2, "ConfigError", "degenerate rate"),
-    (["asymptotics-check", "--draws", "0"], 2, "ConfigError", "draws = 0"),
-    (
-        ["asymptotics-check", "--estimators", "mle,alasso"],
+    _case(13, ["bayes-risk-table", "--n", "0"], 2, "ConfigError", "n = 0"),
+    _case(14, ["power", "--n", "0"], 2, "ConfigError", "n = 0"),
+    _case(15, ["srmse-curve", "--m", "0"], 2, "ConfigError", "m = 0"),
+    _case(16, ["srmse-curve", "--n", "-5"], 2, "ConfigError", "n = -5"),
+    _case(17, ["srmse-curve", "--grid-points", "-1"], 2, "ConfigError", "grid_points = -1"),
+    _case(18, ["example-prams", "--resamples", "0"], 2, "ConfigError", "resamples = 0"),
+    _case(19, ["example-prams", "--level", "1.5"], 2, "ConfigError", "level"),
+    _case(20, ["example-prams", "--mc-draws", "0"], 2, "ConfigError", "mc_draws = 0"),
+    _case(21, ["densities", "--workers", "0"], 2, "ConfigError", "workers = 0"),
+    _case(22, ["example-prams", "--target-p", "2"], 2, "ConfigError", "target_p"),
+    _case(23, _ESTIMATE + ["--estimators", "mle,gdib"],
+          2, "ConfigError", "estimator id 'gdib' has no flag or default for ['g']"),
+    _case(24, ["densities", "--grid-points", "1"], 2, "ConfigError", "grid_points = 1"),
+    _case(25, ["example-prams", "--successes", "0"], 2, "ConfigError", "degenerate rate"),
+    _case(26, ["example-prams", "--successes", "94"], 2, "ConfigError", "degenerate rate"),
+    _case(27, ["asymptotics-check", "--draws", "0"], 2, "ConfigError", "draws = 0"),
+    _case(
+        28, ["asymptotics-check", "--estimators", "mle,alasso"],
         2, "ConfigError", "no closed limit law implemented for 'alasso'",
     ),
-    (_ESTIMATE + ["--n", "1" + "0" * 400], 2, "ConfigError", "2**53], got n = 1000"),
-    (["power", "--n", "1" + "0" * 400], 2, "ConfigError", "2**53], got n = 1000"),
-    (_ESTIMATE + ["--n", str(10**200), "--m", str(10**200)], 2, "ConfigError", "2**53], got n = 1000"),
-    (["srmse-curve", "--m", str(2**53 + 1)], 2, "ConfigError", f"m = {2**53 + 1}"),
-    (["estimate", "--config", "{huge_config}"], 2, "ConfigError", "config key 'n'"),
-    (["estimate", "--config", "{long_config}"], 2, "ConfigError", "integer string conversion"),
-    (["estimate", "--config", "{malformed_config}"], 2, "ConfigError", "Expecting value"),
-    (["bayes-risk-table", "--estimators", ""], 2, "ConfigError", "estimators must list"),
-    (["bayes-risk-table", "--priors", " "], 2, "ConfigError", "priors must list"),
-    (["densities", "--sqrt-n-delta", ""], 2, "ConfigError", "sqrt_n_delta must list"),
-    (["asymptotics-check", "--h", ""], 2, "ConfigError", "h must list"),
-    (["srmse-curve", "--config", "{empty_config}"], 2, "ConfigError", "estimators must list"),
-    (["power", "--convention", "bogus"], 2, "ConfigError", "known: ['all-delta', 'delta-bounded', 'delta-zero']"),
-    (_ESTIMATE + ["--estimators", "lstp", "--v", "1" + "0" * 400], 2, "ConfigError", "between 3 and the largest float"),
-    (["srmse-curve", "--estimators", "lstp", "--v", "1" + "0" * 400], 2, "ConfigError", "between 3 and the largest float"),
-    (_ESTIMATE + ["--config", "{huge_v_config}"], 2, "ConfigError", "between 3 and the largest float"),
-    (
-        ["estimate", "--theta-hat", "1e308", "--n", "1", "--beta-hat=-1e308", "--m", "1",
-         "--estimators", "mle,pooled"],
+    _case(29, _ESTIMATE + ["--n", "1" + "0" * 400], 2, "ConfigError", "2**53], got n = 1000"),
+    _case(30, ["power", "--n", "1" + "0" * 400], 2, "ConfigError", "2**53], got n = 1000"),
+    _case(31, _ESTIMATE + ["--n", str(10**200), "--m", str(10**200)], 2, "ConfigError", "2**53], got n = 1000"),
+    _case(32, ["srmse-curve", "--m", str(2**53 + 1)], 2, "ConfigError", f"m = {2**53 + 1}"),
+    _case(33, ["estimate", "--config", "{huge_config}"], 2, "ConfigError", "config key 'n'"),
+    _case(34, ["estimate", "--config", "{long_config}"], 2, "ConfigError", "integer string conversion"),
+    _case(35, ["estimate", "--config", "{malformed_config}"], 2, "ConfigError", "Expecting value"),
+    _case(36, ["bayes-risk-table", "--estimators", ""], 2, "ConfigError", "estimators must list"),
+    _case(37, ["bayes-risk-table", "--priors", " "], 2, "ConfigError", "priors must list"),
+    _case(38, ["densities", "--sqrt-n-delta", ""], 2, "ConfigError", "sqrt_n_delta must list"),
+    _case(39, ["asymptotics-check", "--h", ""], 2, "ConfigError", "h must list"),
+    _case(40, ["srmse-curve", "--config", "{empty_config}"], 2, "ConfigError", "estimators must list"),
+    _case(41, ["power", "--convention", "bogus"],
+          2, "ConfigError", "known: ['all-delta', 'delta-bounded', 'delta-zero']"),
+    _case(42, _ESTIMATE + ["--estimators", "lstp", "--v", "1" + "0" * 400],
+          2, "ConfigError", "between 3 and the largest float"),
+    _case(43, ["srmse-curve", "--estimators", "lstp", "--v", "1" + "0" * 400],
+          2, "ConfigError", "between 3 and the largest float"),
+    _case(44, _ESTIMATE + ["--config", "{huge_v_config}"], 2, "ConfigError", "between 3 and the largest float"),
+    _case(
+        45, ["estimate", "--theta-hat", "1e308", "--n", "1", "--beta-hat=-1e308", "--m", "1",
+            "--estimators", "mle,pooled"],
         2, "ConfigError", "their conflict beta_hat - theta_hat must be finite",
     ),
-    (["power", "--theta0", "1e308", "--theta", "1e308"], 2, "ConfigError", "theta0 + theta must be finite"),
-    (["estimate", "--config", "{dir}"], 2, "IsADirectoryError", "Is a directory"),
-    (_ESTIMATE + ["--out-dir", "{bad_config}"], 2, "FileExistsError", "File exists"),  # a file, not a directory
-    (_ESTIMATE + ["--out-dir", "{bad_config}/sub"], 2, "NotADirectoryError", "Not a directory"),
-    (["example-prams", "--external-rate", "1e305"], 2, "ConfigError", "external_rate must lie in [0, 1]"),
-    (["example-prams", "--external-rate=-0.1"], 2, "ConfigError", "external_rate must lie in [0, 1]"),
-    (["srmse-curve", "--nodes", str(10**6)], 2, "ConfigError", "or in [64, 4096], got 1000000"),
-    (["bayes-risk-table", "--nodes", "4097"], 2, "ConfigError", "or in [64, 4096], got 4097"),
-    (
-        ["srmse-curve", "--n", "1", "--m", "1", "--estimators", "pooled",
-         "--grid-points", "3", "--sqrt-n-delta-max", "1e300"],
+    _case(46, ["power", "--theta0", "1e308", "--theta", "1e308"], 2, "ConfigError", "theta0 + theta must be finite"),
+    _case(47, ["estimate", "--config", "{dir}"], 2, "IsADirectoryError", "Is a directory"),
+    _case(48, _ESTIMATE + ["--out-dir", "{bad_config}"],
+          2, "FileExistsError", "File exists"),  # a file, not a directory
+    _case(49, _ESTIMATE + ["--out-dir", "{bad_config}/sub"], 2, "NotADirectoryError", "Not a directory"),
+    _case(50, ["example-prams", "--external-rate", "1e305"], 2, "ConfigError", "external_rate must lie in [0, 1]"),
+    _case(51, ["example-prams", "--external-rate=-0.1"], 2, "ConfigError", "external_rate must lie in [0, 1]"),
+    _case(52, ["srmse-curve", "--nodes", str(10**6)], 2, "ConfigError", "or in [64, 4096], got 1000000"),
+    _case(53, ["bayes-risk-table", "--nodes", "4097"], 2, "ConfigError", "or in [64, 4096], got 4097"),
+    _case(
+        54, ["srmse-curve", "--n", "1", "--m", "1", "--estimators", "pooled",
+            "--grid-points", "3", "--sqrt-n-delta-max", "1e300"],
         3, "FloatingPointError", "MSE of pooled at conflict 5e+299",
     ),
-    (
-        ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1e200", "--m", "400",
-         "--estimators", "lstp"],
+    _case(
+        55, ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1e200", "--m", "400",
+            "--estimators", "lstp"],
         3, "FloatingPointError", "non-finite estimate from lstp",
     ),
-    (
-        ["example-prams", "--successes", "400000", "--trials", "1000000"],
+    _case(
+        56, ["example-prams", "--successes", "400000", "--trials", "1000000"],
         2, "ConfigError", "11167840 (k, j) points, above the cap of 1048576",
     ),
-    (["example-prams", "--level", "0"], 2, "ConfigError", "level must lie in (0, 1)"),
-    (["power", "--delta-max=-1"], 2, "ConfigError", "delta_max must be 0 (convention default) or positive, got -1"),
-    (["asymptotics-check", "--threshold=-1"], 2, "ConfigError", "threshold must be non-negative, got -1"),
-    (["srmse-curve", "--config", "{fractional_n_config}"], 2, "ConfigError", "config key 'n' must be an integer"),
-    (["srmse-curve", "--config", "{bool_grid_config}"], 2, "ConfigError", "config key 'grid_points' must not be a boolean"),
-    (["power", "--config", "{bool_theta_config}"], 2, "ConfigError", "config key 'theta' must not be a boolean"),
-    (["power", "--config", "{number_svg_config}"], 2, "ConfigError", "config key 'svg' must be a boolean"),
-    (["power", "--config", "{other_subcommand_config}"], 2, "ConfigError",
-     "config key 'subcommand' must be 'power', got 'srmse-curve'"),
-    (["power", "--config", "{null_seed_config}"], 2, "ConfigError", "config key 'seed' must not be null"),
-    (["asymptotics-check", "--config", "{word_h_config}"], 2, "ConfigError", "config key 'h': could not convert"),
+    _case(57, ["example-prams", "--level", "0"], 2, "ConfigError", "level must lie in (0, 1)"),
+    _case(58, ["power", "--delta-max=-1"],
+          2, "ConfigError", "delta_max must be 0 (convention default) or positive, got -1"),
+    _case(59, ["asymptotics-check", "--threshold=-1"], 2, "ConfigError", "threshold must be non-negative, got -1"),
+    _case(60, ["srmse-curve", "--config", "{fractional_n_config}"],
+          2, "ConfigError", "config key 'n' must be an integer"),
+    _case(61, ["srmse-curve", "--config", "{bool_grid_config}"],
+          2, "ConfigError", "config key 'grid_points' must not be a boolean"),
+    _case(62, ["power", "--config", "{bool_theta_config}"],
+          2, "ConfigError", "config key 'theta' must not be a boolean"),
+    _case(63, ["power", "--config", "{number_svg_config}"], 2, "ConfigError", "config key 'svg' must be a boolean"),
+    _case(64, ["power", "--config", "{other_subcommand_config}"], 2, "ConfigError",
+          "config key 'subcommand' must be 'power', got 'srmse-curve'"),
+    _case(65, ["power", "--config", "{null_seed_config}"], 2, "ConfigError", "config key 'seed' must not be null"),
+    _case(66, ["asymptotics-check", "--config", "{word_h_config}"],
+          2, "ConfigError", "config key 'h': could not convert"),
 ]
 
 
@@ -437,7 +452,7 @@ def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, messag
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the result or its error record is all the run reports
 @pytest.mark.parametrize(
     "argv, code",
-    [(argv, code) for argv, code, _, _ in _ERROR_CASES if code == 3]
+    [pytest.param(*case.values[:2], id=case.id) for case in _ERROR_CASES if case.values[1] == 3]
     + [(["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1e-310", "--m", "400",
          "--estimators", "alasso"], 0)],
 )
