@@ -595,16 +595,19 @@ def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = StudentTPrio
 
     out = np.empty(dh.size)
     one = disc > 0.0
-    if np.any(one):
-        # Cardano's u - w with w = p/(3u), written as -q / (u^2 + p/3 + w^2) so
-        # that the two terms do not cancel when p dominates q; with q = B qb the
-        # root x = 2**e (t - B/3) is delta_hat (qb / (u^2 + p/3 + w^2) + 1/3)
-        u = np.cbrt(-q[one] / 2.0 - np.copysign(np.sqrt(disc[one]), q[one]))
-        p3u = p3[one]
-        w = p3u / u
-        out[one] = dh[one] * (qb[one] / (u * u + p3u + w * w) + 1.0 / 3.0)
-    three = np.flatnonzero(~one)
-    if three.size:
+    # every node has one real root unless p > 1 - (v+1)/(8v), so whenever m >= n/5:
+    # then a slice picks them all and nothing is gathered or scattered
+    every = bool(one.all())
+    i = slice(None) if every else np.flatnonzero(one)
+    # Cardano's u - w with w = p/(3u), written as -q / (u^2 + p/3 + w^2) so
+    # that the two terms do not cancel when p dominates q; with q = B qb the
+    # root x = 2**e (t - B/3) is delta_hat (qb / (u^2 + p/3 + w^2) + 1/3)
+    qi, p3i = q[i], p3[i]
+    u = np.cbrt(-qi / 2.0 - np.copysign(np.sqrt(disc[i]), qi))
+    w = p3i / u
+    out[i] = dh[i] * (qb[i] / (u * u + p3i + w * w) + 1.0 / 3.0)
+    if not every:
+        three = np.flatnonzero(~one)
         # solved at |delta_hat| and negated back: arccos(-x) = pi - arccos(x) only to
         # rounding, and where two minima tie the choice of root must still be odd
         ad = np.abs(dh[three])

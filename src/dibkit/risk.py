@@ -10,7 +10,11 @@ product weight is below 1e-25 are skipped: at 128 nodes they are three
 quarters of the pairs but hold 3.5e-22 of the weighted mass, so the MSE
 moves by ~1e-16 relative.  The MSE is even in the conflict (every correction
 is odd, and the kept node pairs are symmetric), so each distinct ``|delta|``
-of a batch is evaluated once.  On top of that sit the standardized risk
+of a batch is evaluated once.  The 1-D nodes and weights are computed once
+per node count and kept read-only; the pair table is rebuilt per call.  Each
+conflict's finiteness is checked on its MSE alone: a non-finite MSE means a
+non-finite error or an overflowed square, and only then are the errors looked
+at again, to name the node.  On top of that sit the standardized risk
 ``sqrt(n * MSE)``, risk curves over a conflict grid, and risk integrated
 against a prior on the conflict.  Several priors are integrated in lockstep
 (:func:`integrated_srmse_batch`): each refinement pass evaluates the risk once
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -207,9 +212,13 @@ def table_priors(n: int, m: int) -> dict[str, ConflictPrior]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _gh_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``count``-point rule for N(0, 1/2), computed once per count and read-only."""
     x, w = roots_hermite(count)
-    return x, w / math.sqrt(math.pi)
+    w = w / math.sqrt(math.pi)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def default_nodes(config: EstimatorConfig) -> int:
@@ -257,17 +266,20 @@ def _mse_many(
         for k, d in enumerate(folded):
             q = conflict_correction(config, d + base, n, m, delta_true=d)
             err = u + q
-            if not np.all(np.isfinite(err)):
-                bad = int(np.flatnonzero(~np.isfinite(err))[0])
-                # the mirrored node of the first conflict asked for with this magnitude
-                sign = math.copysign(1.0, signed[first[k]])
-                raise NodeEvaluationError(
-                    f"non-finite estimate for {estimator_id(config)} at node "
-                    f"(theta_hat={theta + sign * u[bad]:.6g}, beta_hat={theta + sign * (d + v[bad]):.6g})"
-                )
-            out[k] = float(np.dot(pair_w, err * err))
-            if not math.isfinite(out[k]):  # every error is finite, so a square overflowed
+            err *= err
+            out[k] = np.dot(pair_w, err)
+            if math.isfinite(out[k]):  # every weight is positive, so every error was finite
+                continue
+            err = u + q
+            if np.all(np.isfinite(err)):  # so a square overflowed
                 raise FloatingPointError(f"MSE of {estimator_id(config)} at conflict {signed[first[k]]:.6g} overflows a float")
+            bad = int(np.flatnonzero(~np.isfinite(err))[0])
+            # the mirrored node of the first conflict asked for with this magnitude
+            sign = math.copysign(1.0, signed[first[k]])
+            raise NodeEvaluationError(
+                f"non-finite estimate for {estimator_id(config)} at node "
+                f"(theta_hat={theta + sign * u[bad]:.6g}, beta_hat={theta + sign * (d + v[bad]):.6g})"
+            )
     return out[back].reshape(deltas.shape)
 
 
@@ -279,7 +291,11 @@ def mse_numeric(
     m: int,
     nodes: int | None = None,
 ) -> float:
-    """Exact-quadrature MSE of the estimator at location ``theta`` and conflict ``delta``."""
+    """Gauss-Hermite tensor MSE of the estimator at location ``theta`` and conflict ``delta``.
+
+    Its error against ``quad`` is the module's bound for each estimator
+    (ttpool's is the largest, 3.4e-3 relative in n * MSE).
+    """
     return float(_mse_many(config, theta, np.asarray([delta]), n, m, nodes)[0])
 
 

@@ -441,6 +441,11 @@ def test_lstp_delta_mode_relative_accuracy_across_root_branches():
         dh = np.array(dh)
         if edges:
             assert np.any(_lstp_cubic_discriminant(dh, n, m) < 0.0)
+            # the one-root conflicts alone take the branch without gathers; among three-root ones they
+            # are gathered, and must come out the same bit for bit
+            both = np.concatenate([grid, -grid])
+            one = _lstp_cubic_discriminant(both, n, m) > 0.0
+            assert np.array_equal(lstp_delta_mode(both[one], n, m), lstp_delta_mode(dh, n, m)[: both.size][one])
         for d, got in zip(dh, lstp_delta_mode(dh, n, m)):
             want = float(lstp_delta_mode_mpmath(d, n, m))
             assert abs(got - want) <= 1e-12 * abs(want), (n, m, d, got, want)

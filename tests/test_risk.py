@@ -158,6 +158,9 @@ def test_node_error_names_a_node_of_the_signed_conflict():
             srmse_batch(StudentTPriorBayes(), 0.0, [delta], 1, 1)
         beta_hat = float(re.search(r"beta_hat=([^)]+)\)", str(info.value)).group(1))
         assert math.copysign(1.0, beta_hat) == sign and abs(beta_hat) > 1e299
+    # of two failing conflicts the smaller |delta| is named, wherever it stands in the batch
+    with pytest.raises(NodeEvaluationError, match=r"at node \(theta_hat=10.2384, beta_hat=-5e\+299\)"), np.errstate(all="ignore"):
+        srmse_batch(StudentTPriorBayes(), 0.0, [1e300, -5e299], 1, 1)
 
 
 @pytest.mark.filterwarnings("error")  # the overflow is reported once, as the error, not also as a warning
@@ -165,8 +168,21 @@ def test_an_overflowing_mse_names_the_estimator_and_the_signed_conflict():
     # the pooled error is finite, about m/(n+m) * delta, but its square overflows
     with pytest.raises(FloatingPointError, match=r"MSE of pooled at conflict -5e\+299"):
         srmse_batch(Pooled(), 0.0, [0.0, -5e299, 1e300], 1, 1)
+    with pytest.raises(FloatingPointError, match=r"MSE of pooled at conflict -5e\+299"):
+        srmse_batch(Pooled(), 0.0, [1e300, -5e299], 1, 1)
     with pytest.raises(FloatingPointError, match="MSE of pooled"):
         mse_numeric(Pooled(), 0.0, 5e299, 1, 1)
+
+
+def test_gauss_hermite_nodes_are_cached_read_only_and_every_count_repeats():
+    x, w = risk._gh_nodes(96)
+    assert risk._gh_nodes(96)[0] is x and not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 0.0
+    grid = np.array([0.0, 0.7, 1.58, 4.2]) / math.sqrt(N)
+    first = srmse_batch(StudentTPriorBayes(), 0.0, grid, N, M, nodes=96)
+    srmse_batch(StudentTPriorBayes(), 0.0, grid, N, M, nodes=128)
+    assert np.array_equal(srmse_batch(StudentTPriorBayes(), 0.0, grid, N, M, nodes=96), first)
 
 
 @pytest.mark.parametrize("nodes", [63, 4097, 10**6])
