@@ -429,12 +429,9 @@ class LimitedTranslation(_Estimator):
     id: ClassVar[str] = "ltr"
 
     def correction(self, d, n, m, delta_true=None):
-        big_m, big_c = _ltr_constants(n, m)
-        cap = big_m * m / (m + n)
-        inner = m / (2.0 * m + n) * d
-        # outer-branch signs continue the inner rule at |delta_hat| = C; the
-        # translation is capped at the value it attains on that boundary
-        return np.where(d > big_c, cap, np.where(d < -big_c, -cap, inner))
+        big_m, _ = _ltr_constants(n, m)
+        cap = big_m * m / (m + n)  # the normal-prior translation's value at |delta_hat| = C
+        return np.clip(m / (2.0 * m + n) * d, -cap, cap)
 
     def delta_est(self, d, n, m):
         big_m, big_c = _ltr_constants(n, m)
@@ -539,14 +536,14 @@ def alasso_delta(delta_hat: np.ndarray, n: int, m: int, tau: float) -> np.ndarra
 
     whose minimizer is a soft threshold at ``(n+m)^(1+tau) / (2 n m |delta_hat|)``.
     A zero observed conflict makes the adaptive penalty infinite, so the
-    estimate is defined as exactly zero there.
+    estimate is exactly zero there.  That needs no branch: the shrink is
+    ``inf`` and the clip returns zero itself.  Inside the threshold the
+    estimate is +0.0 for either sign of ``delta_hat``.
     """
     d = np.asarray(delta_hat, dtype=float)
-    ad = np.abs(d)
     with np.errstate(divide="ignore", over="ignore"):  # an infinite shrink zeroes the estimate
-        shrink = (n + m) ** (1.0 + tau) / (2.0 * n * m * ad)
-    out = np.sign(d) * np.maximum(0.0, ad - shrink)
-    return np.where(ad == 0.0, 0.0, out)
+        shrink = (n + m) ** (1.0 + tau) / (2.0 * n * m * np.abs(d))
+    return d - np.clip(d, -shrink, shrink)
 
 
 def lstp_profile_objective(

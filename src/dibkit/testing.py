@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Literal, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from ._law import ConditionalLaw, bracketed_roots, conditional_laws, quantiles
 from .estimators import (
     EstimatorConfig,
+    Mle,
     SensitivityMmse,
     conflict_correction,  # noqa: F401  (the benchmark's tracer test patches this binding)
     est_pooled,
@@ -259,14 +260,16 @@ def sweet_spot(
     """Locate conflicts below the bound where the borrowing test has higher power.
 
     The analytic candidate ``(delta0 - (theta - theta0), delta0)`` is reported
-    alongside the numerically located region.
+    alongside the numerically located region.  The plain (MLE) test's power
+    is taken by the same quadrature on the same grid, so comparing ``Mle()``
+    with itself gains exactly zero.
     """
     conv = spec.convention
     if not isinstance(conv, DeltaBounded):
         raise ValueError("sweet spot is defined for the bounded-conflict convention")
     curve = power_curve(spec, theta, points=points)
-    mle_power = float(ndtr(math.sqrt(spec.n) * (theta - spec.theta0) - ndtri(1.0 - spec.alpha)))
-    grid, gain = curve.delta, curve.rejection_prob - mle_power
+    plain = power_curve(replace(spec, estimator=Mle()), theta, curve.delta)
+    grid, gain = curve.delta, curve.rejection_prob - plain.rejection_prob
     positive = gain > 0.0
     if not np.any(positive):
         interval = None

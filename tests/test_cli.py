@@ -21,6 +21,7 @@ from dibkit._law import ConditionalLaw, conditional_laws, grids
 from dibkit.cli import run
 from dibkit.estimators import config_from_id
 from dibkit.montecarlo import _QUANTILE_PROBS
+from dibkit.svg import Series, emit_plot
 
 
 def read_csv(path):
@@ -177,6 +178,24 @@ def test_batched_density_laws_equal_the_per_law_grid_and_quantiles(n, m):
                 assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want))), (name, snd)
 
 
+@pytest.mark.parametrize("series", [[], [Series("a", (), ())], [Series("a", (1.0,), (2.0,)), Series("b", (), ())]])
+def test_emit_plot_rejects_an_empty_series(tmp_path, series):
+    with pytest.raises(ValueError, match="every series must be nonempty"):
+        emit_plot(series, str(tmp_path / "plot.svg"))
+    assert not (tmp_path / "plot.svg").exists()
+
+
+def test_emit_plot_widens_a_zero_range_to_one_unit(tmp_path):
+    # x spans [2, 3] and y [0.5, 1.5] before its 4% pad, so the point sits at the left edge, near the bottom
+    path = tmp_path / "flat.svg"
+    emit_plot([Series("a", (2.0, 2.0), (0.5, 0.5))], str(path))
+    text = path.read_text()
+    assert '<polyline points="70,487.778 70,487.778"' in text
+    ticks = re.findall(r'font-size="12">([^<]*)</text>', text)
+    assert ticks[:6] == ["2", "2.2", "2.4", "2.6", "2.8", "3"]
+    assert ticks[6:-1] == ["0.6", "0.8", "1", "1.2", "1.4"]
+
+
 def test_example_prams_report(tmp_path, capsys):
     assert (
         run(
@@ -210,6 +229,17 @@ def test_example_prams_seed_moves_nothing(tmp_path):
     # the interval is the bootstrap's exact limit; --resamples is only echoed
     assert (reports[0][("ci_lo", "rate")], reports[0][("ci_hi", "rate")]) == ("0.334410993353", "0.449365182374")
     assert reports[0][("bootstrap_resamples", "count")] == "2000"
+
+
+def test_example_prams_writes_a_quoted_row_when_no_tipping_point_is_bracketed(tmp_path):
+    # p peaks below the target on the bracket: the report still exits 0, and the
+    # error text, which holds commas, goes out quoted and reads back as one cell
+    argv = ["example-prams", "--resamples", "2000", "--delta0-list", "0.05", "--target-p", "0.5"]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "prams_report.csv").read_text()
+    message = "no sign change on bracket: p starts at 0.03413 and peaks at 0.3997, target 0.5"
+    assert text.endswith(f'tipping_point,error,"{message}"\n')
+    assert read_csv(tmp_path / "prams_report.csv")[-1] == ["tipping_point", "error", message]
 
 
 def test_asymptotics_check(tmp_path):
@@ -417,6 +447,8 @@ _ERROR_CASES = [
     _case(65, ["power", "--config", "{null_seed_config}"], 2, "ConfigError", "config key 'seed' must not be null"),
     _case(66, ["asymptotics-check", "--config", "{word_h_config}"],
           2, "ConfigError", "config key 'h': could not convert"),
+    _case(67, ["bayes-risk-table", "--priors", "pi9"], 2, "ConfigError", "unknown priors"),
+    _case(68, ["power", "--config", "{array_config}"], 2, "ConfigError", "must hold a JSON object"),
 ]
 
 
@@ -436,6 +468,7 @@ def test_exit_codes_and_error_record(tmp_path, capsys, argv, code, error, messag
         "other_subcommand_config": json.dumps({"subcommand": "srmse-curve"}),
         "null_seed_config": json.dumps({"seed": None}),
         "word_h_config": json.dumps({"h": ["abc"]}),
+        "array_config": json.dumps([1, 2]),
     }
     for name, text in configs.items():
         (tmp_path / f"{name}.json").write_text(text)

@@ -535,6 +535,79 @@ def test_ltr_continuous_at_boundary():
     assert above == pytest.approx(below, abs=1e-6)
 
 
+def ltr_correction_branches(d: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Limited translation's correction written by cases on delta_hat against +/-C (the oracle of the clip)."""
+    big_m = math.sqrt(1.0 / n + 1.0 / m)
+    big_c = big_m * (2.0 * m + n) / (m + n)
+    cap = big_m * m / (m + n)
+    inner = m / (2.0 * m + n) * d
+    return np.where(d > big_c, cap, np.where(d < -big_c, -cap, inner))
+
+
+def alasso_delta_branches(d: np.ndarray, n: int, m: int, tau: float) -> np.ndarray:
+    """The adaptive lasso's soft threshold by sign, maximum and a zero guard (the oracle of the clip)."""
+    ad = np.abs(d)
+    with np.errstate(divide="ignore", over="ignore"):
+        shrink = (n + m) ** (1.0 + tau) / (2.0 * n * m * ad)
+    return np.where(ad == 0.0, 0.0, np.sign(d) * np.maximum(0.0, ad - shrink))
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _floats_around(points, k: int = 7) -> np.ndarray:
+    """Each point with the ``k`` floats on either side of it."""
+    out = []
+    for p in points:
+        up, down = [p], [p]
+        for _ in range(k):
+            up.append(np.nextafter(up[-1], np.inf))
+            down.append(np.nextafter(down[-1], -np.inf))
+        out += up + down[1:]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n, m", [(1000, 100_000), (100, 400), (1_000_000, 10), (1000, 100), (94, 20_000)])
+def test_capping_kernels_match_their_branch_oracles_bit_for_bit(n, m):
+    _, big_c = estimators._ltr_constants(n, m)
+    extremes = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
+    d = np.concatenate([np.linspace(-3.0 * big_c, 3.0 * big_c, 4001), extremes, _floats_around([big_c, -big_c])])
+    got, want = conflict_correction(LimitedTranslation(), d, n, m), ltr_correction_branches(d, n, m)
+    differs = _bits(got) != _bits(want)
+    # the one exception: at delta_hat = +/-C exactly, m/(2m+n) C may round one ulp above the cap
+    assert set(np.abs(d[differs])) <= {big_c}
+    assert np.all(np.abs(_bits(got[differs]) - _bits(want[differs])) == 1)
+    assert np.all(np.abs(got[differs]) < np.abs(want[differs]))
+    if (n, m) == (94, 20_000):
+        assert differs.sum() == 2
+        assert (got[d == big_c][0], want[d == big_c][0]) == (0.10290059170387354, 0.10290059170387356)
+    for tau in (AdaptiveLasso.tau, 0.4):
+        b = AdaptiveLasso(tau).breakpoints(n, m)[1]
+        dd = np.concatenate([d, np.linspace(-3.0 * b, 3.0 * b, 4001), _floats_around([b, -b])])
+        est, oracle = estimators.alasso_delta(dd, n, m, tau), alasso_delta_branches(dd, n, m, tau)
+        assert np.array_equal(est, oracle)
+        nonzero = oracle != 0.0
+        assert np.array_equal(_bits(est[nonzero]), _bits(oracle[nonzero]))
+        assert not np.any(np.signbit(est[~nonzero]))  # +0.0 inside the threshold, for either sign
+        w = m / (n + m)
+        assert np.array_equal(_bits(conflict_correction(AdaptiveLasso(tau), dd, n, m)), _bits(w * (dd - oracle)))
+
+
+def test_ltr_clip_differs_from_the_branches_only_next_to_the_breakpoints():
+    # over every n, m < 40 the clip and the branches agree except within two floats of +/-C,
+    # where the rounded m/(2m+n) delta_hat and the rounded cap may sit a few ulps apart
+    for n in range(1, 40):
+        for m in range(1, 40):
+            big_m, big_c = estimators._ltr_constants(n, m)
+            d = np.concatenate([np.linspace(-2.0 * big_c, 2.0 * big_c, 101), _floats_around([big_c, -big_c], 4)])
+            got, want = conflict_correction(LimitedTranslation(), d, n, m), ltr_correction_branches(d, n, m)
+            differs = _bits(got) != _bits(want)
+            assert np.all(np.abs(_bits(np.abs(d[differs])) - _bits(big_c)) <= 2), (n, m)
+            assert np.all(np.abs(_bits(got[differs]) - _bits(want[differs])) <= 3), (n, m)
+            assert np.all(np.abs(got) <= big_m * m / (m + n)), (n, m)
+
+
 def test_estimate_dispatch():
     assert estimate(Mle(), S_WIDE).theta_est == dk.est_mle(S_WIDE).theta_est
     assert estimate(SensitivityMmse(1.0), S_WIDE).theta_est == pytest.approx(
@@ -556,6 +629,11 @@ def test_config_validation():
         StudentTPriorBayes(v=2)
     with pytest.raises(ValueError):
         SensitivityMmse(sens=-1.0)
+    with pytest.raises(ValueError, match="sensitivity must be non-negative"):
+        GeneralizedBorrow(g=_g_half_reciprocal, sens=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta_true must be finite"):
+            OracleMmse(bad)
 
 
 def test_lstp_rejects_v_past_the_float_range():

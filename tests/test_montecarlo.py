@@ -58,6 +58,12 @@ def test_addressed_uniforms_match_a_direct_philox_draw(seed, stream, start, coun
     np.testing.assert_array_equal(addressed_uniforms(seed, stream, start, count), expected)
 
 
+@pytest.mark.parametrize("start, count", [(-1, 4), (0, -1)])
+def test_addressed_uniforms_reject_a_negative_position(start, count):
+    with pytest.raises(ValueError, match="start and count must be non-negative"):
+        addressed_uniforms(99, 0, start, count)
+
+
 def make_plan(**kw):
     base = dict(
         n=1000,
@@ -70,6 +76,16 @@ def make_plan(**kw):
     )
     base.update(kw)
     return SimPlan(**base)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [({"replicates": 0}, "replicates"), ({"n": 0}, "sample sizes"), ({"m": 0}, "sample sizes")],
+    ids=["replicates", "n", "m"],
+)
+def test_sim_plan_rejects_an_empty_run(kw, message):
+    with pytest.raises(ValueError, match=message):
+        make_plan(**kw)
 
 
 def test_simulate_deterministic_across_workers():

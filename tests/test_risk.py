@@ -235,6 +235,12 @@ def test_minimum_nodes_enforced():
         mse_numeric(Mle(), 0.0, 0.0, N, M, nodes=32)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_mse_numeric_rejects_a_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        mse_numeric(Mle(), theta, 0.0, N, M)
+
+
 def test_srmse_examples():
     assert srmse(Pooled(), 0.0, 0.0, N, M) == pytest.approx(math.sqrt(N / (N + M)), abs=1e-10)
     np_vals = [srmse(NormalPriorBayes(), 0.0, d, N, M) for d in (0.5, 1.0, 2.0)]
@@ -328,3 +334,5 @@ def test_prior_validation():
         LaplacePrior(0.0, -1.0)
     with pytest.raises(ValueError):
         StudentTPrior(2, 0.0, 1.0)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        StudentTPrior(3, 0.0, 0.0)

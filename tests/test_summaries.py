@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from dibkit import (
     BinomialRaw,
+    StandardizedSummary,
     TwoSampleSummary,
     conflict_stats,
     from_raw_binomial,
@@ -63,6 +64,10 @@ def test_summary_validation():
         BinomialRaw(5, 0)
     with pytest.raises(ValueError):
         BinomialRaw(11, 10)
+    with pytest.raises(ValueError, match="sd must be positive"):
+        StandardizedSummary(0.5, 0.0, 10)
+    with pytest.raises(ValueError, match="size must be positive"):
+        StandardizedSummary(0.5, 0.4, 0)
 
 
 def test_summary_rejects_an_overflowing_conflict():

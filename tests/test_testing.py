@@ -413,7 +413,8 @@ def test_sweet_spot_exists_at_moderate_theta():
 def test_sweet_spot_empty_for_self_comparison():
     spec = spec_for(Mle(), DeltaBounded(0.05))
     result = sweet_spot(spec, theta=0.03, points=15)
-    assert result.interval is None or max(result.gain) < 1e-9
+    assert result.interval is None
+    assert np.all(result.gain == 0.0)
 
 
 def test_sweet_spot_no_gain_at_null():
@@ -582,6 +583,22 @@ def test_tipping_point_matches_brentq_on_its_grid_interval(prams):
         want = brentq(lambda d0: pvalue("dib-deltabounded", s, theta0_st, d0, 0.4) - target,
                       grid[k - 1], grid[k], xtol=1e-14)
         assert abs(tip - want) <= 3e-14, (target, tip, want)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda p: Spec(0.0, 0.025, DeltaBounded(0.05), Mle(), 0, 100), "sample sizes", id="spec-n"),
+        pytest.param(lambda p: sweet_spot(spec_for(Mle(), AllDelta()), 0.03), "bounded-conflict", id="sweet-spot"),
+        pytest.param(lambda p: p2_p3(p["st"], 0.0, p["theta0_st"]), "delta0 must be positive", id="p2-p3-zero"),
+        pytest.param(lambda p: p2_p3(p["st"], -0.05, p["theta0_st"]), "delta0 must be positive", id="p2-p3-neg"),
+        pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.0), "target_p", id="tipping-0"),
+        pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 1.0), "target_p", id="tipping-1"),
+    ],
+)
+def test_testing_entry_points_reject_out_of_range_arguments(prams, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(prams)
 
 
 def test_tipping_point_requires_bracketing(prams):
