@@ -22,9 +22,11 @@ the node means in sorted order as wide as the most means any such interval
 holds; the nodes below the window count their whole weight in the CDF.
 Each node left out is off by less than ``Phi(-12)``, about 1.8e-33, of its
 weight in the CDF and ``phi(12) / sd``, about 2.1e-32 / sd, in the density,
-and a point's value depends only on ``z`` and the law.  The upper tail
-``sf`` and the quantile solve sum over every node, so that deep tails keep
-their relative digits.  Its quantiles are solved in lockstep, any
+and a point's value depends only on ``z`` and the law.  The upper tails
+and the quantile solve sum over every node, so that deep tails keep their
+relative digits; ``upper_tails`` takes the tails of a batch of laws at one
+``z`` in one ``ndtr`` pass, each law summing its own slice, and ``sf`` is
+its one-law case.  Its quantiles are solved in lockstep, any
 number of (law, probability) pairs at once, by Newton steps on the log of the
 tail that holds the probability (the lower tail up to 1/2, the upper tail
 above), kept inside a bracket from each law's own range and bisected when a
@@ -161,10 +163,6 @@ class ConditionalLaw:
         (law,) = conditional_laws(estimator, n, m, shift, [delta])
         vars(self).update(vars(law))
 
-    def _u(self, z: float | np.ndarray) -> np.ndarray:
-        zs = np.atleast_1d(np.asarray(z, dtype=float))
-        return (zs[:, None] - self.mean) / self.sd
-
     @cached_property
     def _window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The node means in sorted order and their weights, padded, the weight below each, and the width.
@@ -214,8 +212,8 @@ class ConditionalLaw:
         return out if np.ndim(z) else float(out[0])
 
     def sf(self, z: float) -> float:
-        """P(Z > z), summed over upper tails of every node so that small probabilities keep their digits."""
-        return float(np.sum(self.weights * ndtr(-self._u(z))))
+        """P(Z > z): the one-law case of :func:`upper_tails`."""
+        return float(upper_tails([self], z)[0])
 
     def pdf(self, z: np.ndarray) -> np.ndarray:
         """Density of Z: ``sum w phi(u) / sd`` over the nodes whose mean is within ``_BAND`` sd of ``z``.
@@ -275,6 +273,23 @@ def grids(laws, points: int, probs=()) -> tuple[np.ndarray, np.ndarray]:
     every = (_GRID_TAIL, 1.0 - _GRID_TAIL, *probs)
     values = quantiles([law for law in laws for _ in every], every * len(laws)).reshape(len(laws), len(every))
     return np.linspace(values[:, 0], values[:, 1], points, axis=1), values[:, 2:]
+
+
+def upper_tails(laws, z: float) -> np.ndarray:
+    """P(Z > z) of every law, each summed over the upper tails of all its nodes, from one ``ndtr`` pass.
+
+    Summing the nodes' upper tails, not taking ``1 - cdf``, keeps a small
+    probability's relative digits.  The weighted tails of every node of
+    every law are one elementwise expression, and each law sums its own
+    contiguous slice, so a law's tail is the same, bit for bit, in any batch.
+    """
+    if not laws:
+        return np.zeros(0)
+    sizes = [law.weights.size for law in laws]
+    weights, mean = np.concatenate([law.weights for law in laws]), np.concatenate([law.mean for law in laws])
+    tails = weights * ndtr((mean - z) / np.repeat([law.sd for law in laws], sizes))
+    bounds = np.cumsum([0, *sizes])
+    return np.array([np.sum(tails[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 def distances(laws, others) -> np.ndarray:

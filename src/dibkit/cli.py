@@ -127,11 +127,18 @@ def _options(subcommand: str) -> dict[str, Option]:
     return {o.name: o for o in _COMMON + _SUBCOMMANDS[subcommand][1]}  # own options replace common ones
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(populated: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of every subcommand name, with the options of only the subcommands in ``populated``.
+
+    A run parses one subcommand, so it need not build the options of the
+    others: neither the top-level help nor any argparse error shows them.
+    """
     parser = argparse.ArgumentParser(prog="dibkit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _SUBCOMMANDS:
         sp = sub.add_parser(name)
+        if name not in populated:
+            continue
         sp.add_argument("--config", default=None, help="JSON config file")
         for opt in _options(name).values():
             flag = "--" + opt.name.replace("_", "-")
@@ -212,9 +219,12 @@ def _fmt(value: Any) -> str:
 
 
 def _column(values: Sequence[Any]) -> list[str]:
-    """One column's cells as ``_fmt`` writes them, all floats formatted in one pass."""
-    if set(map(type, values)) <= {float, np.float64}:
+    """One column's cells as ``_fmt`` writes them, all floats formatted in one pass and all strings as they are."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
         return list(map("%.12g".__mod__, values))
+    if kinds == {str}:
+        return list(values)
     return list(map(_fmt, values))
 
 
@@ -536,7 +546,9 @@ def _error_record(exc: Exception) -> str:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no top-level option takes a value, so the first token not starting with '-' is the subcommand argparse runs
+    parser = _build_parser([a for a in argv if not a.startswith("-")][:1])
     try:
         namespace = parser.parse_args(argv)
     except SystemExit as exc:

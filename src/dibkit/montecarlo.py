@@ -358,7 +358,7 @@ def _exact_bootstrap_ci(
     weights = np.outer(
         np.exp(_log_pmf_ratio(k, k_mode, n, current.rate)), np.exp(_log_pmf_ratio(j, j_mode, m, external.rate))
     ).ravel()
-    order = np.argsort(values)
+    order = np.argsort(values, kind="stable")  # the grid's rows hold long monotone runs, which a stable sort merges
     cumulative = np.cumsum(weights[order])
     lo, hi = values[order[np.searchsorted(cumulative, np.multiply(probs, cumulative[-1]))]]
     return float(lo), float(hi)

@@ -67,6 +67,9 @@ def emit_plot(
     """Write a fixed-viewport SVG 1.1 line chart for the given series."""
     if not series or any(len(s.x) == 0 for s in series):
         raise ValueError("every series must be nonempty")
+    for s in series:  # a point is drawn only where both coordinates are finite
+        if not any(math.isfinite(xv) and math.isfinite(yv) for xv, yv in zip(s.x, s.y)):
+            raise ValueError(f"series {s.name!r} has no point with finite x and y")
     xs = [v for s in series for v in s.x if math.isfinite(v)]
     ys = [v for s in series for v in s.y if math.isfinite(v)]
     x_lo, x_hi = min(xs), max(xs)

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
-from ._law import ConditionalLaw, bracketed_roots, conditional_laws, quantiles
+from ._law import ConditionalLaw, bracketed_roots, conditional_laws, quantiles, upper_tails
 from .estimators import (
     EstimatorConfig,
     Mle,
@@ -105,6 +105,8 @@ class TestSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if 1.0 - self.alpha == 1.0:  # the critical value is the quantile at 1 - alpha
+            raise ValueError(f"alpha must be large enough that 1 - alpha is below 1, got {self.alpha:g}")
         if self.n < 1 or self.m < 1:
             raise ValueError("sample sizes must be >= 1")
 
@@ -229,7 +231,7 @@ def power_curve(
         probs = np.zeros(grid.size)
     else:
         laws = conditional_laws(spec.estimator, spec.n, spec.m, theta - spec.theta0, grid)
-        probs = np.array([law.sf(crit.value) for law in laws])
+        probs = upper_tails(laws, crit.value)
     return PowerCurve(
         estimator=estimator_id(spec.estimator),
         convention=spec.convention.id,
@@ -325,7 +327,7 @@ def _bounded_pvalues(s: TwoSampleSummary, theta0: float, sens: float) -> Callabl
     """The bounded-conflict p-value at any conflict bounds, with the estimator and its observed Z built once."""
     config = SensitivityMmse(sens)
     z_obs = math.sqrt(s.n) * (config.result(s).theta_est - theta0)
-    return lambda delta0s: np.array([law.sf(z_obs) for law in conditional_laws(config, s.n, s.m, 0.0, delta0s)])
+    return lambda delta0s: upper_tails(conditional_laws(config, s.n, s.m, 0.0, delta0s), z_obs)
 
 
 PValueOption = Literal["mle-alldelta", "pooled-deltazero", "dib-deltabounded"]

@@ -185,6 +185,13 @@ def test_emit_plot_rejects_an_empty_series(tmp_path, series):
     assert not (tmp_path / "plot.svg").exists()
 
 
+@pytest.mark.parametrize("xs, ys", [((math.nan,), (1.0,)), ((1.0, 2.0), (math.inf, -math.inf)), ((math.nan, 1.0), (1.0, math.nan))])
+def test_emit_plot_names_a_series_with_no_finite_point(tmp_path, xs, ys):
+    with pytest.raises(ValueError, match="series 'b' has no point with finite x and y"):
+        emit_plot([Series("a", (1.0,), (2.0,)), Series("b", xs, ys)], str(tmp_path / "plot.svg"))
+    assert not (tmp_path / "plot.svg").exists()
+
+
 def test_emit_plot_widens_a_zero_range_to_one_unit(tmp_path):
     # x spans [2, 3] and y [0.5, 1.5] before its 4% pad, so the point sits at the left edge, near the bottom
     path = tmp_path / "flat.svg"
@@ -335,6 +342,30 @@ def test_unknown_subcommand_is_config_error():
     assert run(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([name, "--help"] for name in cli._SUBCOMMANDS), [], ["no-such-command"], ["-x", "power"],
+    ["power", "--no-such-option", "1"], ["power", "--n", "x"], ["power", "--estimator", "mle", "--grid-points", "3"],
+])
+def test_parsing_one_subcommand_prints_and_exits_as_parsing_every_one(tmp_path, monkeypatch, capsys, argv):
+    # the parser with every subcommand's options, from the same builder, is the reference
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = argv + ["--out-dir", str(tmp_path)] if "--estimator" in argv else argv
+    outcomes = [(run(argv), *capsys.readouterr())]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda populated: build(list(cli._SUBCOMMANDS)))
+    outcomes.append((run(argv), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] or outcomes[0][2]
+
+
+def test_the_parser_builds_the_options_of_only_the_subcommands_named():
+    subparsers = cli._build_parser(["power"])._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(cli._SUBCOMMANDS)
+    options = {name: {a.dest for a in sp._actions} for name, sp in subparsers.items()}
+    assert options.pop("power") == {"help", "config", *cli._options("power")}
+    assert all(dests == {"help"} for dests in options.values())
+
+
 _ESTIMATE = ["estimate", "--theta-hat", "0", "--n", "100", "--beta-hat", "1", "--m", "400"]
 
 
@@ -449,6 +480,7 @@ _ERROR_CASES = [
           2, "ConfigError", "config key 'h': could not convert"),
     _case(67, ["bayes-risk-table", "--priors", "pi9"], 2, "ConfigError", "unknown priors"),
     _case(68, ["power", "--config", "{array_config}"], 2, "ConfigError", "must hold a JSON object"),
+    _case(69, ["power", "--alpha", "1e-300"], 2, "ConfigError", "1 - alpha is below 1, got 1e-300"),
 ]
 
 

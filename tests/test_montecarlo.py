@@ -22,6 +22,7 @@ from dibkit.montecarlo import (
     _exact_bootstrap_ci,
     _kept_counts,
     _log_pmf_ratio,
+    _resampled_estimate,
     bootstrap_ci,
     ks_distance,
     simulate,
@@ -397,6 +398,15 @@ def test_exact_bootstrap_margins_and_their_dropped_mass():
     kept = (counts >= 7058) & (counts <= 8309)
     dropped = pmf[~kept].sum() / pmf[kept].sum()
     assert 0 < dropped <= _EXACT_FLOOR * (2 + (kept.sum() + 1) / math.log(1 / _EXACT_FLOOR))
+
+
+def test_exact_bootstrap_grid_values_are_distinct_so_the_sort_kind_cannot_move_the_interval():
+    # the worked example's 79 x 1,252 grid; with no ties every sort gives the one ascending permutation
+    k = np.arange(1.0, 80.0)
+    j = np.arange(7058.0, 8310.0)
+    values = _resampled_estimate(SensitivityMmse(0.4), k[:, None], j, 94, 20_000).ravel()
+    assert values.size == np.unique(values).size == 98_908
+    assert np.array_equal(np.argsort(values, kind="stable"), np.argsort(values, kind="quicksort"))
 
 
 def test_log_pmf_ratio_keeps_its_digits_at_large_trials():

@@ -272,6 +272,33 @@ def test_conditional_laws_equal_the_per_conflict_laws_bit_for_bit(name, n, m):
             assert np.array_equal(built.sd, math.sqrt(n / (n + m)))
 
 
+_BATCH_TAIL_CASES = [("ttpool", N, M), ("hdpp", N, M), ("ebpp", N, M), ("alasso", N, M), ("ammse", N, M),
+                     ("lstp", 1000, 100)]  # lstp at (1000, 100): its conflicts span the cubic's root switch
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, n, m", _BATCH_TAIL_CASES)
+def test_upper_tails_of_a_batch_equal_each_law_sf_bit_for_bit(name, n, m):
+    config = config_from_id(name)
+    laws = _law.conditional_laws(config, n, m, 0.01, [*_kink_conflicts(n, m), *config.breakpoints(n, m)])
+    for z in (-math.inf, -40.0, -3.0, 0.0, 2.5, 40.0, math.inf):
+        got = _law.upper_tails(laws, z).tolist()
+        assert got == [law.sf(z) for law in laws], z
+        # the sum of every node's upper tail over the law's nodes alone, the one-law expression sf had
+        assert got == [float(np.sum(law.weights * ndtr(-((np.array([[z]]) - law.mean) / law.sd)))) for law in laws]
+    assert _law.upper_tails([], 0.0).size == 0
+
+
+@pytest.mark.parametrize("name, n, m", _BATCH_TAIL_CASES)
+def test_power_curve_equals_the_per_law_tails_bit_for_bit(name, n, m):
+    spec = spec_for(config_from_id(name), DeltaBounded(0.0636), n=n, m=m)
+    grid = np.linspace(0.0, 0.0636, 33)
+    curve = power_curve(spec, 0.03, grid)
+    laws = _law.conditional_laws(spec.estimator, n, m, 0.03, grid)
+    assert curve.rejection_prob.tolist() == [law.sf(curve.critical) for law in laws]
+    assert power_curve(spec, 0.03, np.zeros(0)).rejection_prob.size == 0
+
+
 def test_conditional_laws_reject_a_span_that_rounds_to_a_point_like_one_law():
     with pytest.raises(ValueError, match="rounds to a single point") as one:
         _law.ConditionalLaw(Mle(), N, M, 0.0, 1e300)
