@@ -95,13 +95,16 @@ def _hellinger_gamma(x: np.ndarray) -> np.ndarray:
     The first form cancels once ``e`` is small (0 where the value is 9.3e-45);
     ``1 - e`` is taken as ``-expm1(-x)``, which keeps its digits as ``x -> 0``.
     """
-    return (np.exp(-x) / (1.0 + np.sqrt(-np.expm1(-x)))) ** 2
+    r = np.exp(-x) / (1.0 + np.sqrt(-np.expm1(-x)))
+    # squared in place, as an array's ** 2 is; an np.float64's ** 2 is pow, which can be one ulp off
+    r *= r
+    return r
 
 
 def _mixing(values: np.ndarray) -> np.ndarray:
     """A user mixing function's values, checked to lie in [0, 1]."""
-    w = np.asarray(values, dtype=float)
-    if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails both comparisons
+    w = np.asarray(values, dtype=float)[()]  # an np.float64 where 0-d, as in lstp_delta_mode
+    if not ((w >= 0.0) & (w <= 1.0)).all():  # NaN fails both comparisons
         raise ValueError("invalid mixing function: g must map into [0, 1]")
     return w
 
@@ -144,7 +147,7 @@ class _Estimator:
 
     def result(self, s: TwoSampleSummary) -> EstimateResult:
         """``theta_hat + q(delta_hat)`` on one summary, with the fields the kind reports."""
-        q, reported = self._evaluate(np.asarray(s.delta_hat), s.n, s.m)
+        q, reported = self._evaluate(np.float64(s.delta_hat), s.n, s.m)
         return EstimateResult(s.theta_hat + float(q), **{f: float(v) for f, v in reported.items()})
 
     def breakpoints(self, n: int, m: int) -> tuple[float, ...]:
@@ -336,7 +339,7 @@ class FixedPowerPrior(_PowerPrior):
             raise ValueError("gamma must lie in (0, 1]")
 
     def gamma_est(self, d, n, m):
-        return np.asarray(self.gamma)
+        return np.float64(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -435,7 +438,7 @@ class LimitedTranslation(_Estimator):
 
     def delta_est(self, d, n, m):
         big_m, big_c = _ltr_constants(n, m)
-        return np.where(d > big_c, d - big_m, np.where(d < -big_c, d + big_m, m / (2.0 * m + n) * d))
+        return np.where(np.abs(d) > big_c, d - np.copysign(big_m, d), m / (2.0 * m + n) * d)
 
     def _evaluate(self, d, n, m):
         return self.correction(d, n, m), {"delta_est": self.delta_est(d, n, m)}
@@ -540,7 +543,7 @@ def alasso_delta(delta_hat: np.ndarray, n: int, m: int, tau: float) -> np.ndarra
     ``inf`` and the clip returns zero itself.  Inside the threshold the
     estimate is +0.0 for either sign of ``delta_hat``.
     """
-    d = np.asarray(delta_hat, dtype=float)
+    d = np.asarray(delta_hat, dtype=float)[()]  # an np.float64 where 0-d, as in lstp_delta_mode
     with np.errstate(divide="ignore", over="ignore"):  # an infinite shrink zeroes the estimate
         shrink = (n + m) ** (1.0 + tau) / (2.0 * n * m * np.abs(d))
     return d - np.clip(d, -shrink, shrink)
@@ -558,6 +561,18 @@ def lstp_profile_objective(
     return 0.5 * (v + 1) * np.log(v + n * d * d) + a * (delta_hat - d) ** 2
 
 
+def _cardano_root(d, qb, q, p3, disc):
+    """lstp's mode where its cubic has one real root (disc > 0), from the depressed cubic's terms.
+
+    Cardano's u - w with w = p/(3u), written as -q / (u^2 + p/3 + w^2) so that
+    the two terms do not cancel when p dominates q; with q = B qb the root
+    x = 2**e (t - B/3) is delta_hat (qb / (u^2 + p/3 + w^2) + 1/3).
+    """
+    u = np.cbrt(-q / 2.0 - np.copysign(np.sqrt(disc), q))
+    w = p3 / u
+    return d * (qb / (u * u + p3 + w * w) + 1.0 / 3.0)
+
+
 def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = StudentTPriorBayes.v) -> np.ndarray:
     """Conflict value at the joint posterior mode, by exact stationary points.
 
@@ -571,56 +586,51 @@ def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = StudentTPrio
     coercive, so the minimum is never at a bracket edge).  Agrees with a
     bracketed scan-and-bisect global search to floating-point accuracy.
     """
-    d = np.asarray(delta_hat, dtype=float)
-    dh = d.ravel()
+    d = np.asarray(delta_hat, dtype=float)[()]  # an np.float64 where 0-d, so one value skips array dispatch
     a = n * m / (2.0 * (n + m))
     # the cubic in s = x / 2**e, an exact rescaling that keeps its coefficients
     # and discriminant finite for every float v (e = 0 unless v exceeds 2**200)
     e = max(math.frexp(v)[1] // 2 - 100, 0)
     ve = math.ldexp(v, -2 * e)
     # normalized cubic s^3 + B s^2 + C s + D with D = ve B / n
-    B = dh * math.ldexp(-1.0, -e)
+    B = d * math.ldexp(-1.0, -e)
     C = (2.0 * a * ve + (ve + math.ldexp(1.0, -2 * e)) * n) / (2.0 * a * n)
-    # depressed form t^3 + p t + q with s = t - B/3; cubes as products, since
+    # depressed form t^3 + p t + q with s = t - B/3; powers as products, since
     # numpy's float power costs 10-30x a multiply.  q carries the factor B, kept
     # apart in qb so that a conflict made tiny by the rescaling keeps its digits.
     p = C - B * B / 3.0
     qb = 2.0 * (B * B) / 27.0 - C / 3.0 + ve / n
     q = B * qb
     p3 = p / 3.0
-    disc = (q / 2.0) ** 2 + p3 * p3 * p3
+    disc = q / 2.0
+    disc *= disc  # squared in place, as in _hellinger_gamma
+    disc += p3 * p3 * p3
 
-    out = np.empty(dh.size)
     one = disc > 0.0
-    # every node has one real root unless p > 1 - (v+1)/(8v), so whenever m >= n/5:
-    # then a slice picks them all and nothing is gathered or scattered
-    every = bool(one.all())
-    i = slice(None) if every else np.flatnonzero(one)
-    # Cardano's u - w with w = p/(3u), written as -q / (u^2 + p/3 + w^2) so
-    # that the two terms do not cancel when p dominates q; with q = B qb the
-    # root x = 2**e (t - B/3) is delta_hat (qb / (u^2 + p/3 + w^2) + 1/3)
-    qi, p3i = q[i], p3[i]
-    u = np.cbrt(-qi / 2.0 - np.copysign(np.sqrt(disc[i]), qi))
-    w = p3i / u
-    out[i] = dh[i] * (qb[i] / (u * u + p3i + w * w) + 1.0 / 3.0)
-    if not every:
-        three = np.flatnonzero(~one)
-        # solved at |delta_hat| and negated back: arccos(-x) = pi - arccos(x) only to
-        # rounding, and where two minima tie the choice of root must still be odd
-        ad = np.abs(dh[three])
-        Ba = ad * math.ldexp(-1.0, -e)
-        pp = p[three]
-        qq = Ba * qb[three]
-        r = np.sqrt(np.maximum(-pp / 3.0, 0.0))
-        # clip guards round-off at the double-root boundary (disc ~ 0)
-        cos_arg = np.clip(3.0 * qq / (2.0 * pp) * np.sqrt(np.where(pp < 0, -3.0 / pp, 0.0)), -1.0, 1.0)
-        theta = np.arccos(cos_arg)[:, None]
-        t = 2.0 * r[:, None] * np.cos(theta / 3.0 - 2.0 * math.pi * np.arange(3) / 3.0)
-        cand = np.ldexp(t - Ba[:, None] / 3.0, e)
-        f = lstp_profile_objective(cand, ad[:, None], n, m, v)
-        mode = np.take_along_axis(cand, np.argmin(f, axis=1)[:, None], axis=1).ravel()
-        out[three] = np.where(np.signbit(dh[three]), -mode, mode)
-    return out.reshape(d.shape)
+    # every node has one real root unless p > 1 - (v+1)/(8v), so whenever m >= n/5
+    if one.all():
+        return _cardano_root(d, qb, q, p3, disc)
+    # else Cardano's expression still gives each one-root node in place, and the rest are gathered
+    with np.errstate(invalid="ignore", divide="ignore"):  # NaN where disc <= 0, replaced below
+        out = np.ravel(_cardano_root(d, qb, q, p3, disc))
+    three = np.flatnonzero(~one)
+    dh = np.ravel(d)
+    # solved at |delta_hat| and negated back: arccos(-x) = pi - arccos(x) only to
+    # rounding, and where two minima tie the choice of root must still be odd
+    ad = np.abs(dh[three])
+    Ba = ad * math.ldexp(-1.0, -e)
+    pp = np.ravel(p)[three]
+    qq = Ba * np.ravel(qb)[three]
+    r = np.sqrt(np.maximum(-pp / 3.0, 0.0))
+    # clip guards round-off at the double-root boundary (disc ~ 0)
+    cos_arg = np.clip(3.0 * qq / (2.0 * pp) * np.sqrt(np.where(pp < 0, -3.0 / pp, 0.0)), -1.0, 1.0)
+    theta = np.arccos(cos_arg)[:, None]
+    t = 2.0 * r[:, None] * np.cos(theta / 3.0 - 2.0 * math.pi * np.arange(3) / 3.0)
+    cand = np.ldexp(t - Ba[:, None] / 3.0, e)
+    f = lstp_profile_objective(cand, ad[:, None], n, m, v)
+    mode = np.take_along_axis(cand, np.argmin(f, axis=1)[:, None], axis=1).ravel()
+    out[three] = np.where(np.signbit(dh[three]), -mode, mode)
+    return out.reshape(np.shape(d))
 
 
 def conflict_correction(
@@ -693,12 +703,12 @@ def power_prior_mean(s: TwoSampleSummary, gamma: float) -> EstimateResult:
 
 def gamma_hd(s: TwoSampleSummary) -> float:
     """Hellinger-distance power-prior weight (normal-likelihood closed form)."""
-    return float(HellingerPowerPrior().gamma_est(np.asarray(s.delta_hat), s.n, s.m))
+    return HellingerPowerPrior().result(s).gamma_est
 
 
 def gamma_eb(s: TwoSampleSummary) -> float:
     """Empirical-Bayes power-prior weight; clamps to 1 for small conflicts."""
-    return float(EmpiricalBayesPowerPrior().gamma_est(np.asarray(s.delta_hat), s.n, s.m))
+    return EmpiricalBayesPowerPrior().result(s).gamma_est
 
 
 def est_hdpp(s: TwoSampleSummary) -> EstimateResult:

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 from typing import get_args
 
 import numpy as np
@@ -751,7 +752,7 @@ def test_scalar_estimate_equals_vector_kernel(s):
     for config in ALL_KINDS:
         res = estimate(config, s)
         q = conflict_correction(config, np.array([s.delta_hat]), s.n, s.m)[0]
-        assert abs(res.theta_est - (s.theta_hat + q)) <= 1e-12 * (1.0 + abs(res.theta_est))
+        assert res.theta_est == s.theta_hat + q
         reported = {f for f in ("delta_est", "gamma_est", "weight") if getattr(res, f) is not None}
         assert reported == REPORTED_FIELDS[estimator_id(config)]
 
@@ -783,6 +784,54 @@ def test_result_evaluates_each_shared_piece_once(monkeypatch, s):
         assert res.theta_est == theta_est
         assert {f: getattr(res, f) for f in fields} == fields
         assert len(calls) == len(set(calls)) <= 1, (estimator_id(config), calls)
+
+
+def _cubic_discriminant(delta_hat: float, n: int, m: int, v: int) -> Fraction:
+    """The exact discriminant of lstp's stationary-point cubic (see lstp_delta_mode); > 0 means three real roots."""
+    a, d = Fraction(n * m, 2 * (n + m)), Fraction(delta_hat)
+    c3, c2, c1, c0 = 2 * a * n, -2 * a * n * d, 2 * a * v + (v + 1) * n, -2 * a * v * d
+    return 18 * c3 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2**2 * c1**2 - 4 * c3 * c1**3 - 27 * c3**2 * c0**2
+
+
+# at n = 1000, m = 100 (m < n/5) the default lstp's cubic has three real roots on both sides of its root switch
+THREE_ROOT_CONFLICTS = (0.41, 0.43, -0.45)
+
+
+def test_the_three_root_conflicts_have_three_real_roots():
+    for d in THREE_ROOT_CONFLICTS:
+        assert _cubic_discriminant(d, 1000, 100, StudentTPriorBayes.v) > 0, d
+    assert _cubic_discriminant(0.47, 1000, 100, StudentTPriorBayes.v) < 0  # past the interval: one root
+
+
+def _hex(x) -> str:
+    return float(x).hex()  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("n, m", [(1000, 100), (1000, 100_000), (94, 20_000), (7, 7)])
+def test_scalar_and_vector_kernels_agree_bit_for_bit(n, m):
+    tie = 0.0123
+    configs = ALL_KINDS + [StudentTPriorBayes(), TtPool(tie * tie / (1.0 / n + 1.0 / m))]  # tie's statistic is c
+    kinks = [b for config in configs for b in config.breakpoints(n, m)]  # jumps, thresholds, +/-C, root switches
+    # at n = 1000 and 0.129 an np.float64's ** 2 (pow) of hdpp's root is one ulp off the product
+    special = [0.0, -0.0, tie, -tie, 1e-3, 0.129, *THREE_ROOT_CONFLICTS, 1e150, -1e150, 1e300, -1e300, 5e-324]
+    for d in np.concatenate([special, _floats_around(kinks, 2)]):
+        s = TwoSampleSummary(0.0, n, d, m)
+        assert _hex(s.delta_hat) == _hex(d)
+        one = np.array([d])
+        with np.errstate(all="ignore"):  # huge conflicts overflow some kernels' intermediates
+            for config in configs:
+                res, vector = config.result(s), conflict_correction(config, one, n, m)[0]
+                assert _hex(res.theta_est) == _hex(s.theta_hat + vector), (config, d)
+                for f in REPORTED_FIELDS[estimator_id(config)]:
+                    want = np.broadcast_to(getattr(config, f)(one, n, m), (1,))[0]
+                    assert _hex(getattr(res, f)) == _hex(want), (config, f, d)
+                for scalar in (np.float64(d), np.asarray(d)):
+                    q, reported = config._evaluate(scalar, n, m)
+                    assert np.ndim(q) == 0 and all(np.ndim(v) == 0 for v in reported.values()), (config, d)
+                    assert np.ndim(config.correction(scalar, n, m)) == 0
+                    assert _hex(q) == _hex(vector), (config, d)
+            assert _hex(dk.gamma_hd(s)) == _hex(HellingerPowerPrior().gamma_est(one, n, m)[0])
+            assert _hex(dk.gamma_eb(s)) == _hex(EmpiricalBayesPowerPrior().gamma_est(one, n, m)[0])
 
 
 def test_lstp_profile_objective_stationary_at_mode():
