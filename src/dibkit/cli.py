@@ -536,7 +536,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("h", _floats, (0.0, 1.58, 5.06), "local conflict values"),
         *_no_effect("both laws are exact, not plotted", "svg", draws=100_000),
         Option("threshold", float, 0.02, "KS pass threshold"),
-        *_tuning("c", "sens", "gamma", "v"),
+        *_tuning("c", "sens"),
     ]),
 }
 

@@ -292,11 +292,14 @@ class SensitivityMmse(_Mmse):
 class GeneralizedBorrow(_Estimator):
     """User-supplied mixing function ``g`` applied to ``n * delta_hat^2 * sens``.
 
-    ``g`` must map non-negative reals into [0, 1].
+    ``g`` must map non-negative reals into [0, 1].  It receives an ndarray of
+    these values from the vector methods, and one ``np.float64`` from ``result``
+    (so from ``estimate`` and ``est_gdib``), which has no buffer: ``g`` must
+    not write into its input.
     """
 
     id: ClassVar[str] = "gdib"
-    g: Callable[[np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray | np.float64], np.ndarray | float]
     sens: float
 
     def __post_init__(self) -> None:
@@ -630,7 +633,7 @@ def lstp_delta_mode(delta_hat: np.ndarray, n: int, m: int, v: int = StudentTPrio
     f = lstp_profile_objective(cand, ad[:, None], n, m, v)
     mode = np.take_along_axis(cand, np.argmin(f, axis=1)[:, None], axis=1).ravel()
     out[three] = np.where(np.signbit(dh[three]), -mode, mode)
-    return out.reshape(np.shape(d))
+    return out.reshape(np.shape(d))[()]
 
 
 def conflict_correction(
@@ -685,9 +688,9 @@ def est_ammse_s(s: TwoSampleSummary, sens: float) -> EstimateResult:
 
 
 def est_gdib(
-    s: TwoSampleSummary, g: Callable[[np.ndarray], np.ndarray], sens: float
+    s: TwoSampleSummary, g: Callable[[np.ndarray | np.float64], np.ndarray | float], sens: float
 ) -> EstimateResult:
-    """Generalized borrowing with a user-supplied mixing function."""
+    """Generalized borrowing with a user-supplied mixing function, called on one np.float64."""
     return GeneralizedBorrow(g, sens).result(s)
 
 

@@ -17,9 +17,9 @@ import pytest
 
 import dibkit
 from dibkit import cli
-from dibkit._law import ConditionalLaw, LimitLaw, conditional_laws, grids
+from dibkit._law import ConditionalLaw, conditional_laws, grids
 from dibkit.cli import run
-from dibkit.estimators import FixedPowerPrior, StudentTPriorBayes, config_from_id
+from dibkit.estimators import config_from_id
 from dibkit.montecarlo import _QUANTILE_PROBS
 from dibkit.svg import Series, emit_plot
 
@@ -274,27 +274,6 @@ def test_default_asymptotics_check_measures_quadrature_error(tmp_path):
     assert len(rows) == 18
     assert all(r[4] == "pass" and float(r[2]) <= 2e-4 for r in rows)
     assert max(float(r[2]) for r in rows if r[0] not in ("ebpp", "hdpp")) <= 1e-14
-
-
-def test_asymptotics_check_gamma_and_v_reach_the_limit_and_finite_laws(tmp_path, monkeypatch):
-    built = {"limit": set(), "finite": set()}
-
-    def limit_law(config, p, h):
-        built["limit"].add(config)
-        return LimitLaw(config, p, h)
-
-    def finite_laws(config, *args):
-        built["finite"].add(config)
-        return conditional_laws(config, *args)
-
-    monkeypatch.setattr(cli, "LimitLaw", limit_law)
-    monkeypatch.setattr(cli, "conditional_laws", finite_laws)
-    argv = ["asymptotics-check", "--estimators", "power-prior,lstp", "--gamma", "0.4", "--v", "5"]
-    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
-    want = {FixedPowerPrior(gamma=0.4), StudentTPriorBayes(v=5)}
-    assert built == {"limit": want, "finite": want}
-    rows = read_csv(tmp_path / "asymptotics_check.csv")[1:]
-    assert len(rows) == 6 and all(r[4] == "pass" and float(r[2]) <= 1e-14 for r in rows)
 
 
 def test_config_file_and_override(tmp_path):

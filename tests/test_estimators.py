@@ -144,6 +144,25 @@ def test_gdib():
         dk.est_gdib(S_WIDE, lambda t: np.asarray(t, float) + 2.0, sens=1.0)
 
 
+def test_gdib_g_gets_one_float64_from_a_scalar_estimate_and_an_array_from_the_vector_path():
+    seen = []
+
+    def g(t):
+        seen.append(type(t))
+        return 1.0 / (1.0 + t)
+
+    config = GeneralizedBorrow(g=g, sens=0.5)
+    scalar = dk.est_gdib(S_WIDE, g, 0.5)
+    vector = config.weight(np.array([S_WIDE.delta_hat]), S_WIDE.n, S_WIDE.m)
+    assert seen == [np.float64, np.ndarray]
+    assert scalar.weight == vector[0] and dk.estimate(config, S_WIDE) == scalar
+    # a g written for one number serves a scalar estimate
+    assert dk.est_gdib(S_WIDE, lambda t: 0.25 if t < 1e3 else 0.0, 0.5).weight == 0.25
+    # a float64 has no buffer, so a g that writes into its input cannot serve one
+    with pytest.raises(TypeError):
+        dk.est_gdib(S_WIDE, lambda t: np.exp(-t, out=t), 0.5)
+
+
 def test_gdib_rejects_a_nan_weight():
     with pytest.raises(ValueError, match="invalid mixing function"):
         dk.est_gdib(S_WIDE, lambda t: np.nan * np.asarray(t, float), 1.0)
@@ -826,9 +845,12 @@ def test_scalar_and_vector_kernels_agree_bit_for_bit(n, m):
                     want = np.broadcast_to(getattr(config, f)(one, n, m), (1,))[0]
                     assert _hex(getattr(res, f)) == _hex(want), (config, f, d)
                 for scalar in (np.float64(d), np.asarray(d)):
+                    assert type(lstp_delta_mode(scalar, n, m)) is np.float64, d  # its three-root branch too
                     q, reported = config._evaluate(scalar, n, m)
-                    assert np.ndim(q) == 0 and all(np.ndim(v) == 0 for v in reported.values()), (config, d)
-                    assert np.ndim(config.correction(scalar, n, m)) == 0
+                    # the correction stays an np.float64 (lstp's three-root branch included); a
+                    # reported field may be np.where's 0-d array or a constant weight's float
+                    assert type(q) is type(config.correction(scalar, n, m)) is np.float64, (config, d)
+                    assert all(np.ndim(v) == 0 for v in reported.values()), (config, d)
                     assert _hex(q) == _hex(vector), (config, d)
             assert _hex(dk.gamma_hd(s)) == _hex(HellingerPowerPrior().gamma_est(one, n, m)[0])
             assert _hex(dk.gamma_eb(s)) == _hex(EmpiricalBayesPowerPrior().gamma_est(one, n, m)[0])
