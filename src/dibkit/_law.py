@@ -25,8 +25,8 @@ weight in the CDF and ``phi(12) / sd``, about 2.1e-32 / sd, in the density,
 and a point's value depends only on ``z`` and the law.  The upper tails
 and the quantile solve sum over every node, so that deep tails keep their
 relative digits; ``upper_tails`` takes the tails of a batch of laws at one
-``z`` in one ``ndtr`` pass, each law summing its own slice, and ``sf`` is
-its one-law case.  Its quantiles are solved in lockstep, any
+``z`` in one ``ndtr`` pass, each law summing its own slice.  Its quantiles
+are solved in lockstep, any
 number of (law, probability) pairs at once, by Newton steps on the log of the
 tail that holds the probability (the lower tail up to 1/2, the upper tail
 above), kept inside a bracket from each law's own range and bisected when a
@@ -35,13 +35,14 @@ within ``_QUANTILE_TOL * (1 + |z|)``.  The panels resolve a smooth
 correction to rounding, so ``breakpoints`` (and, for a limit law,
 ``limit_breakpoints``) must name every kink and jump of ``q``.
 
-The laws over a grid of conflicts are built in one pass,
-``conditional_laws``, and a single ``ConditionalLaw`` is its one-conflict
-case: one panel computation, one normal-weight expression and one correction
-call cover the nodes of every conflict, each node carrying its own conflict.
-Every step is elementwise in a node and its conflict, and each law sums over
-its own contiguous slice, so the laws equal those built one by one, bit for
-bit.
+A law is made only from its ``weights``, ``mean`` and ``sd``, and only
+by two builders: ``conditional_laws`` over a grid of conflicts and
+``limit_laws`` over a grid of local conflicts ``h``.  Each is one pass: one
+panel computation, one normal-weight expression and one correction call
+cover the nodes of every conflict, each node carrying its own conflict.
+Every step is elementwise in a node and its conflict, and each law holds its
+own contiguous slice, so a law is the same, bit for bit, in any batch; a
+single law is a one-conflict batch.
 
 The distance of two laws, ``sup |F - G|``, takes the largest gap on 401
 points of the first law's grid and then solves for the extremum beside it:
@@ -50,7 +51,7 @@ on the two grid cells around the grid argmax (the same ``bracketed_roots``)
 gives the peak to rounding.  A higher peak in another cell, narrower than the
 grid spacing, is not searched for.  ``distances`` does this for many pairs,
 their grids in one ``grids`` solve and their crossings in one lockstep
-solve; ``ConditionalLaw.distance`` is its one-pair case.
+solve.
 """
 
 from __future__ import annotations
@@ -127,8 +128,14 @@ def _normal_panels(centers, sd: float, kinks) -> tuple[np.ndarray, np.ndarray, n
     return t, w * (np.exp(-((t - center) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))), owner
 
 
+def _split(weights: np.ndarray, mean: np.ndarray, sd: float, owner: np.ndarray, count: int) -> list["ConditionalLaw"]:
+    """One law per conflict, each over the contiguous slice of the nodes it owns."""
+    bounds = np.searchsorted(owner, np.arange(count + 1))
+    return [ConditionalLaw(weights[lo:hi], mean[lo:hi], sd) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def conditional_laws(estimator: EstimatorConfig, n: int, m: int, shift: float, deltas) -> list["ConditionalLaw"]:
-    """``[ConditionalLaw(estimator, n, m, shift, d) for d in deltas]``, equal bit for bit, built in one pass.
+    """The law of Z at ``theta - theta0 = shift`` and each conflict in ``deltas``, built in one pass.
 
     The panels of every conflict, the normal weights, the correction (whose
     ``delta_true`` is each node's own conflict) and the node means are each
@@ -140,28 +147,34 @@ def conditional_laws(estimator: EstimatorConfig, n: int, m: int, shift: float, d
     d = deltas[owner]
     q = conflict_correction(estimator, t, n, m, delta_true=d)
     mean = math.sqrt(n) * (shift + q - (m / (n + m)) * (t - d))
-    bounds = np.searchsorted(owner, np.arange(deltas.size + 1))
-    laws = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        law = ConditionalLaw.__new__(ConditionalLaw)
-        law.weights, law.mean, law.sd = weights[lo:hi], mean[lo:hi], math.sqrt(n / (n + m))
-        laws.append(law)
-    return laws
+    return _split(weights, mean, math.sqrt(n / (n + m)), owner, deltas.size)
+
+
+def limit_laws(kind: EstimatorConfig, p: float, hs) -> list["ConditionalLaw"]:
+    """Local limit law of ``sqrt(n) (estimate - theta)`` at share ``p`` and each conflict ``h/sqrt(n)`` in ``hs``.
+
+    The mixture runs over ``xi ~ N(sqrt(1-p) h, 1)``, its panels split at the
+    kind's ``breakpoints(p, 1-p)`` in ``xi`` units and at its
+    ``limit_breakpoints``; every ``h`` is built in one pass, as in
+    :func:`conditional_laws`.
+    """
+    hs = np.asarray(hs, dtype=float).ravel()
+    r, scale = math.sqrt(1.0 - p), math.sqrt(p * (1.0 - p))
+    kinks = [b * scale for b in kind.breakpoints(p, 1.0 - p)] + list(kind.limit_breakpoints or ())
+    xi, weights, owner = _normal_panels(r * hs, 1.0, kinks)
+    h = hs[owner]
+    mean = limit_borrowing(kind, xi, p, h) - r * (xi - r * h)
+    return _split(weights, mean, math.sqrt(p), owner, hs.size)
 
 
 class ConditionalLaw:
-    """Law of Z at one truth, as a fixed quadrature over the conflict statistic.
+    """Law of Z as a fixed quadrature: per node its ``weights`` and the ``mean`` of Z, and one ``sd``.
 
-    ``shift`` is ``theta - theta0``.  Holds, per panel node ``t``, its
-    ``weights`` (the rule's weight times the normal density of ``t``) and
-    the ``mean`` of Z given ``t``, ``sqrt(n) (shift + q(t) - m/(n+m) (t -
-    delta))``, and one ``sd``, ``sqrt(n/(n+m))``: given ``t``, Z is
-    N(mean, sd^2).  It is the one-conflict case of :func:`conditional_laws`.
+    Given a node, Z is N(mean, sd^2).  Built by :func:`conditional_laws` and :func:`limit_laws`.
     """
 
-    def __init__(self, estimator: EstimatorConfig, n: int, m: int, shift: float, delta: float) -> None:
-        (law,) = conditional_laws(estimator, n, m, shift, [delta])
-        vars(self).update(vars(law))
+    def __init__(self, weights: np.ndarray, mean: np.ndarray, sd: float) -> None:
+        self.weights, self.mean, self.sd = weights, mean, sd
 
     @cached_property
     def _window(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -211,10 +224,6 @@ class ConditionalLaw:
         out = below + sums
         return out if np.ndim(z) else float(out[0])
 
-    def sf(self, z: float) -> float:
-        """P(Z > z): the one-law case of :func:`upper_tails`."""
-        return float(upper_tails([self], z)[0])
-
     def pdf(self, z: np.ndarray) -> np.ndarray:
         """Density of Z: ``sum w phi(u) / sd`` over the nodes whose mean is within ``_BAND`` sd of ``z``.
 
@@ -224,22 +233,11 @@ class ConditionalLaw:
         _, sums = self._window_sums(z, lambda u: np.exp(-0.5 * u * u))
         return sums / (self.sd * math.sqrt(2.0 * math.pi))
 
-    def quantiles(self, probs) -> np.ndarray:
-        return quantiles([self] * len(probs), probs)
-
     def second_moment(self) -> float:
         return float(np.sum(self.weights * (self.mean**2 + self.sd**2)))
 
-    def grid(self, points: int) -> np.ndarray:
-        grid, _ = grids([self], points)
-        return grid[0]
 
-    def distance(self, other: "ConditionalLaw") -> float:
-        """sup |F - G| of this law and ``other``: the one-pair case of :func:`distances`."""
-        return float(distances([self], [other])[0])
-
-
-def limit_borrowing(kind: EstimatorConfig, xi: np.ndarray, p: float, h: float) -> np.ndarray:
+def limit_borrowing(kind: EstimatorConfig, xi: np.ndarray, p: float, h: float | np.ndarray) -> np.ndarray:
     """The limit's borrowing term ``w(xi) xi / sqrt(1-p)`` at the limit ``xi`` of the conflict z-statistic.
 
     Where a kind's correction, in sd units of the conflict statistic, depends
@@ -252,17 +250,6 @@ def limit_borrowing(kind: EstimatorConfig, xi: np.ndarray, p: float, h: float) -
         raise ValueError(f"no closed limit law implemented for {kind.id!r}")
     t = xi / math.sqrt(p * (1.0 - p))
     return math.sqrt(p) * conflict_correction(kind, t, p, 1.0 - p, delta_true=h / math.sqrt(p))
-
-
-class LimitLaw(ConditionalLaw):
-    """Local limit law of ``sqrt(n) (estimate - theta)`` at conflict ``h/sqrt(n)`` and share ``p``."""
-
-    def __init__(self, kind: EstimatorConfig, p: float, h: float) -> None:
-        r, scale = math.sqrt(1.0 - p), math.sqrt(p * (1.0 - p))
-        kinks = [b * scale for b in kind.breakpoints(p, 1.0 - p)] + list(kind.limit_breakpoints or ())
-        xi, self.weights, _ = _normal_panels([r * h], 1.0, kinks)
-        self.mean = limit_borrowing(kind, xi, p, h) - r * (xi - r * h)
-        self.sd = math.sqrt(p)
 
 
 def grids(laws, points: int, probs=()) -> tuple[np.ndarray, np.ndarray]:

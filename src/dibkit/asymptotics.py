@@ -30,7 +30,7 @@ from typing import Literal, Union
 import numpy as np
 
 from . import streams
-from ._law import LimitLaw, limit_borrowing
+from ._law import limit_borrowing, limit_laws
 from .estimators import EstimatorConfig
 
 __all__ = [
@@ -134,5 +134,5 @@ def limit_srmse(
     if kind == EXTERNAL_MLE:
         root = math.sqrt(sc.p / (1.0 - sc.p) + sc.h * sc.h)
     else:
-        root = math.sqrt(LimitLaw(kind, sc.p, sc.h).second_moment())
+        root = math.sqrt(limit_laws(kind, sc.p, [sc.h])[0].second_moment())
     return (root, 0.0) if return_stderr else root

@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence, get_args
 import numpy as np
 
 from . import testing
-from ._law import LimitLaw, conditional_laws, distances, grids
+from ._law import conditional_laws, distances, grids, limit_laws
 from .asymptotics import LocalScenario
 from .estimators import _FIELD_DEFAULTS, EstimatorConfig, SensitivityMmse, _from_id, estimator_id
 from .montecarlo import _MAX_EXACT_POINTS, _QUANTILE_PROBS, _exact_bootstrap_ci
@@ -454,17 +454,17 @@ def _cmd_asymptotics_check(cfg: dict[str, Any]) -> None:
         raise ConfigError(f"threshold must be non-negative, got {cfg['threshold']:g}")
     n, m = cfg["n"], cfg["m"]
     configs = _estimator_configs(cfg)
-    scenarios = [_from_config(LocalScenario, h=h, p=n / (n + m)) for h in cfg["h"]]
+    p = n / (n + m)
+    hs = [_from_config(LocalScenario, h=h, p=p).h for h in cfg["h"]]
     # every limit law first, so that a kind without one is rejected before any work
-    limits = [[_from_config(LimitLaw, config, sc.p, sc.h) for config in configs] for sc in scenarios]
-    deltas = np.array([sc.h for sc in scenarios]) / math.sqrt(n)
-    # one grid solve per estimator over its laws at every h, then the rows by scenario, as limits
-    ks = zip(*[distances(conditional_laws(config, n, m, 0.0, deltas), limit_laws) for config, limit_laws
-               in zip(configs, zip(*limits))])
+    limits = [_from_config(limit_laws, config, p, hs) for config in configs]
+    deltas = np.array(hs) / math.sqrt(n)
+    # one grid solve per estimator over its laws at every h; the rows go by h
+    ks = [distances(conditional_laws(config, n, m, 0.0, deltas), laws) for config, laws in zip(configs, limits)]
     rows = []
-    for sc, distance_row in zip(scenarios, ks):
+    for h, distance_row in zip(hs, np.transpose(ks)):
         for config, d in zip(configs, distance_row):
-            rows.append([estimator_id(config), sc.h, d, cfg["threshold"], "pass" if d <= cfg["threshold"] else "fail"])
+            rows.append([estimator_id(config), h, d, cfg["threshold"], "pass" if d <= cfg["threshold"] else "fail"])
     _write_csv(cfg, "asymptotics_check.csv", ["estimator", "h", "ks_distance", "threshold", "status"], rows)
 
 

@@ -30,7 +30,7 @@ They are not transforms of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
@@ -96,12 +96,21 @@ class NodeEvaluationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(prior) -> None:
+    """Reject a prior with a non-finite field, naming the field."""
+    for f in fields(prior):
+        value = getattr(prior, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NormalPrior:
     mu: float
     var: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.var > 0:
             raise ValueError("variance must be positive")
 
@@ -122,6 +131,7 @@ class UniformPrior:
     b: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.a < self.b:
             raise ValueError("need a < b")
 
@@ -142,6 +152,7 @@ class LaplacePrior:
     scale: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 
@@ -162,6 +173,7 @@ class StudentTPrior:
     scale: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.v < 3:
             raise ValueError("degrees of freedom must be >= 3")
         if not self.scale > 0:
@@ -182,6 +194,9 @@ class StudentTPrior:
 @dataclass(frozen=True)
 class PointMassPrior:
     delta: float
+
+    def __post_init__(self) -> None:
+        _check_finite(self)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - not integrable
         raise NotImplementedError("point mass has no density; handled specially")

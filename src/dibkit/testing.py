@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
-from ._law import ConditionalLaw, bracketed_roots, conditional_laws, quantiles, upper_tails
+from ._law import bracketed_roots, conditional_laws, quantiles, upper_tails
 from .estimators import (
     EstimatorConfig,
     Mle,
@@ -60,6 +60,11 @@ __all__ = [
 ]
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 class NoCrossingError(ValueError):
     """The p-value curve does not reach the target on the tipping-point bracket."""
 
@@ -88,6 +93,7 @@ class DeltaBounded:
     def __post_init__(self) -> None:
         if not self.delta0 > 0:
             raise ValueError("delta0 must be positive")
+        _check_finite("delta0", self.delta0)
 
 
 Convention = Union[AllDelta, DeltaZero, DeltaBounded]  # each ``id`` is its CLI and CSV identifier
@@ -103,6 +109,7 @@ class TestSpec:
     m: int
 
     def __post_init__(self) -> None:
+        _check_finite("theta0", self.theta0)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if 1.0 - self.alpha == 1.0:  # the critical value is the quantile at 1 - alpha
@@ -115,8 +122,11 @@ class TestSpec:
 class CriticalValue:
     """Critical Z value; ``math.inf`` when no finite value controls the error rate.
 
-    ``flagged`` marks a non-monotone quantile profile whose maximum sat on the
-    grid boundary, i.e. the supremum may not have been bracketed.
+    ``flagged`` is set only under ``AllDelta``: it marks a non-monotone
+    quantile profile whose maximum sat at an end of the conflict grid, so the
+    supremum over every conflict may lie off the grid.  Under ``DeltaZero``
+    and ``DeltaBounded`` the grid spans the whole null set, so a maximum at
+    its end is the true supremum and the flag stays False.
     """
 
     value: float
@@ -142,13 +152,14 @@ def sampling_cdf(
     spec: TestSpec, z: float | np.ndarray, theta: float, delta: float
 ) -> float | np.ndarray:
     """P(Z <= z) for ``Z = sqrt(n)(estimate - theta0)`` at the given truth."""
-    return ConditionalLaw(spec.estimator, spec.n, spec.m, theta - spec.theta0, delta).cdf(z)
+    _check_finite("theta", theta)
+    return conditional_laws(spec.estimator, spec.n, spec.m, theta - spec.theta0, [delta])[0].cdf(z)
 
 
 def null_quantile(spec: TestSpec, delta: float, prob: float | None = None) -> float:
     """(1-alpha) quantile of Z under ``theta = theta0`` at the given conflict."""
     prob = 1.0 - spec.alpha if prob is None else prob
-    return float(quantiles([ConditionalLaw(spec.estimator, spec.n, spec.m, 0.0, delta)], [prob])[0])
+    return float(quantiles(conditional_laws(spec.estimator, spec.n, spec.m, 0.0, [delta]), [prob])[0])
 
 
 def _default_grid(spec: TestSpec, points: int) -> np.ndarray:
@@ -188,19 +199,15 @@ def critical_value(
     quants, probe = solved[: grid.size], solved[grid.size :]
     k = int(np.argmax(quants))
     sup_val, sup_at = float(quants[k]), float(grid[k])
-
     flagged = False
-    diffs = np.diff(quants)
-    non_monotone = np.any(diffs > 1e-9) and np.any(diffs < -1e-9)
-    if k in (0, grid.size - 1) and non_monotone:
-        flagged = True
-
     if isinstance(conv, AllDelta):
         # probe beyond the grid: quantiles still rising -> no finite sup
         tol = 1e-6
         if probe[0] > sup_val + tol and probe[1] > probe[0] + tol:
             return CriticalValue(math.inf, sup_at=None)
         sup_val = float(max(sup_val, *probe))
+        diffs = np.diff(quants)
+        flagged = k in (0, grid.size - 1) and bool(np.any(diffs > 1e-9) and np.any(diffs < -1e-9))
     return CriticalValue(sup_val, sup_at=sup_at, flagged=flagged)
 
 
@@ -211,10 +218,11 @@ def power(
     delta: float,
 ) -> float:
     """Rejection probability P(Z > critical) at the given truth."""
+    _check_finite("theta", theta)
     crit = float(critical)
     if math.isinf(crit):
         return 0.0
-    return ConditionalLaw(spec.estimator, spec.n, spec.m, theta - spec.theta0, delta).sf(crit)
+    return float(upper_tails(conditional_laws(spec.estimator, spec.n, spec.m, theta - spec.theta0, [delta]), crit)[0])
 
 
 def power_curve(
@@ -225,6 +233,7 @@ def power_curve(
     points: int = 33,
 ) -> PowerCurve:
     """Rejection probability over a conflict grid at the spec's critical value."""
+    _check_finite("theta", theta)
     grid = np.asarray(_default_grid(spec, points) if delta_grid is None else delta_grid, dtype=float)
     crit = critical_value(spec)
     if math.isinf(crit.value):

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from dibkit import _law
-from dibkit._law import ConditionalLaw, LimitLaw, limit_borrowing
+from dibkit._law import conditional_laws, distances, grids, limit_borrowing, limit_laws, quantiles
 from dibkit.asymptotics import (
     EXTERNAL_MLE,
     LocalScenario,
@@ -164,10 +164,10 @@ def test_limit_law_matches_limit_sample(name):
     kind, draws = _limit_kind(name), 400_000
     for i, h in enumerate(H_DEFAULT):
         sc = LocalScenario(h=h, p=P_PAPER)
-        law = LimitLaw(kind, sc.p, sc.h)
+        (law,) = limit_laws(kind, sc.p, [sc.h])
         sample = np.sort(limit_sample(kind, sc, draws, seed=41 + i))
         for prob in (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99):
-            below = np.searchsorted(sample, law.quantiles([prob])[0], side="right") / draws
+            below = np.searchsorted(sample, quantiles([law], [prob])[0], side="right") / draws
             assert abs(below - prob) <= 4.0 * math.sqrt(prob * (1.0 - prob) / draws), (h, prob)
         squares = sample * sample
         root = limit_srmse(kind, sc, draws)
@@ -186,11 +186,11 @@ LIMIT_HALVING_TOLERANCE = {"ebpp": 1e-8, "hdpp": 5e-6}
 def test_limit_law_panel_halving(name, monkeypatch):
     kind = _limit_kind(name)
     for h in H_DEFAULT:
-        coarse = LimitLaw(kind, P_PAPER, h)
-        zs = coarse.grid(401)
+        (coarse,) = limit_laws(kind, P_PAPER, [h])
+        zs = grids([coarse], 401)[0][0]
         with monkeypatch.context() as patch:
             patch.setattr(_law, "_PANEL_WIDTH", 0.5 * _law._PANEL_WIDTH)
-            finer = LimitLaw(kind, P_PAPER, h)
+            (finer,) = limit_laws(kind, P_PAPER, [h])
         assert finer.weights.size > coarse.weights.size  # the width took effect
         change = np.max(np.abs(finer.cdf(zs) - coarse.cdf(zs)))
         assert change <= LIMIT_HALVING_TOLERANCE.get(name, 1e-10), h
@@ -248,10 +248,11 @@ def test_normal_limit_laws_are_the_closed_forms(kind, p):
     # a constant weight w makes the limit zeta1 + w (h - zeta1) + w sqrt(p/(1-p)) zeta2, which is normal
     # with mean w h and variance (1 - w)^2 + w^2 p/(1-p)
     w = {"np": (1.0 - p) / (2.0 - p), "power-prior": (1.0 - p) * 0.4 / ((1.0 - p) * 0.4 + p)}[kind.id]
-    for h in H_DEFAULT + (-2.0,):
+    hs = H_DEFAULT + (-2.0,)
+    for h, law in zip(hs, limit_laws(kind, p, hs)):
         mean, sd = w * h, math.sqrt((1.0 - w) ** 2 + w * w * p / (1.0 - p))
         z = mean + sd * np.linspace(-10.0, 10.0, 2001)
-        np.testing.assert_allclose(LimitLaw(kind, p, h).cdf(z), ndtr((z - mean) / sd), rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(law.cdf(z), ndtr((z - mean) / sd), rtol=0.0, atol=1e-14)
         root = limit_srmse(kind, LocalScenario(h=h, p=p), 1)
         assert root == pytest.approx(math.sqrt(mean * mean + sd * sd), rel=0.0, abs=1e-15), h
 
@@ -282,10 +283,10 @@ def test_exact_check_fails_the_bare_displayed_form(name):
     cases = [(1000, 1000, h) for h in H_DEFAULT] + [(1000, 100_000, 5.06)] * (name == "pooled")
     bare = []
     for n, m, h in cases:
-        finite = ConditionalLaw(kind, n, m, 0.0, h / math.sqrt(n))
-        sc = LocalScenario(h=h, p=n / (n + m))
-        assert finite.distance(LimitLaw(kind, sc.p, sc.h)) <= 2e-4
-        bare.append(finite.distance(LimitLaw(_BareForm(kind), sc.p, sc.h)))
+        finite = conditional_laws(kind, n, m, 0.0, [h / math.sqrt(n)])
+        p = n / (n + m)
+        assert distances(finite, limit_laws(kind, p, [h]))[0] <= 2e-4
+        bare.append(distances(finite, limit_laws(_BareForm(kind), p, [h]))[0])
     if name == "mle":
         assert max(bare) <= 1e-12
     else:
@@ -298,21 +299,21 @@ def test_distance_matches_a_dense_scan_of_the_cells_beside_the_grid_argmax(name,
     # the finite and limit laws differ only here, at the asymptotics-check defaults
     n, m = 1000, 100_000
     kind = config_from_id(name)
-    finite, limit = ConditionalLaw(kind, n, m, 0.0, h / math.sqrt(n)), LimitLaw(kind, n / (n + m), h)
-    z = finite.grid(401)
+    (finite,), (limit,) = conditional_laws(kind, n, m, 0.0, [h / math.sqrt(n)]), limit_laws(kind, n / (n + m), [h])
+    z = grids([finite], 401)[0][0]
     k = int(np.argmax(np.abs(finite.cdf(z) - limit.cdf(z))))
     # 20,001 points 2.5e-6 apart: the gap is smooth, so the scan falls short of its peak by at
     # most |f' - g'| (1.25e-6)^2 / 2, below 1e-16 here; 200,001 points agree and cost 5 s a case
     dense = np.linspace(z[max(k - 1, 0)], z[min(k + 1, z.size - 1)], 20_001)
     scan = max(np.max(np.abs(finite.cdf(c) - limit.cdf(c))) for c in np.array_split(dense, 20))
     # 1e-15: the rounding of a difference of two CDFs, all there is at h = 0
-    assert finite.distance(limit) == pytest.approx(scan, rel=1e-9, abs=1e-15)
+    assert distances([finite], [limit])[0] == pytest.approx(scan, rel=1e-9, abs=1e-15)
 
 
 @pytest.mark.parametrize("name", KS_ESTIMATORS)
 def test_distance_of_a_law_from_itself_is_zero(name):
-    law = ConditionalLaw(config_from_id(name), 1000, 100_000, 0.0, 0.05)
-    assert law.distance(law) <= 1e-14
+    law = conditional_laws(config_from_id(name), 1000, 100_000, 0.0, [0.05])
+    assert distances(law, law)[0] <= 1e-14
 
 
 def test_xi_uncorrelated_with_pooled_limit():
@@ -325,6 +326,45 @@ def test_xi_uncorrelated_with_pooled_limit():
     assert abs(r) < 3.0 / math.sqrt(z1.size)
 
 
+def _one_limit_law_reference(kind, p, h):
+    """Weights and node means of one ``h``'s limit law, built with a scalar ``h`` throughout."""
+    r, scale = math.sqrt(1.0 - p), math.sqrt(p * (1.0 - p))
+    kinks = [b * scale for b in kind.breakpoints(p, 1.0 - p)] + list(kind.limit_breakpoints)
+    center = r * h
+    lo, hi = center - _law._SPAN, center + _law._SPAN
+    edges = sorted({lo, hi, *(k for k in kinks if lo < k < hi)})
+    xi, w, _ = _law._panels(np.array(edges[:-1]), np.array(edges[1:]), _law._PANEL_RULE, _law._PANEL_WIDTH)
+    w = w * (np.exp(-((xi - center) ** 2) / 2.0) / math.sqrt(2.0 * math.pi))
+    return w, limit_borrowing(kind, xi, p, h) - r * (xi - r * h)
+
+
+@pytest.mark.parametrize("p", [1000 / 101_000, 300 / 3300, 1000 / 1100, 0.5])
+def test_limit_laws_equal_one_h_builds_bit_for_bit(p, monkeypatch):
+    # every kind with a limit law: each id (power-prior at gamma = 0.4), gdib, and ommse at delta_true None and 0;
+    # p = 1000/1100 is above lstp's root switch at 5/6
+    kinds = [config_from_id(k.id, gamma=0.4) for k in get_args(EstimatorConfig) if k is not GeneralizedBorrow]
+    kinds += [GeneralizedBorrow(g=lambda x: 1.0 / (1.0 + x), sens=0.5), OracleMmse(delta_true=0.0)]
+    hs = (0.0, 0.32, 1.58, 5.06, -2.0)
+    checked = []
+    for kind in kinds:
+        if kind.limit_breakpoints is None:
+            continue
+        checked.append(estimator_id(kind))
+        laws = limit_laws(kind, p, hs)
+        assert len(laws) == len(hs)
+        for h, law in zip(hs, laws):
+            (one,) = limit_laws(kind, p, [h])
+            weights, mean = _one_limit_law_reference(kind, p, h)
+            for built in (law, one):
+                assert np.array_equal(built.weights, weights) and np.array_equal(built.mean, mean), (kind, h)
+                assert built.sd == math.sqrt(p)
+    assert len(checked) == len(kinds) - 1 and checked.count("ommse") == 2
+    # alasso has none, and is rejected before its correction is evaluated
+    monkeypatch.setattr(_law, "conflict_correction", None)
+    with pytest.raises(ValueError, match="no closed limit law implemented for 'alasso'"):
+        limit_laws(AdaptiveLasso(), p, hs)
+
+
 def test_unsupported_kinds_raise():
     # their corrections in sd units of the conflict grow with n at a fixed p: alasso's threshold as
     # (n+m)^tau, and a set oracle conflict through n m delta_true^2
@@ -334,8 +374,8 @@ def test_unsupported_kinds_raise():
         with pytest.raises(ValueError, match=f"no closed limit law implemented for '{kind.id}'"):
             limit_draw(kind, sc, rng)
     # at a set conflict of 0 the oracle weight is pooled's at every n
-    for h in H_DEFAULT:
-        zero, pooled = LimitLaw(OracleMmse(delta_true=0.0), 0.2, h), LimitLaw(Pooled(), 0.2, h)
+    for h, zero, pooled in zip(H_DEFAULT, limit_laws(OracleMmse(delta_true=0.0), 0.2, H_DEFAULT),
+                               limit_laws(Pooled(), 0.2, H_DEFAULT)):
         assert np.array_equal(zero.weights, pooled.weights) and np.array_equal(zero.mean, pooled.mean), h
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import dibkit
 from dibkit import cli
-from dibkit._law import ConditionalLaw, conditional_laws, grids
+from dibkit._law import conditional_laws, grids, quantiles
 from dibkit.cli import run
 from dibkit.estimators import config_from_id
 from dibkit.montecarlo import _QUANTILE_PROBS
@@ -167,11 +167,11 @@ def test_batched_density_laws_equal_the_per_law_grid_and_quantiles(n, m):
         # one solve pads every law to the widest; only padding moves a sum's rounding
         widest = max(law.weights.size for law in laws)
         for snd, law, grid, quants in zip(scenarios, laws, *grids(laws, 256, _QUANTILE_PROBS)):
-            one = ConditionalLaw(config, n, m, 0.0, snd / math.sqrt(n))
+            (one,) = conditional_laws(config, n, m, 0.0, [snd / math.sqrt(n)])
             assert np.array_equal(law.weights, one.weights) and np.array_equal(law.mean, one.mean)
             assert np.array_equal(law.sd, one.sd)
             got = np.concatenate([grid, quants])
-            want = np.concatenate([one.grid(256), one.quantiles(_QUANTILE_PROBS)])
+            want = np.concatenate([grids([one], 256)[0][0], quantiles([one] * len(_QUANTILE_PROBS), _QUANTILE_PROBS)])
             if law.weights.size == widest:
                 assert np.array_equal(got, want), (name, snd)
             else:

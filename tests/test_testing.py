@@ -27,6 +27,7 @@ from dibkit.estimators import (
     conflict_correction,
 )
 from dibkit.montecarlo import SimPlan, _QUANTILE_PROBS, simulate
+from dibkit.risk import LaplacePrior, NormalPrior, PointMassPrior, StudentTPrior, UniformPrior
 from dibkit.summaries import TwoSampleSummary
 from dibkit.testing import (
     AllDelta,
@@ -100,16 +101,21 @@ def test_sampling_cdf_matches_normal_for_pooled():
         )
 
 
+def one_law(config, n, m, shift, delta):
+    """The law of Z at one conflict: a one-conflict batch."""
+    return _law.conditional_laws(config, n, m, shift, [delta])[0]
+
+
 def test_law_density_quantiles_and_second_moment_for_mle_and_pooled():
-    mle = _law.ConditionalLaw(Mle(), N, M, 0.0, 0.03)
+    mle = one_law(Mle(), N, M, 0.0, 0.03)
     zs = np.linspace(-5.0, 5.0, 41)
     np.testing.assert_allclose(mle.pdf(zs), norm.pdf(zs), rtol=1e-9)
     for prob in _QUANTILE_PROBS:
-        assert mle.quantiles([prob])[0] == pytest.approx(norm.ppf(prob), abs=1e-9)
+        assert _law.quantiles([mle], [prob])[0] == pytest.approx(norm.ppf(prob), abs=1e-9)
     assert mle.second_moment() == pytest.approx(1.0, abs=1e-12)
     delta, sd = 0.04, math.sqrt(N / (N + M))
     mean = math.sqrt(N) * M * delta / (N + M)
-    pooled = _law.ConditionalLaw(Pooled(), N, M, 0.0, delta)
+    pooled = one_law(Pooled(), N, M, 0.0, delta)
     np.testing.assert_allclose(pooled.pdf(mean + sd * zs), norm.pdf(zs) / sd, rtol=1e-9)
     assert pooled.second_moment() == pytest.approx(mean * mean + sd * sd, rel=1e-12)
 
@@ -119,12 +125,12 @@ def test_law_cdf_matches_seeded_simulation(name):
     config, draws = config_from_id(name), 400_000
     for i, snd in enumerate((0.0, 0.32, 1.58, 5.06)):  # the densities defaults
         delta = snd / math.sqrt(N)
-        law = _law.ConditionalLaw(config, N, M, 0.0, delta)
+        law = one_law(config, N, M, 0.0, delta)
         plan = SimPlan(n=N, m=M, theta=0.0, delta=delta, replicates=draws, seed=71 + i,
                        estimators=(config,))
         sample = simulate(plan)[name].draws
         for prob in _QUANTILE_PROBS:
-            below = np.searchsorted(sample, law.quantiles([prob])[0], side="right") / draws
+            below = np.searchsorted(sample, _law.quantiles([law], [prob])[0], side="right") / draws
             assert abs(below - prob) <= 4.0 * math.sqrt(prob * (1.0 - prob) / draws), (snd, prob)
 
 
@@ -145,21 +151,22 @@ def test_quantiles_of_the_normal_laws_match_ndtri(n, m, shift):
         (Pooled(), 0.0, 0.0, sd),
         (Pooled(), 0.04, math.sqrt(n) * m * 0.04 / (n + m), sd),
     ):
-        law = _law.ConditionalLaw(config, n, m, shift, delta)
+        law = one_law(config, n, m, shift, delta)
         want = math.sqrt(n) * shift + mean + scale * ndtri(np.array(ORACLE_PROBS))
-        np.testing.assert_allclose(law.quantiles(ORACLE_PROBS), want, rtol=0.0, atol=1e-13)
-        assert law.quantiles([0.5])[0] == pytest.approx(want[2], abs=1e-13)
+        got = _law.quantiles([law] * len(ORACLE_PROBS), ORACLE_PROBS)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        assert _law.quantiles([law], [0.5])[0] == pytest.approx(want[2], abs=1e-13)
 
 
 @pytest.mark.parametrize("name", ["ammse", "ttpool", "alasso", "ebpp", "hdpp", "ltr", "lstp"])
 def test_quantiles_of_mixture_laws_match_brentq_on_the_matching_tail(name):
     config = config_from_id(name)
     for shift, delta in ((0.0, 0.0), (0.0, 0.05), (0.5, 0.02), (-0.5, 0.02)):
-        law = _law.ConditionalLaw(config, N, M, shift, delta)
-        got = law.quantiles(ORACLE_PROBS)
+        law = one_law(config, N, M, shift, delta)
+        got = _law.quantiles([law] * len(ORACLE_PROBS), ORACLE_PROBS)
         for prob, z in zip(ORACLE_PROBS, got):
             if prob > 0.5:  # the upper tail keeps the digits of 1 - prob
-                want = brentq(lambda x: law.sf(x) - (1.0 - prob), -60.0, 60.0, xtol=1e-15)
+                want = brentq(lambda x: _law.upper_tails([law], x)[0] - (1.0 - prob), -60.0, 60.0, xtol=1e-15)
             else:
                 want = brentq(lambda x: law.cdf(x) - prob, -60.0, 60.0, xtol=1e-15)
             assert abs(z - want) <= 1e-12, (shift, delta, prob, z, want)
@@ -241,15 +248,16 @@ LIMIT_KINDS = ["mle", "pooled", "ttpool", "ommse", "ammse", "ammse-s", "gdib", "
 def test_limit_law_window_sums_match_the_dense_sums_over_every_node(name):
     kind = GeneralizedBorrow(g=lambda x: 1.0 / (1.0 + x), sens=0.5) if name == "gdib" else config_from_id(name)
     for p in (N / (N + M), 0.4):
-        for h in (0.0, 1.58, 5.06, -2.0):
-            law = _law.LimitLaw(kind, p, h)
-            assert_window_sums_match_the_dense_sums(law, law.grid(101), f"p={p} h={h}")
+        hs = (0.0, 1.58, 5.06, -2.0)
+        laws = _law.limit_laws(kind, p, hs)
+        for h, law, grid in zip(hs, laws, _law.grids(laws, 101)[0]):
+            assert_window_sums_match_the_dense_sums(law, grid, f"p={p} h={h}")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["mle", "pooled", "ttpool", "hdpp"])
 def test_window_sums_at_infinite_points(name):
-    law = _law.ConditionalLaw(config_from_id(name), N, M, 0.0, 0.05)
+    law = one_law(config_from_id(name), N, M, 0.0, 0.05)
     assert law.cdf(-math.inf) == 0.0
     assert law.cdf(math.inf) == pytest.approx(np.sum(law.weights), rel=0.0, abs=2e-15)
     both = law.cdf(np.array([-math.inf, 0.0, math.inf]))
@@ -265,7 +273,7 @@ def test_conditional_laws_equal_the_per_conflict_laws_bit_for_bit(name, n, m):
     laws = _law.conditional_laws(config, n, m, 0.01, deltas)
     assert len(laws) == len(deltas)
     for delta, law in zip(deltas, laws):
-        one = _law.ConditionalLaw(config, n, m, 0.01, delta)
+        one = one_law(config, n, m, 0.01, delta)
         weights, mean = _one_law_reference(config, n, m, 0.01, delta)
         for built in (law, one):
             assert np.array_equal(built.weights, weights) and np.array_equal(built.mean, mean), delta
@@ -283,8 +291,8 @@ def test_upper_tails_of_a_batch_equal_each_law_sf_bit_for_bit(name, n, m):
     laws = _law.conditional_laws(config, n, m, 0.01, [*_kink_conflicts(n, m), *config.breakpoints(n, m)])
     for z in (-math.inf, -40.0, -3.0, 0.0, 2.5, 40.0, math.inf):
         got = _law.upper_tails(laws, z).tolist()
-        assert got == [law.sf(z) for law in laws], z
-        # the sum of every node's upper tail over the law's nodes alone, the one-law expression sf had
+        assert got == [_law.upper_tails([law], z)[0] for law in laws], z
+        # the sum of every node's upper tail over the law's nodes alone, the one-law expression
         assert got == [float(np.sum(law.weights * ndtr(-((np.array([[z]]) - law.mean) / law.sd)))) for law in laws]
     assert _law.upper_tails([], 0.0).size == 0
 
@@ -295,13 +303,13 @@ def test_power_curve_equals_the_per_law_tails_bit_for_bit(name, n, m):
     grid = np.linspace(0.0, 0.0636, 33)
     curve = power_curve(spec, 0.03, grid)
     laws = _law.conditional_laws(spec.estimator, n, m, 0.03, grid)
-    assert curve.rejection_prob.tolist() == [law.sf(curve.critical) for law in laws]
+    assert curve.rejection_prob.tolist() == [_law.upper_tails([law], curve.critical)[0] for law in laws]
     assert power_curve(spec, 0.03, np.zeros(0)).rejection_prob.size == 0
 
 
 def test_conditional_laws_reject_a_span_that_rounds_to_a_point_like_one_law():
     with pytest.raises(ValueError, match="rounds to a single point") as one:
-        _law.ConditionalLaw(Mle(), N, M, 0.0, 1e300)
+        one_law(Mle(), N, M, 0.0, 1e300)
     with pytest.raises(ValueError, match="rounds to a single point") as batch:
         _law.conditional_laws(Mle(), N, M, 0.0, [0.0, 1e300, 0.1])
     assert str(batch.value) == str(one.value)
@@ -331,16 +339,16 @@ def test_critical_value_rejects_an_empty_conflict_grid(convention):
 
 
 def test_a_quantile_solve_that_does_not_converge_raises(monkeypatch):
-    law = _law.ConditionalLaw(AdaptiveMmse(), N, M, 0.0, 0.05)
+    law = one_law(AdaptiveMmse(), N, M, 0.0, 0.05)
     monkeypatch.setattr(_law, "_MAX_PASSES", 2)
     with pytest.raises(FloatingPointError, match="not within tolerance after 2 passes"):
-        law.quantiles([0.975])
+        _law.quantiles([law], [0.975])
 
 
 @pytest.mark.parametrize("prob", [0.0, 1.0, -0.1, math.nan])
 def test_quantile_probability_outside_the_open_unit_interval_is_rejected(prob):
     with pytest.raises(ValueError, match="must lie in"):
-        _law.ConditionalLaw(Mle(), N, M, 0.0, 0.0).quantiles([prob])
+        _law.quantiles([one_law(Mle(), N, M, 0.0, 0.0)], [prob])
 
 
 # Measured log-density changes where the density is at least 1e-3 of its peak,
@@ -355,13 +363,13 @@ HALVING_TOLERANCE = {"alasso": 2e-5, "hdpp": 2e-3}
 def test_log_density_panel_halving(name, monkeypatch):
     config = config_from_id(name)
     for snd in (0.0, 0.32, 1.58, 5.06):
-        coarse = _law.ConditionalLaw(config, N, M, 0.0, snd / math.sqrt(N))
-        zs = coarse.grid(256)
+        coarse = one_law(config, N, M, 0.0, snd / math.sqrt(N))
+        zs = _law.grids([coarse], 256)[0][0]
         dens = coarse.pdf(zs)
         keep = dens >= 1e-3 * dens.max()
         with monkeypatch.context() as patch:
             patch.setattr(_law, "_PANEL_WIDTH", 0.5 * _law._PANEL_WIDTH)
-            finer = _law.ConditionalLaw(config, N, M, 0.0, snd / math.sqrt(N)).pdf(zs)
+            finer = one_law(config, N, M, 0.0, snd / math.sqrt(N)).pdf(zs)
         change = np.max(np.abs(np.log(finer[keep]) - np.log(dens[keep])))
         assert change <= HALVING_TOLERANCE.get(name, 1e-8), snd
 
@@ -422,7 +430,7 @@ def test_sampling_cdf_vector_equals_scalar_calls(estimator):
         vector = sampling_cdf(spec, zs, 0.01, delta)
         scalar = [sampling_cdf(spec, float(z), 0.01, delta) for z in zs]
         assert vector.tolist() == scalar
-        law = _law.ConditionalLaw(estimator, N, M, 0.01, delta)
+        law = one_law(estimator, N, M, 0.01, delta)
         assert law.pdf(dense).tolist() == [float(law.pdf(np.array([z]))[0]) for z in dense]
         assert law.cdf(dense).tolist() == [law.cdf(float(z)) for z in dense]
 
@@ -648,6 +656,38 @@ def test_alasso_power_decay_short_ladder():
 
 
 def test_critical_value_flag_is_reported():
-    crit = critical_value(spec_for(AdaptiveMmse(), DeltaBounded(0.0636)))
-    assert isinstance(crit.flagged, bool)
-    assert crit.sup_at is not None
+    # the default power run's sups of ammse, ebpp and ttpool sit at the bound 0.0636, the true sup
+    for name in ("mle", "pooled", "ammse", "ebpp", "hdpp", "ttpool", "alasso", "np", "ltr"):
+        for convention in (DeltaBounded(0.0636), DeltaZero()):
+            crit = critical_value(spec_for(config_from_id(name), convention))
+            assert crit.flagged is False and crit.sup_at is not None, (name, convention)
+        assert critical_value(spec_for(config_from_id(name), AllDelta())).flagged is False, name
+    # a grid that stops short of AllDelta's sup still flags a maximum at its end
+    grid = np.linspace(0.0, 0.0636, 33)
+    for name, flagged in (("ammse", True), ("ebpp", True), ("ttpool", True), ("mle", False)):
+        crit = critical_value(spec_for(config_from_id(name), AllDelta()), grid)
+        assert crit.flagged is flagged, name
+        assert crit.sup_at == (0.0636 if flagged else 0.0), name
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: spec_for(Mle(), DeltaZero(), theta0=math.nan), "theta0"),
+        (lambda: power(spec_for(Mle(), DeltaZero()), 1.96, math.nan, 0.0), "theta"),
+        (lambda: power_curve(spec_for(Mle(), DeltaZero()), math.nan), "theta"),
+        (lambda: sampling_cdf(spec_for(Mle(), DeltaZero()), 0.0, math.inf, 0.0), "theta"),
+        (lambda: DeltaBounded(math.inf), "delta0"),
+        (lambda: NormalPrior(0.0, math.inf), "var"),
+        (lambda: UniformPrior(0.0, math.inf), "b"),
+        (lambda: LaplacePrior(math.nan, 1.0), "loc"),
+        (lambda: StudentTPrior(3, math.nan, 1.0), "loc"),
+        (lambda: StudentTPrior(math.inf, 0.0, 1.0), "v"),
+        (lambda: PointMassPrior(math.nan), "delta"),
+    ],
+    ids=["spec-theta0", "power-theta", "power-curve-theta", "sampling-cdf-theta", "delta-bounded", "normal", "uniform", "laplace",
+         "student-t-loc", "student-t-v", "point-mass"],
+)
+def test_non_finite_parameters_are_rejected_naming_the_field(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got (nan|inf)$"):
+        build()
