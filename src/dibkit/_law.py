@@ -64,7 +64,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, ndtri
 
-from .estimators import EstimatorConfig, conflict_correction
+from .estimators import EstimatorConfig, _check_finite, conflict_correction
 
 _PANEL_RULE = leggauss(12)  # Gauss-Legendre rule on each panel
 _PANEL_WIDTH = 0.5  # widest panel, in sd units of the mixing variable
@@ -115,6 +115,7 @@ def _normal_panels(centers, sd: float, kinks) -> tuple[np.ndarray, np.ndarray, n
     spans = lo < hi
     if not spans.all():
         bad = centers[np.argmin(spans)]
+        _check_finite(conflict=bad)
         raise ValueError(f"conflict span {bad:g} +/- {_SPAN:g} * {sd:g} rounds to a single point")
     # row i: lo, every kink clipped into [lo, hi], hi; a clipped kink only adds empty panels, dropped
     edges = np.empty((centers.size, len(kinks) + 2))

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import streams
 from ._law import limit_borrowing, limit_laws
-from .estimators import EstimatorConfig
+from .estimators import EstimatorConfig, _check_finite
 
 __all__ = [
     "LocalScenario",
@@ -60,8 +60,7 @@ class LocalScenario:
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie strictly inside (0, 1)")
-        if not (math.isfinite(self.h) and math.isfinite(self.h_theta)):
-            raise ValueError("h and h_theta must be finite")
+        _check_finite(h=self.h, h_theta=self.h_theta)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 from . import testing
 from ._law import conditional_laws, distances, grids, limit_laws
 from .asymptotics import LocalScenario
-from .estimators import _FIELD_DEFAULTS, EstimatorConfig, SensitivityMmse, _from_id, estimator_id
+from .estimators import _FIELD_DEFAULTS, EstimatorConfig, SensitivityMmse, _check_finite, _from_id, estimator_id
 from .montecarlo import _MAX_EXACT_POINTS, _QUANTILE_PROBS, _exact_bootstrap_ci
 from .risk import (
     _PAIR_WEIGHT_FLOOR,
@@ -190,8 +190,7 @@ def _effective_config(subcommand: str, namespace: argparse.Namespace) -> dict[st
             merged[key] = getattr(namespace, key)
     for key, opt in options.items():
         if opt.type in (float, _floats) and merged[key] is not None:
-            if not np.all(np.isfinite(merged[key])):
-                raise ConfigError(f"{key} must be finite, got {merged[key]}")
+            _from_config(_check_finite, **{key: merged[key]})
         # 2**53 is the largest count a float holds exactly, and n * m stays finite
         if key in _COUNTS and merged[key] is not None and not 1 <= merged[key] <= 2**53:
             raise ConfigError(f"sample sizes and counts must lie in [1, 2**53], got {key} = {merged[key]}")
@@ -335,8 +334,7 @@ def _convention(cfg: dict[str, Any]) -> Convention:
 
 def _cmd_power(cfg: dict[str, Any]) -> None:
     theta = cfg["theta0"] + cfg["theta"]
-    if not math.isfinite(theta):
-        raise ConfigError(f"theta0 + theta must be finite, got {theta}")
+    _from_config(_check_finite, **{"theta0 + theta": theta})
     n, m = cfg["n"], cfg["m"]
     conv = _convention(cfg)
     s_del = math.sqrt(1.0 / n + 1.0 / m)

@@ -81,6 +81,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(**values: Any) -> None:
+    """Reject the first value that is not finite, naming it; a tuple (a list option) must be finite throughout."""
+    for name, value in values.items():
+        if not (all(map(math.isfinite, value)) if isinstance(value, tuple) else math.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _pooled_weight(n: int, m: int) -> float:
     return m / (n + m)
 
@@ -250,8 +257,8 @@ class OracleMmse(_Mmse):
     delta_true: float | None = None
 
     def __post_init__(self) -> None:
-        if self.delta_true is not None and not math.isfinite(self.delta_true):
-            raise ValueError("delta_true must be finite")
+        if self.delta_true is not None:
+            _check_finite(delta_true=self.delta_true)
 
     @property
     def limit_breakpoints(self) -> tuple[float, ...] | None:  # n m delta_true^2 grows with n; 0 is pooled

@@ -30,7 +30,7 @@ They are not transforms of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
@@ -42,6 +42,7 @@ from ._law import _legendre_panels
 from .estimators import (
     EstimatorConfig,
     StudentTPriorBayes,
+    _check_finite,
     conflict_correction,
     estimator_id,
 )
@@ -96,21 +97,13 @@ class NodeEvaluationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(prior) -> None:
-    """Reject a prior with a non-finite field, naming the field."""
-    for f in fields(prior):
-        value = getattr(prior, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class NormalPrior:
     mu: float
     var: float
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_finite(**vars(self))
         if not self.var > 0:
             raise ValueError("variance must be positive")
 
@@ -131,7 +124,7 @@ class UniformPrior:
     b: float
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_finite(**vars(self))
         if not self.a < self.b:
             raise ValueError("need a < b")
 
@@ -152,7 +145,7 @@ class LaplacePrior:
     scale: float
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_finite(**vars(self))
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 
@@ -173,7 +166,7 @@ class StudentTPrior:
     scale: float
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_finite(**vars(self))
         if self.v < 3:
             raise ValueError("degrees of freedom must be >= 3")
         if not self.scale > 0:
@@ -196,7 +189,7 @@ class PointMassPrior:
     delta: float
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _check_finite(**vars(self))
 
     def pdf(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - not integrable
         raise NotImplementedError("point mass has no density; handled specially")
@@ -260,8 +253,7 @@ def _mse_many(
     ``(x_i, x_j) -> (-x_i, -x_j)``.  So each distinct ``|d|`` is evaluated
     once and its value is returned at every conflict with that magnitude.
     """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    _check_finite(theta=theta)
     nodes = default_nodes(config) if nodes is None else nodes
     if not MIN_NODES <= nodes <= MAX_NODES:
         raise ValueError(f"nodes must lie in [{MIN_NODES}, {MAX_NODES}], got {nodes}")

@@ -26,11 +26,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
-from ._law import bracketed_roots, conditional_laws, quantiles, upper_tails
+from ._law import ConditionalLaw, bracketed_roots, conditional_laws, quantiles, upper_tails
 from .estimators import (
     EstimatorConfig,
     Mle,
     SensitivityMmse,
+    _check_finite,
     conflict_correction,  # noqa: F401  (the benchmark's tracer test patches this binding)
     est_pooled,
     estimator_id,
@@ -58,11 +59,6 @@ __all__ = [
     "NoCrossingError",
     "alasso_local_power_decay",
 ]
-
-
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 class NoCrossingError(ValueError):
@@ -93,7 +89,7 @@ class DeltaBounded:
     def __post_init__(self) -> None:
         if not self.delta0 > 0:
             raise ValueError("delta0 must be positive")
-        _check_finite("delta0", self.delta0)
+        _check_finite(delta0=self.delta0)
 
 
 Convention = Union[AllDelta, DeltaZero, DeltaBounded]  # each ``id`` is its CLI and CSV identifier
@@ -109,7 +105,7 @@ class TestSpec:
     m: int
 
     def __post_init__(self) -> None:
-        _check_finite("theta0", self.theta0)
+        _check_finite(theta0=self.theta0)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if 1.0 - self.alpha == 1.0:  # the critical value is the quantile at 1 - alpha
@@ -148,18 +144,23 @@ class PowerCurve:
     meta: dict = field(default_factory=dict)
 
 
+def _laws(spec: TestSpec, theta: float) -> Callable[[np.ndarray], list[ConditionalLaw]]:
+    """The builder of Z's laws at ``theta`` over a batch of conflicts; ``theta`` is checked now, before any work."""
+    _check_finite(theta=theta)
+    return lambda deltas: conditional_laws(spec.estimator, spec.n, spec.m, theta - spec.theta0, deltas)
+
+
 def sampling_cdf(
     spec: TestSpec, z: float | np.ndarray, theta: float, delta: float
 ) -> float | np.ndarray:
     """P(Z <= z) for ``Z = sqrt(n)(estimate - theta0)`` at the given truth."""
-    _check_finite("theta", theta)
-    return conditional_laws(spec.estimator, spec.n, spec.m, theta - spec.theta0, [delta])[0].cdf(z)
+    return _laws(spec, theta)([delta])[0].cdf(z)
 
 
 def null_quantile(spec: TestSpec, delta: float, prob: float | None = None) -> float:
     """(1-alpha) quantile of Z under ``theta = theta0`` at the given conflict."""
     prob = 1.0 - spec.alpha if prob is None else prob
-    return float(quantiles(conditional_laws(spec.estimator, spec.n, spec.m, 0.0, [delta]), [prob])[0])
+    return float(quantiles(_laws(spec, spec.theta0)([delta]), [prob])[0])
 
 
 def _default_grid(spec: TestSpec, points: int) -> np.ndarray:
@@ -194,21 +195,19 @@ def critical_value(
     top = grid[-1] if grid[-1] > 0 else 1.0
     # the grid and AllDelta's two probes beyond it, solved in one batch
     deltas = np.append(grid, [2.0 * top, 4.0 * top]) if isinstance(conv, AllDelta) else grid
-    laws = conditional_laws(spec.estimator, spec.n, spec.m, 0.0, deltas)
-    solved = quantiles(laws, np.full(deltas.size, 1.0 - spec.alpha))
+    solved = quantiles(_laws(spec, spec.theta0)(deltas), np.full(deltas.size, 1.0 - spec.alpha))
     quants, probe = solved[: grid.size], solved[grid.size :]
     k = int(np.argmax(quants))
-    sup_val, sup_at = float(quants[k]), float(grid[k])
     flagged = False
     if isinstance(conv, AllDelta):
         # probe beyond the grid: quantiles still rising -> no finite sup
         tol = 1e-6
-        if probe[0] > sup_val + tol and probe[1] > probe[0] + tol:
+        if probe[0] > quants[k] + tol and probe[1] > probe[0] + tol:
             return CriticalValue(math.inf, sup_at=None)
-        sup_val = float(max(sup_val, *probe))
         diffs = np.diff(quants)
         flagged = k in (0, grid.size - 1) and bool(np.any(diffs > 1e-9) and np.any(diffs < -1e-9))
-    return CriticalValue(sup_val, sup_at=sup_at, flagged=flagged)
+    j = int(np.argmax(solved))  # a probe's quantile is reported with its own conflict
+    return CriticalValue(float(solved[j]), sup_at=float(deltas[j]), flagged=flagged)
 
 
 def power(
@@ -218,11 +217,9 @@ def power(
     delta: float,
 ) -> float:
     """Rejection probability P(Z > critical) at the given truth."""
-    _check_finite("theta", theta)
+    laws = _laws(spec, theta)
     crit = float(critical)
-    if math.isinf(crit):
-        return 0.0
-    return float(upper_tails(conditional_laws(spec.estimator, spec.n, spec.m, theta - spec.theta0, [delta]), crit)[0])
+    return 0.0 if math.isinf(crit) else float(upper_tails(laws([delta]), crit)[0])
 
 
 def power_curve(
@@ -233,14 +230,10 @@ def power_curve(
     points: int = 33,
 ) -> PowerCurve:
     """Rejection probability over a conflict grid at the spec's critical value."""
-    _check_finite("theta", theta)
+    laws = _laws(spec, theta)
     grid = np.asarray(_default_grid(spec, points) if delta_grid is None else delta_grid, dtype=float)
     crit = critical_value(spec)
-    if math.isinf(crit.value):
-        probs = np.zeros(grid.size)
-    else:
-        laws = conditional_laws(spec.estimator, spec.n, spec.m, theta - spec.theta0, grid)
-        probs = upper_tails(laws, crit.value)
+    probs = np.zeros(grid.size) if math.isinf(crit.value) else upper_tails(laws(grid), crit.value)
     return PowerCurve(
         estimator=estimator_id(spec.estimator),
         convention=spec.convention.id,
@@ -318,6 +311,7 @@ def p2_p3(s: TwoSampleSummary, delta0: float, theta_assumed: float) -> tuple[flo
     """
     if not delta0 > 0:
         raise ValueError("delta0 must be positive")
+    _check_finite(delta0=delta0, theta_assumed=theta_assumed)
     n, m = s.n, s.m
     s_del = math.sqrt(1.0 / n + 1.0 / m)
     p3 = float(ndtr((delta0 - s.delta_hat) / s_del))
@@ -356,6 +350,7 @@ def pvalue(
     exact upper tail of the sensitivity-indexed borrowing statistic at
     ``theta = theta0`` and the worst null conflict ``delta = delta0``.
     """
+    _check_finite(theta0=theta0)
     n, m = s.n, s.m
     if option == "mle-alldelta":
         z1 = math.sqrt(n) * (s.theta_hat - theta0)
@@ -387,6 +382,7 @@ def tipping_point(
     """
     if not 0.0 < target_p < 1.0:
         raise ValueError("target_p must lie in (0, 1)")
+    _check_finite(theta0=theta0)
     pvalues = _bounded_pvalues(s, theta0, sens)  # the grid and every secant step evaluate this one p-value
     grid = np.linspace(bracket[0], bracket[1], grid_points)
     gaps = pvalues(grid) - target_p

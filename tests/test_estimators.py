@@ -675,6 +675,11 @@ def test_config_from_id_names_a_field_without_a_value_and_rejects_an_unknown_fla
         dk.config_from_id("mle", cc=1.0)
 
 
+def test_estimate_rejects_an_object_that_is_not_a_configuration():
+    with pytest.raises(TypeError, match="unknown estimator configuration: 'mle'"):
+        dk.estimate("mle", S_WIDE)
+
+
 def test_lstp_root_switch_matches_mpmath():
     # the conflict where the objective ties at the cubic's two outer roots, from mpmath at 40 digits
     b = StudentTPriorBayes(3).breakpoints(1000, 100)

@@ -276,6 +276,11 @@ def test_student_t_prior_matches_scipy():
         assert prior.truncation_mass() == pytest.approx(2.0 * student_t.sf(8.0, v), rel=1e-14)
 
 
+def test_point_mass_prior_sits_at_its_conflict_with_no_tail():
+    prior = PointMassPrior(0.03)
+    assert prior.support() == (0.03, 0.03) and prior.truncation_mass() == 0.0
+
+
 def test_prior_densities_normalized():
     for prior in table_priors(N, M).values():
         total = quad(lambda x: float(prior.pdf(np.asarray(x))), *prior.support(), limit=200)[0]

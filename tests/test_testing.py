@@ -49,6 +49,7 @@ from dibkit.testing import (
 
 N, M = 1000, 100_000
 Z975 = norm.ppf(0.975)
+_S = TwoSampleSummary(0.1, 100, 0.13, 400)
 
 
 def spec_for(estimator, convention, alpha=0.025, theta0=0.0, n=N, m=M):
@@ -186,8 +187,9 @@ def test_lockstep_critical_value_equals_per_conflict_quantiles(convention, estim
         top = grid[-1]
         want = max(want, null_quantile(spec, 2.0 * top), null_quantile(spec, 4.0 * top))
     assert crit.value == pytest.approx(want, abs=1e-13)
-    # a flat profile (mle) leaves the argmax to rounding: compare the quantile at sup_at
-    assert quants[list(grid).index(crit.sup_at)] == pytest.approx(max(quants), abs=1e-13)
+    # the reported conflict carries the reported value, a probe's included (the batch's
+    # zero padding can move a quantile's last bit: alasso's moves by one ulp)
+    assert null_quantile(spec, crit.sup_at) == pytest.approx(crit.value, abs=1e-13)
 
 
 CLI_IDS = [kind.id for kind in get_args(EstimatorConfig) if kind is not GeneralizedBorrow]
@@ -330,6 +332,9 @@ def test_power_curve_equals_power_at_each_conflict(estimator, convention):
     assert np.array_equal(curve.rejection_prob, want)
     if isinstance(estimator, Pooled):  # no finite critical value, so no power
         assert math.isinf(crit.value) and not np.any(curve.rejection_prob)
+        # and no law is built: a nan conflict would be rejected where its panels are laid
+        assert power(spec, crit, 0.05, math.nan) == 0.0
+        assert power_curve(spec, 0.05, np.array([math.nan])).rejection_prob.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("convention", [AllDelta(), DeltaBounded(0.05)], ids=lambda c: c.id)
@@ -343,6 +348,12 @@ def test_a_quantile_solve_that_does_not_converge_raises(monkeypatch):
     monkeypatch.setattr(_law, "_MAX_PASSES", 2)
     with pytest.raises(FloatingPointError, match="not within tolerance after 2 passes"):
         _law.quantiles([law], [0.975])
+
+
+def test_a_root_solve_that_meets_a_nan_raises():
+    with pytest.raises(FloatingPointError, match=r"root solve met a nan value at \[0.5\]"):
+        _law.bracketed_roots(lambda z, rows: (np.full(z.size, math.nan), None), [0.0], [1.0], [0.5],
+                             abs_tol=1e-12, rel_tol=0.0)
 
 
 @pytest.mark.parametrize("prob", [0.0, 1.0, -0.1, math.nan])
@@ -665,9 +676,10 @@ def test_critical_value_flag_is_reported():
     # a grid that stops short of AllDelta's sup still flags a maximum at its end
     grid = np.linspace(0.0, 0.0636, 33)
     for name, flagged in (("ammse", True), ("ebpp", True), ("ttpool", True), ("mle", False)):
-        crit = critical_value(spec_for(config_from_id(name), AllDelta()), grid)
+        spec = spec_for(config_from_id(name), AllDelta())
+        crit = critical_value(spec, grid)
         assert crit.flagged is flagged, name
-        assert crit.sup_at == (0.0636 if flagged else 0.0), name
+        assert null_quantile(spec, crit.sup_at) == pytest.approx(crit.value, abs=1e-13), name
 
 
 @pytest.mark.parametrize(
@@ -684,9 +696,23 @@ def test_critical_value_flag_is_reported():
         (lambda: StudentTPrior(3, math.nan, 1.0), "loc"),
         (lambda: StudentTPrior(math.inf, 0.0, 1.0), "v"),
         (lambda: PointMassPrior(math.nan), "delta"),
+        (lambda: pvalue("mle-alldelta", _S, math.nan), "theta0"),
+        (lambda: pvalue("pooled-deltazero", _S, math.nan), "theta0"),
+        (lambda: pvalue("dib-deltabounded", _S, math.nan, 0.05, 0.4), "theta0"),
+        (lambda: p2_p3(_S, 0.05, math.nan), "theta_assumed"),
+        (lambda: p2_p3(_S, math.inf, 0.7), "delta0"),
+        (lambda: tipping_point(_S, math.nan, 0.4, 0.5), "theta0"),
+        # a conflict is named where the law's panels are laid, with no check per call
+        (lambda: power(spec_for(Mle(), DeltaZero()), 1.96, 0.0, math.nan), "conflict"),
+        (lambda: sampling_cdf(spec_for(Mle(), DeltaZero()), 0.0, 0.0, math.inf), "conflict"),
+        (lambda: null_quantile(spec_for(Mle(), DeltaZero()), math.inf), "conflict"),
+        (lambda: pvalue("dib-deltabounded", _S, 0.0, math.nan, 0.4), "conflict"),
+        (lambda: alasso_local_power_decay(0.25, h_theta=2.0, h=math.nan, n_ladder=(100,)), "conflict"),
     ],
     ids=["spec-theta0", "power-theta", "power-curve-theta", "sampling-cdf-theta", "delta-bounded", "normal", "uniform", "laplace",
-         "student-t-loc", "student-t-v", "point-mass"],
+         "student-t-loc", "student-t-v", "point-mass", "pvalue-mle-theta0", "pvalue-pooled-theta0", "pvalue-dib-theta0",
+         "p2-p3-theta-assumed", "p2-p3-delta0", "tipping-point-theta0", "power-conflict", "sampling-cdf-conflict",
+         "null-quantile-conflict", "pvalue-conflict", "alasso-power-decay-conflict"],
 )
 def test_non_finite_parameters_are_rejected_naming_the_field(build, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite, got (nan|inf)$"):
