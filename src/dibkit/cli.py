@@ -392,8 +392,7 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
     external = _from_config(BinomialRaw, int(ext_events), cfg["external_size"])
     raw, (cur_st, ext_st) = _from_config(from_raw_binomial, current, external)
     config = _from_config(SensitivityMmse, cfg["sens"])
-    for d0 in cfg["delta0_list"]:  # each is a bounded-conflict null: reject before any work
-        _from_config(DeltaBounded, d0)
+    bounds = [_from_config(DeltaBounded, d0).delta0 for d0 in cfg["delta0_list"]]  # rejected before any work
     if not 0.0 < cfg["target_p"] < 1.0:
         raise ConfigError(f"target_p must lie in (0, 1), got {cfg['target_p']}")
     s_st = standardized_two_sample(cur_st, ext_st)
@@ -425,9 +424,9 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
         ["p_option1", "probability", p1],
         ["p_option2", "probability", p2_opt],
     ]
-    for d0 in cfg["delta0_list"]:
-        p3_opt = testing.pvalue("dib-deltabounded", s_st, theta0_st, d0, sens)
-        p3_opt_rate = testing.pvalue("dib-deltabounded", s_st, theta0_st, d0 / cur_st.sd, sens)
+    # option 3 at every bound, standardized then on the rate scale, in one law batch
+    p3_opts = testing._bounded_pvalues(s_st, theta0_st, sens)(bounds + [d0 / cur_st.sd for d0 in bounds])
+    for d0, p3_opt, p3_opt_rate in zip(bounds, p3_opts, p3_opts[len(bounds):]):
         p2v, p3v = testing.p2_p3(s_st, d0, theta0_st)
         rows.append([f"p_option3@delta0={d0:g}", "standardized-conflict", p3_opt])
         rows.append([f"p_option3@delta0={d0:g}", "rate-conflict", p3_opt_rate])

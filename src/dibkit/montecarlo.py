@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import betaln
 
 from . import streams
-from .estimators import EstimatorConfig, SensitivityMmse, conflict_correction, estimator_id
+from .estimators import EstimatorConfig, SensitivityMmse, _check_finite, conflict_correction, estimator_id
 from .summaries import BinomialRaw
 
 __all__ = [
@@ -57,6 +57,7 @@ class SimPlan:
             raise ValueError("replicates must be >= 1")
         if self.n < 1 or self.m < 1:
             raise ValueError("sample sizes must be >= 1")
+        _check_finite(theta=self.theta, delta=self.delta)
 
 
 _QUANTILE_PROBS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)

@@ -277,6 +277,7 @@ def _mse_many(
             out[k] = np.dot(pair_w, err)
             if math.isfinite(out[k]):  # every weight is positive, so every error was finite
                 continue
+            _check_finite(conflict=signed[first[k]])  # a non-finite conflict is named, not a node
             err = u + q
             if np.all(np.isfinite(err)):  # so a square overflowed
                 raise FloatingPointError(f"MSE of {estimator_id(config)} at conflict {signed[first[k]]:.6g} overflows a float")
@@ -398,6 +399,9 @@ def _integrate_priors(
     convergence test and its own refinement.  A point mass is the integrand
     at its conflict, taken in the first pass.
     """
+    _check_finite(rel_tol=rel_tol)
+    if rel_tol < 0:
+        raise ValueError(f"rel_tol must be non-negative, got {rel_tol:g}")
     rule = leggauss(24)
     values = [math.nan] * len(priors)  # the first pass has nothing to agree with
     achieved = [math.nan] * len(priors)

@@ -87,9 +87,9 @@ class DeltaBounded:
     delta0: float
 
     def __post_init__(self) -> None:
+        _check_finite(delta0=self.delta0)
         if not self.delta0 > 0:
             raise ValueError("delta0 must be positive")
-        _check_finite(delta0=self.delta0)
 
 
 Convention = Union[AllDelta, DeltaZero, DeltaBounded]  # each ``id`` is its CLI and CSV identifier
@@ -309,9 +309,8 @@ def p2_p3(s: TwoSampleSummary, delta0: float, theta_assumed: float) -> tuple[flo
     normal, centered at the observed values, with the exact joint covariance
     of the two statistics; ``p2 <= p3`` holds by construction.
     """
-    if not delta0 > 0:
-        raise ValueError("delta0 must be positive")
-    _check_finite(delta0=delta0, theta_assumed=theta_assumed)
+    DeltaBounded(delta0)  # the one check of a conflict bound
+    _check_finite(theta_assumed=theta_assumed)
     n, m = s.n, s.m
     s_del = math.sqrt(1.0 / n + 1.0 / m)
     p3 = float(ndtr((delta0 - s.delta_hat) / s_del))
@@ -361,7 +360,7 @@ def pvalue(
     if option == "dib-deltabounded":
         if delta0 is None or sens is None:
             raise ValueError("bounded-conflict option needs delta0 and sens")
-        return float(_bounded_pvalues(s, theta0, sens)([delta0])[0])
+        return float(_bounded_pvalues(s, theta0, sens)([DeltaBounded(delta0).delta0])[0])
     raise ValueError(f"unknown p-value option {option!r}")
 
 
@@ -383,8 +382,11 @@ def tipping_point(
     if not 0.0 < target_p < 1.0:
         raise ValueError("target_p must lie in (0, 1)")
     _check_finite(theta0=theta0)
+    left, right = (DeltaBounded(d0).delta0 for d0 in bracket)  # each end is a conflict bound
+    if not left < right:
+        raise ValueError(f"tipping-point bracket must be increasing, got {bracket}")
     pvalues = _bounded_pvalues(s, theta0, sens)  # the grid and every secant step evaluate this one p-value
-    grid = np.linspace(bracket[0], bracket[1], grid_points)
+    grid = np.linspace(left, right, grid_points)
     gaps = pvalues(grid) - target_p
     k = int(np.argmax(gaps >= 0.0))  # first point at the target; 0 also when none is
     if k == 0:

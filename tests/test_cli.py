@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import dibkit
-from dibkit import cli
+from dibkit import cli, testing
 from dibkit._law import conditional_laws, grids, quantiles
 from dibkit.cli import run
 from dibkit.estimators import config_from_id
@@ -236,6 +236,27 @@ def test_example_prams_seed_moves_nothing(tmp_path):
     # the interval is the bootstrap's exact limit; --resamples is only echoed
     assert (reports[0][("ci_lo", "rate")], reports[0][("ci_hi", "rate")]) == ("0.334410993353", "0.449365182374")
     assert reports[0][("bootstrap_resamples", "count")] == "2000"
+
+
+def test_example_prams_option3_rows_are_the_library_pvalue_at_each_bound(tmp_path, monkeypatch, prams):
+    # the report takes every bound on both scales in one law batch; each row is still pvalue's own float
+    written = {}
+    write = cli._write_csv
+
+    def record(cfg, name, header, rows):
+        written[name] = rows
+        write(cfg, name, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", record)
+    bounds = (0.005, 0.01, 0.05, 0.087, 0.2)
+    assert run(["example-prams", "--delta0-list", ",".join(map(str, bounds)), "--out-dir", str(tmp_path)]) == 0
+    got = {(q, scale): value for q, scale, value in written["prams_report.csv"] if q.startswith("p_option3@")}
+    assert len(got) == 2 * len(bounds)
+    s, theta0_st, sd = prams["st"], prams["theta0_st"], prams["cur"].sd
+    for d0 in bounds:
+        for scale, bound in (("standardized-conflict", d0), ("rate-conflict", d0 / sd)):
+            want = testing.pvalue("dib-deltabounded", s, theta0_st, bound, 0.4)
+            assert got[(f"p_option3@delta0={d0:g}", scale)] == want, (d0, scale)
 
 
 def test_example_prams_writes_a_quoted_row_when_no_tipping_point_is_bracketed(tmp_path):

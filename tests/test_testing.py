@@ -27,7 +27,16 @@ from dibkit.estimators import (
     conflict_correction,
 )
 from dibkit.montecarlo import SimPlan, _QUANTILE_PROBS, simulate
-from dibkit.risk import LaplacePrior, NormalPrior, PointMassPrior, StudentTPrior, UniformPrior
+from dibkit.risk import (
+    LaplacePrior,
+    NormalPrior,
+    PointMassPrior,
+    StudentTPrior,
+    UniformPrior,
+    integrated_srmse,
+    srmse,
+    srmse_curve,
+)
 from dibkit.summaries import TwoSampleSummary
 from dibkit.testing import (
     AllDelta,
@@ -638,6 +647,20 @@ def test_tipping_point_matches_brentq_on_its_grid_interval(prams):
         pytest.param(lambda p: sweet_spot(spec_for(Mle(), AllDelta()), 0.03), "bounded-conflict", id="sweet-spot"),
         pytest.param(lambda p: p2_p3(p["st"], 0.0, p["theta0_st"]), "delta0 must be positive", id="p2-p3-zero"),
         pytest.param(lambda p: p2_p3(p["st"], -0.05, p["theta0_st"]), "delta0 must be positive", id="p2-p3-neg"),
+        pytest.param(lambda p: pvalue("dib-deltabounded", p["st"], p["theta0_st"], 0.0, 0.4), "delta0 must be positive",
+                     id="pvalue-zero"),
+        pytest.param(lambda p: pvalue("dib-deltabounded", p["st"], p["theta0_st"], -0.05, 0.4), "delta0 must be positive",
+                     id="pvalue-neg"),
+        pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.05, bracket=(1e-3, 0.0)),
+                     "delta0 must be positive", id="tipping-bracket-zero"),
+        pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.05, bracket=(-0.05, 0.5)),
+                     "delta0 must be positive", id="tipping-bracket-neg"),
+        pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.05, bracket=(0.5, 1e-3)),
+                     r"bracket must be increasing, got \(0.5, 0.001\)", id="tipping-bracket-reversed"),
+        pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.05, bracket=(0.2, 0.2)),
+                     r"bracket must be increasing, got \(0.2, 0.2\)", id="tipping-bracket-empty"),
+        pytest.param(lambda p: integrated_srmse(Mle(), NormalPrior(0.0, 1e-3), N, M, rel_tol=-1.0),
+                     "rel_tol must be non-negative, got -1", id="integrated-srmse-rel-tol"),
         pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.0), "target_p", id="tipping-0"),
         pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 1.0), "target_p", id="tipping-1"),
     ],
@@ -702,17 +725,30 @@ def test_critical_value_flag_is_reported():
         (lambda: p2_p3(_S, 0.05, math.nan), "theta_assumed"),
         (lambda: p2_p3(_S, math.inf, 0.7), "delta0"),
         (lambda: tipping_point(_S, math.nan, 0.4, 0.5), "theta0"),
-        # a conflict is named where the law's panels are laid, with no check per call
+        # every conflict bound is a DeltaBounded
+        (lambda: DeltaBounded(math.nan), "delta0"),
+        (lambda: p2_p3(_S, math.nan, 0.7), "delta0"),
+        (lambda: pvalue("dib-deltabounded", _S, 0.0, math.nan, 0.4), "delta0"),
+        (lambda: pvalue("dib-deltabounded", _S, 0.0, math.inf, 0.4), "delta0"),
+        (lambda: tipping_point(_S, 0.0, 0.4, 0.5, bracket=(math.nan, 0.5)), "delta0"),
+        (lambda: tipping_point(_S, 0.0, 0.4, 0.5, bracket=(1e-3, math.inf)), "delta0"),
+        (lambda: SimPlan(100, 400, math.nan, 0.0, 10, 1, (AdaptiveMmse(),)), "theta"),
+        (lambda: SimPlan(100, 400, 0.0, math.inf, 10, 1, (AdaptiveMmse(),)), "delta"),
+        (lambda: integrated_srmse(Mle(), NormalPrior(0.0, 1e-3), N, M, rel_tol=math.nan), "rel_tol"),
+        # a conflict is named where the law's panels are laid, or where risk's tensor fails, with no check per call
         (lambda: power(spec_for(Mle(), DeltaZero()), 1.96, 0.0, math.nan), "conflict"),
         (lambda: sampling_cdf(spec_for(Mle(), DeltaZero()), 0.0, 0.0, math.inf), "conflict"),
         (lambda: null_quantile(spec_for(Mle(), DeltaZero()), math.inf), "conflict"),
-        (lambda: pvalue("dib-deltabounded", _S, 0.0, math.nan, 0.4), "conflict"),
         (lambda: alasso_local_power_decay(0.25, h_theta=2.0, h=math.nan, n_ladder=(100,)), "conflict"),
+        (lambda: srmse(AdaptiveMmse(), 0.0, math.nan, N, M), "conflict"),
+        (lambda: srmse_curve(AdaptiveMmse(), N, M, [0.0, math.inf]), "conflict"),
     ],
     ids=["spec-theta0", "power-theta", "power-curve-theta", "sampling-cdf-theta", "delta-bounded", "normal", "uniform", "laplace",
          "student-t-loc", "student-t-v", "point-mass", "pvalue-mle-theta0", "pvalue-pooled-theta0", "pvalue-dib-theta0",
-         "p2-p3-theta-assumed", "p2-p3-delta0", "tipping-point-theta0", "power-conflict", "sampling-cdf-conflict",
-         "null-quantile-conflict", "pvalue-conflict", "alasso-power-decay-conflict"],
+         "p2-p3-theta-assumed", "p2-p3-delta0", "tipping-point-theta0", "delta-bounded-nan", "p2-p3-delta0-nan",
+         "pvalue-conflict", "pvalue-delta0-inf", "tipping-point-bracket-nan", "tipping-point-bracket-inf",
+         "sim-plan-theta", "sim-plan-delta", "integrated-srmse-rel-tol", "power-conflict", "sampling-cdf-conflict",
+         "null-quantile-conflict", "alasso-power-decay-conflict", "srmse-conflict", "srmse-curve-conflict"],
 )
 def test_non_finite_parameters_are_rejected_naming_the_field(build, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite, got (nan|inf)$"):
