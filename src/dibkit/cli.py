@@ -25,25 +25,9 @@ from typing import Any, Callable, Sequence, get_args
 
 import numpy as np
 
-from . import testing
-from ._law import conditional_laws, distances, grids, limit_laws
-from .asymptotics import LocalScenario
 from .estimators import _FIELD_DEFAULTS, EstimatorConfig, SensitivityMmse, _check_finite, _from_id, estimator_id
-from .montecarlo import _MAX_EXACT_POINTS, _QUANTILE_PROBS, _exact_bootstrap_ci
-from .risk import (
-    _PAIR_WEIGHT_FLOOR,
-    _TAIL_SPAN,
-    MAX_NODES,
-    MIN_NODES,
-    NodeEvaluationError,
-    QuadratureError,
-    integrated_srmse_batch,
-    srmse_curve,
-    table_priors,
-)
 from .summaries import BinomialRaw, TwoSampleSummary, from_raw_binomial, standardized_two_sample
 from .svg import Series, emit_plot
-from .testing import Convention, DeltaBounded, TestSpec
 
 __all__ = ["main", "run"]
 
@@ -60,6 +44,21 @@ class ConfigError(ValueError):
     pass
 
 
+_NUMERIC_ERRORS: tuple[type[Exception], ...] = ()  # risk's failures, exit code 3 once _numeric has run
+
+
+def _numeric() -> None:
+    """Import the layers that load scipy, which every subcommand but estimate runs on.
+
+    This is their one import site, and it imports all six, so that a tracer
+    of the layers finds each of them loaded whichever subcommand ran.
+    """
+    global _law, asymptotics, montecarlo, risk, streams, testing, _NUMERIC_ERRORS
+    from . import _law, asymptotics, montecarlo, risk, streams, testing
+
+    _NUMERIC_ERRORS = (risk.QuadratureError, risk.NodeEvaluationError)
+
+
 def _from_config(factory: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
     """Build a library object from config values; its validation errors are config errors."""
     try:
@@ -73,7 +72,7 @@ class Option:
     name: str
     type: Callable[[str], Any]
     default: Any
-    help: str
+    help: str | Callable[[], str]  # a callable reads what only a numeric layer knows
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -105,8 +104,8 @@ _TUNING = {name: Option(name, kind, _FIELD_DEFAULTS[name], help) for name, kind,
     ("v", int, "t-prior degrees of freedom"),
 ]}
 
-_NODES = Option("nodes", int, 0, "quadrature nodes per axis (0 = per-estimator default); "
-                f"node pairs with product weight below {_PAIR_WEIGHT_FLOOR:g} are skipped")
+_NODES = Option("nodes", int, 0, lambda: "quadrature nodes per axis (0 = per-estimator default); "
+                f"node pairs with product weight below {risk._PAIR_WEIGHT_FLOOR:g} are skipped")
 
 # the paper's sample sizes; estimate takes both without a default
 _N, _M = Option("n", int, 1000, "current sample size"), Option("m", int, 100_000, "external sample size")
@@ -124,6 +123,8 @@ def _no_effect(why: str, *common: str, **counts: int) -> list[Option]:
 
 
 def _options(subcommand: str) -> dict[str, Option]:
+    if subcommand != "estimate":
+        _numeric()
     return {o.name: o for o in _COMMON + _SUBCOMMANDS[subcommand][1]}  # own options replace common ones
 
 
@@ -144,7 +145,8 @@ def _build_parser(populated: Sequence[str]) -> argparse.ArgumentParser:
             flag = "--" + opt.name.replace("_", "-")
             aliases = ["--estimator"] if opt.name == "estimators" else []
             kind = {"action": "store_true"} if opt.type is bool else {"type": opt.type}
-            sp.add_argument(flag, *aliases, dest=opt.name, default=argparse.SUPPRESS, help=opt.help, **kind)
+            text = opt.help() if callable(opt.help) else opt.help
+            sp.add_argument(flag, *aliases, dest=opt.name, default=argparse.SUPPRESS, help=text, **kind)
     return parser
 
 
@@ -288,9 +290,9 @@ def _cmd_estimate(cfg: dict[str, Any]) -> None:
 
 
 def _nodes(cfg: dict[str, Any]) -> int | None:
-    nodes = cfg["nodes"] or None
-    if nodes is not None and not MIN_NODES <= nodes <= MAX_NODES:
-        raise ConfigError(f"nodes must be 0 (per-estimator default) or in [{MIN_NODES}, {MAX_NODES}], got {nodes}")
+    nodes, low, high = cfg["nodes"] or None, risk.MIN_NODES, risk.MAX_NODES
+    if nodes is not None and not low <= nodes <= high:
+        raise ConfigError(f"nodes must be 0 (per-estimator default) or in [{low}, {high}], got {nodes}")
     return nodes
 
 
@@ -301,7 +303,7 @@ def _cmd_srmse_curve(cfg: dict[str, Any]) -> None:
     rows = []
     series = []
     for config in _estimator_configs(cfg):
-        curve = srmse_curve(config, n, m, grid, nodes)
+        curve = risk.srmse_curve(config, n, m, grid, nodes)
         for x, y in zip(curve.sqrt_n_delta, curve.srmse):
             rows.append([curve.estimator, x, y])
         series.append(Series(curve.estimator, tuple(curve.sqrt_n_delta), tuple(curve.srmse)))
@@ -311,25 +313,25 @@ def _cmd_srmse_curve(cfg: dict[str, Any]) -> None:
 
 def _cmd_bayes_risk_table(cfg: dict[str, Any]) -> None:
     n, m = cfg["n"], cfg["m"]
-    priors = table_priors(n, m)
+    priors = risk.table_priors(n, m)
     unknown = set(cfg["priors"]) - set(priors)
     if unknown:
         raise ConfigError(f"unknown priors: {sorted(unknown)}")
     nodes = _nodes(cfg)
     rows = []
     for config in _estimator_configs(cfg):
-        values = integrated_srmse_batch(config, [priors[p] for p in cfg["priors"]], n, m, nodes)
+        values = risk.integrated_srmse_batch(config, [priors[p] for p in cfg["priors"]], n, m, nodes)
         rows.extend([estimator_id(config), pname, value] for pname, value in zip(cfg["priors"], values))
     _write_csv(cfg, "bayes_risk_table.csv", ["estimator", "prior", "value"], rows)
     for pname in cfg["priors"]:
         mass = priors[pname].truncation_mass()
         if mass > 0:
-            print(f"note: prior {pname} truncated at {_TAIL_SPAN:g} scale units, tail mass {mass:.3e}")
+            print(f"note: prior {pname} truncated at {risk._TAIL_SPAN:g} scale units, tail mass {mass:.3e}")
 
 
-def _convention(cfg: dict[str, Any]) -> Convention:
+def _convention(cfg: dict[str, Any]) -> testing.Convention:
     """The convention whose ``id`` is ``--convention``, its fields filled from the flags of the same names."""
-    return _from_config(_from_id, Convention, cfg["convention"], "convention", cfg)
+    return _from_config(_from_id, testing.Convention, cfg["convention"], "convention", cfg)
 
 
 def _cmd_power(cfg: dict[str, Any]) -> None:
@@ -342,12 +344,12 @@ def _cmd_power(cfg: dict[str, Any]) -> None:
     if delta_max < 0:
         raise ConfigError(f"delta_max must be 0 (convention default) or positive, got {delta_max}")
     if delta_max == 0:
-        delta_max = cfg["delta0"] if isinstance(conv, DeltaBounded) else 6.0 * s_del
+        delta_max = cfg["delta0"] if isinstance(conv, testing.DeltaBounded) else 6.0 * s_del
     grid = np.linspace(0.0, delta_max, cfg["grid_points"])
     rows = []
     series = []
     for config in _estimator_configs(cfg):
-        spec = _from_config(TestSpec, cfg["theta0"], cfg["alpha"], conv, config, n, m)
+        spec = _from_config(testing.TestSpec, cfg["theta0"], cfg["alpha"], conv, config, n, m)
         curve = testing.power_curve(spec, theta, grid)
         for d, p in zip(curve.delta, curve.rejection_prob):
             rows.append([curve.estimator, curve.convention, theta, d, curve.critical, p])
@@ -365,18 +367,19 @@ def _cmd_densities(cfg: dict[str, Any]) -> None:
     scenarios = cfg["sqrt_n_delta"]
     # curves[scenario][estimator]: the name, grid, log density and table quantiles of one law
     curves: list[list[tuple]] = [[] for _ in scenarios]
+    probs = montecarlo._QUANTILE_PROBS
     deltas = np.asarray(scenarios, dtype=float) / math.sqrt(n)
     for config in _estimator_configs(cfg):
         name = estimator_id(config)
-        laws = conditional_laws(config, n, m, 0.0, deltas)  # one solve per estimator keeps its padded matrix small
-        for scen, law, grid, quants in zip(curves, laws, *grids(laws, cfg["grid_points"], _QUANTILE_PROBS)):
+        laws = _law.conditional_laws(config, n, m, 0.0, deltas)  # one solve per estimator keeps its padded matrix small
+        for scen, law, grid, quants in zip(curves, laws, *_law.grids(laws, cfg["grid_points"], probs)):
             scen.append((name, grid, np.log(law.pdf(grid)), quants))
     rows = []
     quantile_rows = []
     for scen_i, (snd, scen) in enumerate(zip(scenarios, curves)):
         for name, grid, logd, quants in scen:
             rows.extend([name, snd, x, ld] for x, ld in zip(grid, logd))
-            quantile_rows.extend([name, snd, prob, float(value)] for prob, value in zip(_QUANTILE_PROBS, quants))
+            quantile_rows.extend([name, snd, prob, float(value)] for prob, value in zip(probs, quants))
         series = [Series(name, tuple(grid), tuple(logd)) for name, grid, logd, _ in scen]
         _plot(cfg, f"densities_{scen_i}.svg", series, f"log density, sqrt(n)*delta = {snd:g}",
               "sqrt(n) * (estimate - theta)", "log density")
@@ -392,7 +395,7 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
     external = _from_config(BinomialRaw, int(ext_events), cfg["external_size"])
     raw, (cur_st, ext_st) = _from_config(from_raw_binomial, current, external)
     config = _from_config(SensitivityMmse, cfg["sens"])
-    bounds = [_from_config(DeltaBounded, d0).delta0 for d0 in cfg["delta0_list"]]  # rejected before any work
+    bounds = [_from_config(testing.DeltaBounded, d0).delta0 for d0 in cfg["delta0_list"]]  # rejected before any work
     if not 0.0 < cfg["target_p"] < 1.0:
         raise ConfigError(f"target_p must lie in (0, 1), got {cfg['target_p']}")
     s_st = standardized_two_sample(cur_st, ext_st)
@@ -403,7 +406,7 @@ def _cmd_example_prams(cfg: dict[str, Any]) -> None:
     est_st = config.result(s_st)
     estimate_raw = est_st.theta_est * cur_st.sd
 
-    ci_lo, ci_hi = _from_config(_exact_bootstrap_ci, current, external, sens, cfg["level"])
+    ci_lo, ci_hi = _from_config(montecarlo._exact_bootstrap_ci, current, external, sens, cfg["level"])
 
     p1 = testing.pvalue("mle-alldelta", s_st, theta0_st)
     p2_opt = testing.pvalue("pooled-deltazero", s_st, theta0_st)
@@ -452,12 +455,12 @@ def _cmd_asymptotics_check(cfg: dict[str, Any]) -> None:
     n, m = cfg["n"], cfg["m"]
     configs = _estimator_configs(cfg)
     p = n / (n + m)
-    hs = [_from_config(LocalScenario, h=h, p=p).h for h in cfg["h"]]
+    hs = [_from_config(asymptotics.LocalScenario, h=h, p=p).h for h in cfg["h"]]
     # every limit law first, so that a kind without one is rejected before any work
-    limits = [_from_config(limit_laws, config, p, hs) for config in configs]
+    limits = [_from_config(_law.limit_laws, config, p, hs) for config in configs]
     deltas = np.array(hs) / math.sqrt(n)
     # one grid solve per estimator over its laws at every h; the rows go by h
-    ks = [distances(conditional_laws(config, n, m, 0.0, deltas), laws) for config, laws in zip(configs, limits)]
+    ks = [_law.distances(_law.conditional_laws(c, n, m, 0.0, deltas), laws) for c, laws in zip(configs, limits)]
     rows = []
     for h, distance_row in zip(hs, np.transpose(ks)):
         for config, d in zip(configs, distance_row):
@@ -496,7 +499,7 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
     "power": (_cmd_power, [
         _N, _M,
         Option("estimators", _names, ("mle", "pooled", "ammse", "ebpp", "hdpp", "ttpool", "alasso", "np", "ltr"), "estimator ids"),
-        Option("convention", str, "delta-bounded", " | ".join(k.id for k in get_args(Convention))),
+        Option("convention", str, "delta-bounded", lambda: " | ".join(k.id for k in get_args(testing.Convention))),
         Option("delta0", float, 0.0636, "conflict bound for delta-bounded"),
         Option("theta", float, 0.03, "true location minus null value"),
         Option("theta0", float, 0.0, "null value"),
@@ -520,8 +523,8 @@ _SUBCOMMANDS: dict[str, tuple[Callable[[dict[str, Any]], None], list[Option]]] =
         Option("external_size", int, 20_000, "external sample size"),
         Option("theta0", float, 1.0 / 3.0, "null event rate"),
         replace(_TUNING["sens"], default=0.4),
-        Option("resamples", int, 100_000, "echoed in the bootstrap_resamples row; the CI is the bootstrap's "
-               f"exact limit over at most {_MAX_EXACT_POINTS:,} (k, j) count pairs and draws none"),
+        Option("resamples", int, 100_000, lambda: "echoed in the bootstrap_resamples row; the CI is the bootstrap's "
+               f"exact limit over at most {montecarlo._MAX_EXACT_POINTS:,} (k, j) count pairs and draws none"),
         Option("level", float, 0.95, "bootstrap confidence level"),
         Option("delta0_list", _floats, (0.01, 0.05, 0.087), "conflict bounds to profile"),
         *_no_effect("p-values and interval are exact, not plotted", "svg", mc_draws=200_000),
@@ -559,7 +562,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:  # OSError: a config or output path that cannot be used
         print(_error_record(exc), file=sys.stderr)
         return 2
-    except (QuadratureError, NodeEvaluationError, FloatingPointError, ValueError) as exc:
+    except (*_NUMERIC_ERRORS, FloatingPointError, ValueError) as exc:
         print(_error_record(exc), file=sys.stderr)
         return 3
 

@@ -381,6 +381,8 @@ def tipping_point(
     """
     if not 0.0 < target_p < 1.0:
         raise ValueError("target_p must lie in (0, 1)")
+    if grid_points < 2:  # the root is sought on a grid interval
+        raise ValueError(f"tipping point needs grid_points >= 2, got grid_points = {grid_points}")
     _check_finite(theta0=theta0)
     left, right = (DeltaBounded(d0).delta0 for d0 in bracket)  # each end is a conflict bound
     if not left < right:

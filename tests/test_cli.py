@@ -621,24 +621,71 @@ def test_every_public_name_resolves():
     assert len(modules) > 1 and missing == []
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # quantiles and the tipping point use dibkit's own bracketed solver
-    code = "import sys, dibkit, dibkit.cli; print('scipy.optimize' in sys.modules)"
+# the layers that import scipy
+_NUMERIC_LAYERS = ("_law", "asymptotics", "montecarlo", "risk", "streams", "testing")
+
+
+def _loaded_in_fresh_process(code):
+    """Exit code and loaded ``scipy`` and ``dibkit.*`` modules after ``code`` runs in a fresh interpreter."""
+    code += (
+        "\nimport json, sys\nloaded = [m for m in sys.modules if m == 'scipy' or m.startswith(('scipy.', 'dibkit.'))]"
+        "\nprint(json.dumps([code, sorted(loaded)]))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60
+        [sys.executable, "-c", "code = None\n" + code], capture_output=True, text=True, env=_src_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_IMPORT_ALL = "import dibkit, dibkit.cli, " + ", ".join(f"dibkit.{name}" for name in _NUMERIC_LAYERS)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # quantiles and the tipping point use dibkit's own bracketed solver
+    _, loaded = _loaded_in_fresh_process(_IMPORT_ALL)
+    assert "scipy.special" in loaded and "scipy.optimize" not in loaded
 
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone takes about half of the import time
-    code = "import sys, dibkit, dibkit.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    _, loaded = _loaded_in_fresh_process(_IMPORT_ALL)
+    assert "scipy.special" in loaded and "scipy.stats" not in loaded
+
+
+_PYTHON_DASH_M = """
+import runpy, sys
+sys.argv = ["dibkit", *{argv!r}]
+try:
+    runpy.run_module("dibkit", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+"""
+
+
+@pytest.mark.parametrize("code, exit_code", [
+    ("import dibkit", None),
+    ("import dibkit.cli", None),
+    (_PYTHON_DASH_M.format(argv=[
+        "estimate", "--theta-hat", "0.1", "--n", "100", "--beta-hat", "0.13", "--m", "400", "--out-dir", "{out_dir}",
+    ]), 0),
+    (_PYTHON_DASH_M.format(argv=["--help"]), 0),
+    (_PYTHON_DASH_M.format(argv=["estimate", "--help"]), 0),
+    (_PYTHON_DASH_M.format(argv=["estimate"]), 2),  # estimate requires --theta-hat
+], ids=["import-dibkit", "import-cli", "estimate", "help", "estimate-help", "estimate-config-error"])
+def test_import_leaves_scipy_unloaded(tmp_path, code, exit_code):
+    # a closed-form estimate, the help and a config error load neither scipy nor a layer that imports it
+    got, loaded = _loaded_in_fresh_process(code.replace("{out_dir}", str(tmp_path)))
+    assert got == exit_code
+    assert [m for m in loaded if m.startswith("scipy") or m.removeprefix("dibkit.") in _NUMERIC_LAYERS] == []
+
+
+def test_a_numeric_subcommand_loads_every_numeric_layer(tmp_path):
+    # the bench tracer reads every layer from sys.modules once a numeric subcommand has run
+    argv = ["srmse-curve", "--estimators", "mle", "--grid-points", "2", "--out-dir", str(tmp_path)]
+    got, loaded = _loaded_in_fresh_process(f"from dibkit.cli import run\ncode = run({argv!r})")
+    assert got == 0
+    assert {f"dibkit.{name}" for name in _NUMERIC_LAYERS} <= set(loaded)
 
 
 @pytest.mark.parametrize(

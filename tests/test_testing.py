@@ -663,6 +663,10 @@ def test_tipping_point_matches_brentq_on_its_grid_interval(prams):
                      "rel_tol must be non-negative, got -1", id="integrated-srmse-rel-tol"),
         pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.0), "target_p", id="tipping-0"),
         pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 1.0), "target_p", id="tipping-1"),
+        pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.05, grid_points=0), "grid_points = 0",
+                     id="tipping-grid-0"),
+        pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.05, grid_points=1), "grid_points = 1",
+                     id="tipping-grid-1"),
     ],
 )
 def test_testing_entry_points_reject_out_of_range_arguments(prams, call, message):
