@@ -6,17 +6,15 @@ mean ``-m/(n+m) (t - delta)`` and variance ``1/(n+m)``, so the statistic
 ``Z = sqrt(n) (estimate - theta0)`` is a normal mixture over ``t`` with
 node mean ``sqrt(n) (theta - theta0 + q(t) - m/(n+m) (t - delta))`` and sd
 ``sqrt(n/(n+m))``.  Under local conflict ``h/sqrt(n)`` and share ``p`` the
-same mixture runs over the limit ``xi ~ N(sqrt(1-p) h, 1)`` of the conflict
-z-statistic, with node mean ``w(xi) xi / sqrt(1-p) - sqrt(1-p) (xi -
-sqrt(1-p) h)`` and sd ``sqrt(p)``, whose borrowing term is the finite
-correction at ``n = p``, ``m = 1 - p`` (``limit_borrowing``).  Every law is
+limit law of ``sqrt(n) (estimate - theta)`` is this law at ``n = p``,
+``m = 1 - p`` and conflict ``h/sqrt(p)`` (``limit_laws``).  Every law is
 held in that one form, node ``weights``, node ``mean`` and one ``sd``:
 ``P(Z <= z) = sum weights * Phi((z - mean) / sd)`` and ``E Z^2 = sum
 weights * (mean^2 + sd^2)``.
-Either law is a fixed quadrature: Gauss-Legendre panels over
-``+/- _SPAN`` sd of the mixing variable, no wider than ``_PANEL_WIDTH`` sd
-and split at the correction's breakpoints.  Its density and second moment
-are sums over the same nodes.  The CDF and the density at ``z`` sum only
+A law is a fixed quadrature: Gauss-Legendre panels over ``+/- _SPAN`` sd of
+the conflict statistic, no wider than ``_PANEL_WIDTH`` sd and split at the
+correction's breakpoints.  Its density and second moment are sums over the
+same nodes.  The CDF and the density at ``z`` sum only
 the nodes whose mean is within ``_BAND`` (12) sd of ``z``, in a window of
 the node means in sorted order as wide as the most means any such interval
 holds; the nodes below the window count their whole weight in the CDF.
@@ -35,11 +33,10 @@ within ``_QUANTILE_TOL * (1 + |z|)``.  The panels resolve a smooth
 correction to rounding, so ``breakpoints`` (and, for a limit law,
 ``limit_breakpoints``) must name every kink and jump of ``q``.
 
-A law is made only from its ``weights``, ``mean`` and ``sd``, and only
-by two builders: ``conditional_laws`` over a grid of conflicts and
-``limit_laws`` over a grid of local conflicts ``h``.  Each is one pass: one
-panel computation, one normal-weight expression and one correction call
-cover the nodes of every conflict, each node carrying its own conflict.
+A law is made only from its ``weights``, ``mean`` and ``sd``, and only by
+``conditional_laws``, in one pass over a grid of conflicts: one panel
+computation, one normal-weight expression and one correction call cover the
+nodes of every conflict, each node carrying its own conflict.
 Every step is elementwise in a node and its conflict, and each law holds its
 own contiguous slice, so a law is the same, bit for bit, in any batch; a
 single law is a one-conflict batch.
@@ -84,11 +81,12 @@ def _panels(
     """Nodes and weights of ``rule`` on every panel ``(a[i], b[i])``, and the ``i`` of each piece.
 
     Each panel is cut into the fewest equal pieces no wider than
-    ``max_width``, at the points ``np.linspace`` would give.  Every step is
-    elementwise in a panel's own ends, so a panel's nodes do not depend on
-    the panels computed beside it.
+    ``max_width`` (1e-9 relative slack, so a whole number of ``max_width`` up
+    to rounding gives exactly that many), at the points ``np.linspace`` would
+    give.  Every step is elementwise in a panel's own ends, so a panel's
+    nodes do not depend on the panels computed beside it.
     """
-    pieces = np.maximum(1, np.ceil((b - a) / max_width)).astype(int)
+    pieces = np.maximum(1, np.ceil((b - a) / max_width * (1.0 - 1e-9))).astype(int)
     panel = np.repeat(np.arange(a.size), pieces)
     k = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     step = (b - a) / pieces
@@ -104,13 +102,12 @@ def _legendre_panels(edges: np.ndarray, rule: tuple[np.ndarray, np.ndarray]) -> 
     return _panels(edges[:-1], edges[1:], rule, math.inf)[:2]
 
 
-def _normal_panels(centers, sd: float, kinks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normal_panels(centers: np.ndarray, sd: float, kinks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Panel nodes over each ``center +/- _SPAN sd`` split at the kinks inside, weighted by N(center, sd^2).
 
     Returns the nodes of every center, in the order of the centers, their
     weights and the index of each node's center.
     """
-    centers = np.asarray(centers, dtype=float)
     lo, hi = centers - _SPAN * sd, centers + _SPAN * sd
     spans = lo < hi
     if not spans.all():
@@ -129,49 +126,44 @@ def _normal_panels(centers, sd: float, kinks) -> tuple[np.ndarray, np.ndarray, n
     return t, w * (np.exp(-((t - center) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))), owner
 
 
-def _split(weights: np.ndarray, mean: np.ndarray, sd: float, owner: np.ndarray, count: int) -> list["ConditionalLaw"]:
-    """One law per conflict, each over the contiguous slice of the nodes it owns."""
-    bounds = np.searchsorted(owner, np.arange(count + 1))
-    return [ConditionalLaw(weights[lo:hi], mean[lo:hi], sd) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def conditional_laws(estimator: EstimatorConfig, n: int, m: int, shift: float, deltas) -> list["ConditionalLaw"]:
+def conditional_laws(
+    estimator: EstimatorConfig, n: float, m: float, shift: float, deltas, *, sd_kinks=()
+) -> list["ConditionalLaw"]:
     """The law of Z at ``theta - theta0 = shift`` and each conflict in ``deltas``, built in one pass.
 
-    The panels of every conflict, the normal weights, the correction (whose
-    ``delta_true`` is each node's own conflict) and the node means are each
-    one vectorized expression over all the nodes; every step is elementwise
-    in a node and its conflict, and each law holds its own contiguous slice.
+    The panels split at ``breakpoints(n, m)`` and at ``sd_kinks`` (in sd units
+    of the conflict statistic; only :func:`limit_laws` sets them).  They, the
+    normal weights, the correction (whose ``delta_true`` is each node's own
+    conflict) and the node means are each one vectorized expression over all
+    the nodes; every step is elementwise in a node and its conflict, and each
+    law holds its own contiguous slice.
     """
     deltas = np.asarray(deltas, dtype=float).ravel()
-    t, weights, owner = _normal_panels(deltas, math.sqrt(1.0 / n + 1.0 / m), estimator.breakpoints(n, m))
+    sd = math.sqrt(1.0 / n + 1.0 / m)
+    t, weights, owner = _normal_panels(deltas, sd, [*estimator.breakpoints(n, m), *(b * sd for b in sd_kinks)])
     d = deltas[owner]
     q = conflict_correction(estimator, t, n, m, delta_true=d)
     mean = math.sqrt(n) * (shift + q - (m / (n + m)) * (t - d))
-    return _split(weights, mean, math.sqrt(n / (n + m)), owner, deltas.size)
+    bounds = np.searchsorted(owner, np.arange(deltas.size + 1))
+    return [ConditionalLaw(weights[lo:hi], mean[lo:hi], math.sqrt(n / (n + m))) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def limit_laws(kind: EstimatorConfig, p: float, hs) -> list["ConditionalLaw"]:
     """Local limit law of ``sqrt(n) (estimate - theta)`` at share ``p`` and each conflict ``h/sqrt(n)`` in ``hs``.
 
-    The mixture runs over ``xi ~ N(sqrt(1-p) h, 1)``, its panels split at the
-    kind's ``breakpoints(p, 1-p)`` in ``xi`` units and at its
-    ``limit_breakpoints``; every ``h`` is built in one pass, as in
-    :func:`conditional_laws`.
+    It is the finite law at ``n = p``, ``m = 1 - p`` and conflict
+    ``h/sqrt(p)``, its panels split also at the kind's ``limit_breakpoints``.
     """
-    hs = np.asarray(hs, dtype=float).ravel()
-    r, scale = math.sqrt(1.0 - p), math.sqrt(p * (1.0 - p))
-    kinks = [b * scale for b in kind.breakpoints(p, 1.0 - p)] + list(kind.limit_breakpoints or ())
-    xi, weights, owner = _normal_panels(r * hs, 1.0, kinks)
-    h = hs[owner]
-    mean = limit_borrowing(kind, xi, p, h) - r * (xi - r * h)
-    return _split(weights, mean, math.sqrt(p), owner, hs.size)
+    if kind.limit_breakpoints is None:  # rejected before any correction is evaluated
+        raise ValueError(f"no closed limit law implemented for {kind.id!r}")
+    deltas = np.asarray(hs, dtype=float) / math.sqrt(p)
+    return conditional_laws(kind, p, 1.0 - p, 0.0, deltas, sd_kinks=kind.limit_breakpoints)
 
 
 class ConditionalLaw:
     """Law of Z as a fixed quadrature: per node its ``weights`` and the ``mean`` of Z, and one ``sd``.
 
-    Given a node, Z is N(mean, sd^2).  Built by :func:`conditional_laws` and :func:`limit_laws`.
+    Given a node, Z is N(mean, sd^2).  Built only by :func:`conditional_laws`.
     """
 
     def __init__(self, weights: np.ndarray, mean: np.ndarray, sd: float) -> None:

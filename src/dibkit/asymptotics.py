@@ -15,10 +15,9 @@ Mixing-weight form: the scaled estimation error converges to
 finite-sample mixing weight.  The bare displayed form ``zeta1 + g(.) * xi``
 drops the ``1/sqrt(1-p)`` carried by the conflict scaling in the underlying
 argument.  The borrowing term ``w(xi) xi / sqrt(1-p)`` is the kind's finite
-correction at ``n = p``, ``m = 1 - p`` (``_law.limit_borrowing``).  The exact
-limit law is the conditional-normal mixture over ``xi`` of :mod:`dibkit._law`;
-at ``p = n/(n+m)`` it is the finite law of this Gaussian model to quadrature
-error, and the bare form is 0.02-0.4 off.
+correction at ``n = p``, ``m = 1 - p`` (``_law.limit_borrowing``), and the
+exact limit law is :mod:`dibkit._law`'s finite law there, at conflict
+``h/sqrt(p)`` (``_law.limit_laws``); the bare form is 0.02-0.4 off.
 """
 
 from __future__ import annotations

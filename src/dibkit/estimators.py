@@ -140,8 +140,8 @@ class _Estimator:
     """
 
     id: ClassVar[str]
-    # the limit law is the finite law at n = p, m = 1 - p (_law.limit_borrowing), split also at these kinks
-    # in xi that ``breakpoints`` misses; None (no limit law) where the correction depends on n beyond p
+    # the limit law is the finite law at n = p, m = 1 - p (_law.limit_laws), split also at these kinks, in sd
+    # units of the conflict statistic, that ``breakpoints`` misses; None where the correction depends on n beyond p
     limit_breakpoints: ClassVar[tuple[float, ...] | None] = ()
 
     def correction(self, d: np.ndarray, n: int, m: int, delta_true: float | None = None):

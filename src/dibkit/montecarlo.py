@@ -22,7 +22,7 @@ from scipy.special import betaln
 
 from . import streams
 from .estimators import EstimatorConfig, SensitivityMmse, _check_finite, conflict_correction, estimator_id
-from .summaries import BinomialRaw
+from .summaries import BinomialRaw, _check_sizes
 
 __all__ = [
     "SimPlan",
@@ -55,8 +55,7 @@ class SimPlan:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("sample sizes must be >= 1")
+        _check_sizes(self.n, self.m)
         _check_finite(theta=self.theta, delta=self.delta)
 
 

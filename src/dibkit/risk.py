@@ -46,6 +46,7 @@ from .estimators import (
     conflict_correction,
     estimator_id,
 )
+from .summaries import _check_sizes
 
 __all__ = [
     "NormalPrior",
@@ -206,6 +207,7 @@ ConflictPrior = Union[NormalPrior, UniformPrior, LaplacePrior, StudentTPrior, Po
 
 def table_priors(n: int, m: int) -> dict[str, ConflictPrior]:
     """The five benchmark conflict priors used by the Bayes-risk table."""
+    _check_sizes(n, m)
     return {
         "pi1": NormalPrior(0.0, 1.0 / n),
         "pi2": NormalPrior(0.0, 3.0 / n + 3.0 / m),
@@ -254,6 +256,7 @@ def _mse_many(
     once and its value is returned at every conflict with that magnitude.
     """
     _check_finite(theta=theta)
+    _check_sizes(n, m)
     nodes = default_nodes(config) if nodes is None else nodes
     if not MIN_NODES <= nodes <= MAX_NODES:
         raise ValueError(f"nodes must lie in [{MIN_NODES}, {MAX_NODES}], got {nodes}")
@@ -389,6 +392,7 @@ def _integrate_priors(
     config: EstimatorConfig,
     priors: Sequence[ConflictPrior],
     n: int,
+    m: int,
     integrand: Callable[[np.ndarray], np.ndarray],
     rel_tol: float,
 ) -> list[float]:
@@ -399,6 +403,7 @@ def _integrate_priors(
     convergence test and its own refinement.  A point mass is the integrand
     at its conflict, taken in the first pass.
     """
+    _check_sizes(n, m)
     _check_finite(rel_tol=rel_tol)
     if rel_tol < 0:
         raise ValueError(f"rel_tol must be non-negative, got {rel_tol:g}")
@@ -451,7 +456,7 @@ def integrated_srmse_batch(
     change under panel refinement; its default sits above the inner
     quadrature's error floor for estimators with indicator-type corrections.
     """
-    return _integrate_priors(config, priors, n, lambda d: srmse_batch(config, 0.0, d, n, m, nodes), rel_tol)
+    return _integrate_priors(config, priors, n, m, lambda d: srmse_batch(config, 0.0, d, n, m, nodes), rel_tol)
 
 
 def integrated_srmse(
@@ -481,4 +486,4 @@ def imse(
     rel_tol: float = 5e-4,
 ) -> float:
     """Raw MSE averaged against the conflict prior (posterior-mean optimal metric)."""
-    return _integrate_priors(config, [prior], n, lambda d: _mse_many(config, theta, d, n, m, nodes), rel_tol)[0]
+    return _integrate_priors(config, [prior], n, m, lambda d: _mse_many(config, theta, d, n, m, nodes), rel_tol)[0]

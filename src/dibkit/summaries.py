@@ -23,6 +23,12 @@ __all__ = [
 ]
 
 
+def _check_sizes(n: float, m: float) -> None:
+    """Reject sample sizes that are below 1 or not finite, where they enter."""
+    if not (1 <= n < math.inf and 1 <= m < math.inf):
+        raise ValueError(f"sample sizes must be >= 1, got n={n}, m={m}")
+
+
 @dataclass(frozen=True)
 class TwoSampleSummary:
     """Sufficient statistics of the current and external samples.
@@ -39,8 +45,7 @@ class TwoSampleSummary:
     m: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"sample sizes must be >= 1, got n={self.n}, m={self.m}")
+        _check_sizes(self.n, self.m)
         if not math.isfinite(self.delta_hat):  # also non-finite when either mean is
             raise ValueError("sample means and their conflict beta_hat - theta_hat must be finite")
 

@@ -36,7 +36,7 @@ from .estimators import (
     est_pooled,
     estimator_id,
 )
-from .summaries import TwoSampleSummary
+from .summaries import TwoSampleSummary, _check_sizes
 
 __all__ = [
     "AllDelta",
@@ -110,8 +110,7 @@ class TestSpec:
             raise ValueError("alpha must lie in (0, 1)")
         if 1.0 - self.alpha == 1.0:  # the critical value is the quantile at 1 - alpha
             raise ValueError(f"alpha must be large enough that 1 - alpha is below 1, got {self.alpha:g}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("sample sizes must be >= 1")
+        _check_sizes(self.n, self.m)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from dibkit import _law
-from dibkit._law import conditional_laws, distances, grids, limit_borrowing, limit_laws, quantiles
+from dibkit._law import ConditionalLaw, conditional_laws, distances, grids, limit_borrowing, limit_laws, quantiles
 from dibkit.asymptotics import (
     EXTERNAL_MLE,
     LocalScenario,
@@ -327,7 +327,13 @@ def test_xi_uncorrelated_with_pooled_limit():
 
 
 def _one_limit_law_reference(kind, p, h):
-    """Weights and node means of one ``h``'s limit law, built with a scalar ``h`` throughout."""
+    """Weights and node means of one ``h``'s limit law laid out over ``xi``, the limit of the conflict z-statistic.
+
+    The mixture runs over ``xi ~ N(sqrt(1-p) h, 1)``, its panels split at the
+    scaled ``breakpoints(p, 1-p)`` and at ``limit_breakpoints``, with node
+    mean ``w(xi) xi / sqrt(1-p) - sqrt(1-p) (xi - sqrt(1-p) h)`` and sd
+    ``sqrt(p)``: a layout apart from ``conditional_laws``, kept as an oracle.
+    """
     r, scale = math.sqrt(1.0 - p), math.sqrt(p * (1.0 - p))
     kinks = [b * scale for b in kind.breakpoints(p, 1.0 - p)] + list(kind.limit_breakpoints)
     center = r * h
@@ -338,7 +344,7 @@ def _one_limit_law_reference(kind, p, h):
     return w, limit_borrowing(kind, xi, p, h) - r * (xi - r * h)
 
 
-@pytest.mark.parametrize("p", [1000 / 101_000, 300 / 3300, 1000 / 1100, 0.5])
+@pytest.mark.parametrize("p", [1000 / 101_000, 94 / 20_094, 300 / 3300, 1000 / 1100, 0.5])
 def test_limit_laws_equal_one_h_builds_bit_for_bit(p, monkeypatch):
     # every kind with a limit law: each id (power-prior at gamma = 0.4), gdib, and ommse at delta_true None and 0;
     # p = 1000/1100 is above lstp's root switch at 5/6
@@ -354,10 +360,12 @@ def test_limit_laws_equal_one_h_builds_bit_for_bit(p, monkeypatch):
         assert len(laws) == len(hs)
         for h, law in zip(hs, laws):
             (one,) = limit_laws(kind, p, [h])
-            weights, mean = _one_limit_law_reference(kind, p, h)
-            for built in (law, one):
-                assert np.array_equal(built.weights, weights) and np.array_equal(built.mean, mean), (kind, h)
-                assert built.sd == math.sqrt(p)
+            assert np.array_equal(law.weights, one.weights) and np.array_equal(law.mean, one.mean), (kind, h)
+            assert law.sd == one.sd == pytest.approx(math.sqrt(p), rel=1e-15)
+        # the same law as the xi layout, to rounding
+        oracle = [ConditionalLaw(*_one_limit_law_reference(kind, p, h), math.sqrt(p)) for h in hs]
+        gaps = distances(laws, oracle)
+        assert np.all(gaps <= 1e-14), (estimator_id(kind), gaps)
     assert len(checked) == len(kinds) - 1 and checked.count("ommse") == 2
     # alasso has none, and is rejected before its correction is evaluated
     monkeypatch.setattr(_law, "conflict_correction", None)

@@ -297,6 +297,14 @@ def test_default_asymptotics_check_measures_quadrature_error(tmp_path):
     assert max(float(r[2]) for r in rows if r[0] not in ("ebpp", "hdpp")) <= 1e-14
 
 
+def test_asymptotics_check_at_the_worked_example_sizes_reads_rounding(tmp_path):
+    # the finite law and the limit law come from one builder, cut into the same pieces
+    argv = ["asymptotics-check", "--n", "94", "--m", "20000", "--estimators", "lstp,ttpool", "--out-dir", str(tmp_path)]
+    assert run(argv) == 0
+    rows = read_csv(tmp_path / "asymptotics_check.csv")[1:]
+    assert len(rows) == 6 and max(float(r[2]) for r in rows) <= 1e-14
+
+
 def test_config_file_and_override(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"n": 100, "m": 400, "theta_hat": 0.0, "beta_hat": 1.0,

@@ -33,9 +33,14 @@ from dibkit.risk import (
     PointMassPrior,
     StudentTPrior,
     UniformPrior,
+    imse,
     integrated_srmse,
+    integrated_srmse_batch,
+    mse_numeric,
     srmse,
+    srmse_batch,
     srmse_curve,
+    table_priors,
 )
 from dibkit.summaries import TwoSampleSummary
 from dibkit.testing import (
@@ -289,6 +294,18 @@ def test_conditional_laws_equal_the_per_conflict_laws_bit_for_bit(name, n, m):
         for built in (law, one):
             assert np.array_equal(built.weights, weights) and np.array_equal(built.mean, mean), delta
             assert np.array_equal(built.sd, math.sqrt(n / (n + m)))
+
+
+@pytest.mark.parametrize("n, m", [(94, 20_000), (1000, 100_000), (300, 3000), (1000, 100)])
+def test_a_kink_free_law_has_the_same_pieces_at_every_conflict(n, m):
+    # 2 _SPAN / _PANEL_WIDTH = 38 pieces, however a span's ends round
+    sd = math.sqrt(1.0 / n + 1.0 / m)
+    grid = sd * np.concatenate([np.geomspace(1e-3, 50.0, 1000), np.geomspace(50.0, 1e6, 1000)])
+    pieces = round(2.0 * _law._SPAN / _law._PANEL_WIDTH)
+    assert pieces == 38
+    for kind in (Mle(), Pooled()):
+        laws = _law.conditional_laws(kind, n, m, 0.0, np.concatenate([-grid, [0.0], grid]))
+        assert {law.weights.size for law in laws} == {pieces * _law._PANEL_RULE[0].size}, kind.id
 
 
 _BATCH_TAIL_CASES = [("ttpool", N, M), ("hdpp", N, M), ("ebpp", N, M), ("alasso", N, M), ("ammse", N, M),
@@ -661,6 +678,23 @@ def test_tipping_point_matches_brentq_on_its_grid_interval(prams):
                      r"bracket must be increasing, got \(0.2, 0.2\)", id="tipping-bracket-empty"),
         pytest.param(lambda p: integrated_srmse(Mle(), NormalPrior(0.0, 1e-3), N, M, rel_tol=-1.0),
                      "rel_tol must be non-negative, got -1", id="integrated-srmse-rel-tol"),
+        *[pytest.param(call, f"sample sizes must be >= 1, got {sizes}", id=f"{name}-{sizes.replace(', ', '-')}")
+          for name, call, sizes in [
+              ("srmse", lambda p: srmse(Mle(), 0.0, 0.1, 0, 100), "n=0, m=100"),
+              ("mse-numeric", lambda p: mse_numeric(Mle(), 0.0, 0.1, 10, 0), "n=10, m=0"),
+              ("mse-numeric", lambda p: mse_numeric(Pooled(), 0.0, 0.0, 10, -20), "n=10, m=-20"),
+              ("srmse-batch", lambda p: srmse_batch(Mle(), 0.0, [0.1], math.nan, 100), "n=nan, m=100"),
+              ("srmse-curve", lambda p: srmse_curve(Mle(), -3, 100, [0.0]), "n=-3, m=100"),
+              ("srmse-curve", lambda p: srmse_curve(Mle(), 100, 0, [0.0]), "n=100, m=0"),
+              ("integrated-srmse", lambda p: integrated_srmse(Mle(), NormalPrior(0.0, 1e-3), 0, 100), "n=0, m=100"),
+              ("integrated-srmse-batch", lambda p: integrated_srmse_batch(Mle(), [NormalPrior(0.0, 1e-3)], 10, 0),
+               "n=10, m=0"),
+              ("imse", lambda p: imse(Mle(), 0.0, NormalPrior(0.0, 1e-3), 10, math.inf), "n=10, m=inf"),
+              ("imse", lambda p: imse(Mle(), 0.0, NormalPrior(0.0, 1e-3), 0.5, 10), "n=0.5, m=10"),
+              ("table-priors", lambda p: table_priors(0, 100), "n=0, m=100"),
+              ("table-priors", lambda p: table_priors(-5, 100), "n=-5, m=100"),
+              ("spec", lambda p: Spec(0.0, 0.025, DeltaBounded(0.05), Mle(), math.nan, 100), "n=nan, m=100"),
+          ]],
         pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.0), "target_p", id="tipping-0"),
         pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 1.0), "target_p", id="tipping-1"),
         pytest.param(lambda p: tipping_point(p["st"], p["theta0_st"], 0.4, 0.05, grid_points=0), "grid_points = 0",
