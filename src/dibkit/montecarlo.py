@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 16  # fixed work block size; the worker count changes only scheduling
-_KDE_SUBBINS = 32  # fine-grid cells per default-grid interval: cost set by ``points``
-_KDE_BLOCK = 32  # grid points per kernel block, which stays within about 2 MB
+_KDE_TERMS = 1 << 18  # kernel terms per block (grid points times draws), which stays within about 2 MB
 _EXACT_FLOOR = 1e-18  # each margin of the exact bootstrap keeps the counts whose pmf is this share of its peak
 _MAX_EXACT_POINTS = 1 << 20  # the most (k, j) points the exact bootstrap grid may hold
 
@@ -76,6 +75,8 @@ class EmpiricalDist:
     @classmethod
     def from_draws(cls, values: np.ndarray, n_failed: int = 0) -> "EmpiricalDist":
         srt = np.sort(np.asarray(values, dtype=float))
+        if srt.size and not (math.isfinite(srt[0]) and math.isfinite(srt[-1])):  # a sort puts any nan or inf at an end
+            raise ValueError(f"draws must be finite, got {srt[0] if math.isfinite(srt[-1]) else srt[-1]}")
         qs = {p: float(np.quantile(srt, p)) for p in _QUANTILE_PROBS}
         return cls(
             draws=srt,
@@ -88,14 +89,11 @@ class EmpiricalDist:
     def log_density(self, grid: np.ndarray | None = None, points: int = 256):
         """Gaussian-kernel log density (Silverman bandwidth) on a fixed grid.
 
-        A linearly binned KDE (Silverman 1982, AS 176; Wand 1994) with scipy's
-        ``silverman`` bandwidth ``std(ddof=1) * (0.75 N) ** -0.2``.  The draws
-        are linearly binned onto a uniform fine grid of ``(points - 1) * 32``
-        cells spanning the default grid and any caller ``grid``, and the
-        Gaussian kernel is summed directly over the occupied cells at each
-        grid point (an FFT's round-off would put garbage in the far tails).
-        A caller grid much wider than the draws coarsens the bins, which a
-        larger ``points`` makes up for.
+        The kernel sum over every draw at scipy's ``silverman`` bandwidth
+        ``std(ddof=1) * (0.75 N) ** -0.2``, as ``gaussian_kde`` computes it,
+        summed directly (an FFT's round-off would garble the far tails) in
+        blocks of ``_KDE_TERMS`` terms; the cost is draws times grid points.
+        ``points`` sets only the size of the default grid.
         """
         x = self.draws
         if x.size < 2 or not x[-1] > x[0]:
@@ -104,24 +102,14 @@ class EmpiricalDist:
                 f"draw(s) with spread {np.ptp(x) if x.size else 0.0:g}"
             )
         pad = 0.05 * (x[-1] - x[0] + 1e-12)
-        lo, hi = x[0] - pad, x[-1] + pad
         if grid is None:
-            grid = np.linspace(lo, hi, points)
+            grid = np.linspace(x[0] - pad, x[-1] + pad, points)
         h = float(np.std(x, ddof=1)) * (0.75 * x.size) ** -0.2
-        a, b = min(lo, np.min(grid)), max(hi, np.max(grid))
-        cells = max(points - 1, 1) * _KDE_SUBBINS
-        dx = (b - a) / cells
-        pos = (x - a) / dx
-        i = np.minimum(pos.astype(np.intp), cells - 1)
-        frac = pos - i
-        weights = np.bincount(i, 1.0 - frac, cells + 1) + np.bincount(i + 1, frac, cells + 1)
-        occupied = np.flatnonzero(weights)
-        centers, weights = (a + dx * occupied) / h, weights[occupied]
-        u = np.asarray(grid, dtype=float) / h
+        z, u = x / h, np.asarray(grid, dtype=float) / h
         dens = np.empty(u.size)
-        for j in range(0, u.size, _KDE_BLOCK):
-            block = slice(j, j + _KDE_BLOCK)
-            dens[block] = np.exp(-0.5 * (u[block, None] - centers) ** 2) @ weights
+        step = max(_KDE_TERMS // x.size, 1)
+        for j in range(0, u.size, step):
+            dens[j:j + step] = np.exp(-0.5 * (u[j:j + step, None] - z) ** 2).sum(axis=1)
         dens /= x.size * h * math.sqrt(2.0 * math.pi)
         with np.errstate(divide="ignore"):
             return grid, np.log(dens)
@@ -171,6 +159,8 @@ def ks_distance(a: EmpiricalDist | np.ndarray, b: EmpiricalDist | np.ndarray) ->
     xb = b.draws if isinstance(b, EmpiricalDist) else np.sort(np.asarray(b, dtype=float))
     if xa.size == 0 or xb.size == 0:
         raise ValueError("both samples must be nonempty")
+    if math.isnan(xa[-1]) or math.isnan(xb[-1]):  # a sort puts any nan last; an infinite draw has an ECDF
+        raise ValueError("draws must be finite, got nan")
     pooled = np.concatenate([xa, xb])
     cdf_a = np.searchsorted(xa, pooled, side="right") / xa.size
     cdf_b = np.searchsorted(xb, pooled, side="right") / xb.size
@@ -237,6 +227,16 @@ def _resampled_estimate(config: SensitivityMmse, k: np.ndarray, j: np.ndarray, n
     return (th_st + conflict_correction(config, dh_st, n, m)) * sd_cur
 
 
+def _check_resamplable(*samples: BinomialRaw) -> None:
+    """Reject a sample whose every resample is degenerate: one trial, or a rate of 0 or 1."""
+    for sample in samples:
+        if not (sample.trials >= 2 and 0.0 < sample.rate < 1.0):
+            raise ValueError(
+                "the bootstrap needs a rate strictly inside (0, 1) of 2 or more trials, "
+                f"got {sample.rate} of {sample.trials}"
+            )
+
+
 def _tail_probs(level: float) -> list[float]:
     """The lower and upper percentile of a two-sided interval at ``level``."""
     if not 0.0 < level < 1.0:
@@ -261,13 +261,15 @@ def bootstrap_ci(
     Each resample redraws both binomial counts, re-standardizes, recomputes
     the estimate, and maps it back to the rate scale.  Degenerate resamples
     (all successes or none) are redrawn within their block, from the same
-    scheme, and counted.  The ``gaussian`` scheme replaces the binomial draws,
-    first and redrawn alike, by their rounded normal approximation as a
-    sensitivity variant.
+    scheme, and counted; a sample whose every resample is degenerate is
+    rejected before any draw.  The ``gaussian`` scheme replaces the binomial
+    draws, first and redrawn alike, by their rounded normal approximation as
+    a sensitivity variant.
     """
     probs = _tail_probs(level)
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
+    _check_resamplable(current, external)
     config = SensitivityMmse(sens)
     parts = _run_blocks(
         lambda i, _, count: _bootstrap_block(current, external, config, seed, i, count, scheme), resamples, workers
@@ -296,10 +298,6 @@ def _kept_counts(trials: int, rate: float, floor: float) -> tuple[int, int, int]
     ``floor`` of the largest there.  The binomial pmf is log-concave, so they
     form one interval about the mode, and each end is found by bisection.
     """
-    if not (trials >= 2 and 0.0 < rate < 1.0):
-        raise ValueError(
-            f"the bootstrap needs a rate strictly inside (0, 1) of 2 or more trials, got {rate} of {trials}"
-        )
     mode = min(max(math.floor((trials + 1) * rate), 1), trials - 1)
     cut = math.log(floor)
 
@@ -344,6 +342,7 @@ def _exact_bootstrap_ci(
     within the cap.
     """
     probs = _tail_probs(level)
+    _check_resamplable(current, external)
     n, m = current.trials, external.trials
     k_lo, k_hi, k_mode = _kept_counts(n, current.rate, floor)
     j_lo, j_hi, j_mode = _kept_counts(m, external.rate, floor)

@@ -211,23 +211,23 @@ def kde_samples():
 
 @pytest.mark.parametrize("name", ["alasso", "hdpp", "gaussian"])
 def test_log_density_matches_gaussian_kde(kde_samples, name):
-    # Binning moves each draw by at most 1/32 of an output interval, about
-    # h/16 for the heaviest-tailed curves here.  The largest error seen over
-    # the 160 default `densities` curves of four seeds is 1.9e-4, so 1e-3
-    # leaves a fivefold margin.
     dist = kde_samples[name]
     oracle = gaussian_kde(dist.draws, bw_method="silverman")
     default_grid, default_logd = dist.log_density()
     lo, med, hi = default_grid[0], dist.quantiles[0.5], default_grid[-1]
     u = np.sinh(np.linspace(-4.0, 4.0, 97)) / math.sinh(4.0)
     uneven = med + np.where(u < 0, med - lo, hi - med) * u  # dense at the median
-    for grid, logd in ((default_grid, default_logd), dist.log_density(uneven)):
+    grids = [(default_grid, default_logd), dist.log_density(uneven), dist.log_density(points=64)]
+    mid, span = 0.5 * (dist.draws[0] + dist.draws[-1]), dist.draws[-1] - dist.draws[0]
+    for widen in (5.0, 20.0):  # caller grids far wider than the draws
+        grids.append(dist.log_density(np.linspace(mid - 0.5 * widen * span, mid + 0.5 * widen * span, 256)))
+    for grid, logd in grids:
         with np.errstate(divide="ignore"):
             ref = np.log(oracle(grid))
         assert not np.any(np.isnan(logd))
         assert not np.any(np.isfinite(ref) & ~np.isfinite(logd))
         body = ref >= ref.max() + math.log(1e-3)
-        assert np.max(np.abs(logd[body] - ref[body])) <= 1e-3
+        assert np.max(np.abs(logd[body] - ref[body])) <= 1e-12
     pad = 0.05 * (dist.draws[-1] - dist.draws[0] + 1e-12)
     expected_grid = np.linspace(dist.draws[0] - pad, dist.draws[-1] + pad, 256)
     np.testing.assert_array_equal(default_grid, expected_grid)
@@ -250,6 +250,7 @@ def test_ks_distance_examples():
     assert ks_distance(x, y + 5.0) > 0.9
     with pytest.raises(ValueError):
         ks_distance(x, np.array([]))
+    assert ks_distance(np.array([1.0, np.inf]), np.array([1.0, 2.0])) == 0.5  # an infinite draw keeps its ECDF
 
 
 PRAMS_CUR = BinomialRaw(37, 94)
@@ -326,6 +327,28 @@ def test_bootstrap_validation():
         bootstrap_ci(PRAMS_CUR, PRAMS_EXT, 0.4, 0, 0.95, seed=0)
     with pytest.raises(ValueError):
         bootstrap_ci(PRAMS_CUR, PRAMS_EXT, 0.4, 100, 0.95, seed=0, scheme="jackknife")
+
+
+@pytest.mark.parametrize(
+    "current, scheme, rate",
+    [
+        (BinomialRaw(0, 94), "nonparametric", "0.0 of 94"),
+        (BinomialRaw(94, 94), "nonparametric", "1.0 of 94"),
+        (BinomialRaw(1, 1), "nonparametric", "1.0 of 1"),
+        (BinomialRaw(0, 94), "gaussian", "0.0 of 94"),
+    ],
+)
+def test_bootstrap_rejects_a_sample_it_cannot_resample_before_any_draw(monkeypatch, current, scheme, rate):
+    # every resample of such a sample is degenerate, so the redraw loop would never end
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a resample")
+
+    monkeypatch.setattr(streams, "stream_generator", no_draws)
+    message = f"strictly inside \\(0, 1\\) of 2 or more trials, got {rate}$"
+    with pytest.raises(ValueError, match=message):
+        bootstrap_ci(current, PRAMS_EXT, 0.4, 100, 0.95, seed=1, scheme=scheme)
+    with pytest.raises(ValueError, match=message):
+        _exact_bootstrap_ci(current, PRAMS_EXT, 0.4, 0.95)
 
 
 # -- the exact bootstrap interval ---------------------------------------------

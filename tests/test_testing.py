@@ -26,7 +26,7 @@ from dibkit.estimators import (
     config_from_id,
     conflict_correction,
 )
-from dibkit.montecarlo import SimPlan, _QUANTILE_PROBS, simulate
+from dibkit.montecarlo import EmpiricalDist, SimPlan, _QUANTILE_PROBS, ks_distance, simulate
 from dibkit.risk import (
     LaplacePrior,
     NormalPrior,
@@ -773,6 +773,8 @@ def test_critical_value_flag_is_reported():
         (lambda: SimPlan(100, 400, math.nan, 0.0, 10, 1, (AdaptiveMmse(),)), "theta"),
         (lambda: SimPlan(100, 400, 0.0, math.inf, 10, 1, (AdaptiveMmse(),)), "delta"),
         (lambda: integrated_srmse(Mle(), NormalPrior(0.0, 1e-3), N, M, rel_tol=math.nan), "rel_tol"),
+        (lambda: EmpiricalDist.from_draws(np.array([1.0, math.nan])), "draws"),
+        (lambda: ks_distance(np.array([1.0, math.nan, 3.0]), np.array([1.0, 2.0, 3.0])), "draws"),
         # a conflict is named where the law's panels are laid, or where risk's tensor fails, with no check per call
         (lambda: power(spec_for(Mle(), DeltaZero()), 1.96, 0.0, math.nan), "conflict"),
         (lambda: sampling_cdf(spec_for(Mle(), DeltaZero()), 0.0, 0.0, math.inf), "conflict"),
@@ -785,8 +787,9 @@ def test_critical_value_flag_is_reported():
          "student-t-loc", "student-t-v", "point-mass", "pvalue-mle-theta0", "pvalue-pooled-theta0", "pvalue-dib-theta0",
          "p2-p3-theta-assumed", "p2-p3-delta0", "tipping-point-theta0", "delta-bounded-nan", "p2-p3-delta0-nan",
          "pvalue-conflict", "pvalue-delta0-inf", "tipping-point-bracket-nan", "tipping-point-bracket-inf",
-         "sim-plan-theta", "sim-plan-delta", "integrated-srmse-rel-tol", "power-conflict", "sampling-cdf-conflict",
-         "null-quantile-conflict", "alasso-power-decay-conflict", "srmse-conflict", "srmse-curve-conflict"],
+         "sim-plan-theta", "sim-plan-delta", "integrated-srmse-rel-tol", "from-draws", "ks-distance", "power-conflict",
+         "sampling-cdf-conflict", "null-quantile-conflict", "alasso-power-decay-conflict", "srmse-conflict",
+         "srmse-curve-conflict"],
 )
 def test_non_finite_parameters_are_rejected_naming_the_field(build, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite, got (nan|inf)$"):
