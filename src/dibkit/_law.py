@@ -29,7 +29,14 @@ number of (law, probability) pairs at once, by Newton steps on the log of the
 tail that holds the probability (the lower tail up to 1/2, the upper tail
 above), kept inside a bracket from each law's own range and bisected when a
 step leaves it or stalls; a quantile ``z`` is returned once its step is
-within ``_QUANTILE_TOL * (1 + |z|)``.  The panels resolve a smooth
+within ``_QUANTILE_TOL * (1 + |z|)``.  Every step of that solve is row by
+row, each row summed over the call's padded width, so a row's quantile does
+not depend on which other rows of the call are solved with it.
+``largest_quantile`` uses that: it solves the law with the largest start,
+takes one tail pass over the others at that quantile less a margin of
+``16 _QUANTILE_TOL (1 + |z|)`` and solves only the laws whose root that pass
+does not put below it, so its value and index are those of the full solve.
+The panels resolve a smooth
 correction to rounding, so ``breakpoints`` (and, for a limit law,
 ``limit_breakpoints``) must name every kink and jump of ``q``.
 
@@ -354,8 +361,8 @@ def bracketed_roots(fun, lo, hi, z, *, abs_tol: float, rel_tol: float, prev=None
     )
 
 
-def quantiles(laws, probs) -> np.ndarray:
-    """Quantile ``probs[i]`` of ``laws[i]`` for every ``i``, solved in lockstep.
+def _quantile_setup(laws, probs):
+    """The brackets, starts and ``log_tail`` of quantile ``probs[i]`` of ``laws[i]`` for every ``i``.
 
     The node weights and means of the laws are stacked into one matrix padded
     with zero weights, so each pass is one vectorized sum.  A probability
@@ -364,7 +371,9 @@ def quantiles(laws, probs) -> np.ndarray:
     slope is the density over the tail, both sums over the same nodes.  The
     bracket reaches past the extreme node means by ``1 - ndtri(tail)`` of the
     law's sd, beyond which every node's tail is below the target.  The start
-    is the law's mean plus its sd times the normal quantile.
+    is the law's mean plus its sd times the normal quantile.  ``log_tail(z,
+    rows)`` is ``sign log(tail / target)`` of each of ``rows`` at ``z``,
+    increasing in ``z`` and 0 at the quantile, and its slope.
     """
     probs = np.asarray(probs, dtype=float)
     if not np.all((probs > 0.0) & (probs < 1.0)):
@@ -392,4 +401,54 @@ def quantiles(laws, probs) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             return sign[rows] * np.log(tail / target[rows]), dens / tail
 
-    return bracketed_roots(log_tail, lo, hi, start, abs_tol=_QUANTILE_TOL, rel_tol=_QUANTILE_TOL)
+    return lo, hi, start, log_tail
+
+
+def _solve_quantiles(setup, rows: np.ndarray) -> np.ndarray:
+    """The quantiles of the ``rows`` of a :func:`_quantile_setup`, in lockstep.
+
+    Every step of ``log_tail`` and of :func:`bracketed_roots` is row by row,
+    each row summed over the setup's padded width, so a row's result does not
+    depend on which other rows are solved with it.
+    """
+    lo, hi, start, log_tail = setup
+    return bracketed_roots(lambda z, open_: log_tail(z, rows[open_]), lo[rows], hi[rows], start[rows],
+                           abs_tol=_QUANTILE_TOL, rel_tol=_QUANTILE_TOL)
+
+
+def quantiles(laws, probs) -> np.ndarray:
+    """Quantile ``probs[i]`` of ``laws[i]`` for every ``i``, solved in lockstep (see :func:`_quantile_setup`).
+
+    A row's quantile depends only on its law, its probability and the widest
+    law of the call, which sets the padded width its sums run over, and not
+    on which other rows are solved with it.
+    """
+    return _solve_quantiles(_quantile_setup(laws, probs), np.arange(len(laws)))
+
+
+def largest_quantile(laws, prob: float) -> tuple[float, int]:
+    """The largest quantile ``prob`` of the laws and the first law that has it, solving only the laws that can.
+
+    The law with the largest start is solved first, giving ``z``.  One
+    ``log_tail`` pass over every other law at ``z - margin``, where
+    ``margin = 16 _QUANTILE_TOL (1 + |z|)``, finds the laws whose tail there
+    already puts their root below it; a solved root lies within about
+    ``_QUANTILE_TOL (1 + |z|)`` of the true one, so the solve of such a law
+    would return less than ``z``, and it is not solved.  The rest, every law
+    that could tie or beat ``z``, are solved in one lockstep call.  Each
+    solved row is what :func:`quantiles` gives it on the same laws, so the
+    value and the index equal ``max`` and ``argmax`` of that full solve bit
+    for bit.
+    """
+    setup = _quantile_setup(laws, np.full(len(laws), prob))
+    _, _, start, log_tail = setup
+    solved = np.full(len(laws), -np.inf)
+    first = int(np.argmax(start))
+    solved[first] = _solve_quantiles(setup, np.array([first]))[0]
+    rest = np.flatnonzero(np.arange(len(laws)) != first)
+    edge = solved[first] - 16.0 * _QUANTILE_TOL * (1.0 + abs(solved[first]))
+    below, _ = log_tail(np.full(rest.size, edge), rest)
+    rows = rest[~(below > 0.0)]  # a nan is solved, so the solve reports it
+    solved[rows] = _solve_quantiles(setup, rows)
+    k = int(np.argmax(solved))
+    return float(solved[k]), k

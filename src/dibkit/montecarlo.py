@@ -75,7 +75,9 @@ class EmpiricalDist:
     @classmethod
     def from_draws(cls, values: np.ndarray, n_failed: int = 0) -> "EmpiricalDist":
         srt = np.sort(np.asarray(values, dtype=float))
-        if srt.size and not (math.isfinite(srt[0]) and math.isfinite(srt[-1])):  # a sort puts any nan or inf at an end
+        if srt.size == 0:
+            raise ValueError("an empirical distribution needs at least one draw, got 0")
+        if not (math.isfinite(srt[0]) and math.isfinite(srt[-1])):  # a sort puts any nan or inf at an end
             raise ValueError(f"draws must be finite, got {srt[0] if math.isfinite(srt[-1]) else srt[-1]}")
         qs = {p: float(np.quantile(srt, p)) for p in _QUANTILE_PROBS}
         return cls(
@@ -104,6 +106,8 @@ class EmpiricalDist:
         pad = 0.05 * (x[-1] - x[0] + 1e-12)
         if grid is None:
             grid = np.linspace(x[0] - pad, x[-1] + pad, points)
+        elif not np.all(np.isfinite(grid)):
+            raise ValueError(f"grid must be finite, got {np.asarray(grid)[~np.isfinite(grid)][0]}")
         h = float(np.std(x, ddof=1)) * (0.75 * x.size) ** -0.2
         z, u = x / h, np.asarray(grid, dtype=float) / h
         dens = np.empty(u.size)

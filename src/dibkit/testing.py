@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
-from ._law import ConditionalLaw, bracketed_roots, conditional_laws, quantiles, upper_tails
+from ._law import ConditionalLaw, bracketed_roots, conditional_laws, largest_quantile, quantiles, upper_tails
 from .estimators import (
     EstimatorConfig,
     Mle,
@@ -181,9 +181,17 @@ def critical_value(
 ) -> CriticalValue:
     """Critical Z under the spec's conflict convention (sup of per-conflict quantiles).
 
-    Unbounded growth across the probe extensions of the grid reports an
-    infinite critical value (non-suppressing estimators under the
-    unrestricted convention).
+    The (1 - alpha) quantile is taken at every conflict of the grid (the one
+    conflict 0 under ``DeltaZero``) and the largest reported, with the first
+    conflict that has it as ``sup_at``.  Under ``DeltaZero`` and
+    ``DeltaBounded`` only that largest one is needed, so
+    :func:`~dibkit._law.largest_quantile` solves only the conflicts whose
+    quantile can reach it; value and ``sup_at`` equal those of solving every
+    conflict, bit for bit.  ``AllDelta`` solves every conflict and its two
+    probes beyond the grid in one batch, since its unbounded-growth test
+    reads the probes and its ``flagged`` test every grid quantile: growth
+    across the probes reports an infinite critical value (non-suppressing
+    estimators under the unrestricted convention).
     """
     conv = spec.convention
     if isinstance(conv, DeltaZero):  # the one null conflict is 0
@@ -191,20 +199,23 @@ def critical_value(
     grid = np.asarray(_default_grid(spec, points) if delta_grid is None else delta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("critical_value needs at least one null conflict")
+    laws = _laws(spec, spec.theta0)
+    prob = 1.0 - spec.alpha
+    if not isinstance(conv, AllDelta):
+        value, k = largest_quantile(laws(grid), prob)
+        return CriticalValue(value, sup_at=float(grid[k]))
     top = grid[-1] if grid[-1] > 0 else 1.0
     # the grid and AllDelta's two probes beyond it, solved in one batch
-    deltas = np.append(grid, [2.0 * top, 4.0 * top]) if isinstance(conv, AllDelta) else grid
-    solved = quantiles(_laws(spec, spec.theta0)(deltas), np.full(deltas.size, 1.0 - spec.alpha))
+    deltas = np.append(grid, [2.0 * top, 4.0 * top])
+    solved = quantiles(laws(deltas), np.full(deltas.size, prob))
     quants, probe = solved[: grid.size], solved[grid.size :]
     k = int(np.argmax(quants))
-    flagged = False
-    if isinstance(conv, AllDelta):
-        # probe beyond the grid: quantiles still rising -> no finite sup
-        tol = 1e-6
-        if probe[0] > quants[k] + tol and probe[1] > probe[0] + tol:
-            return CriticalValue(math.inf, sup_at=None)
-        diffs = np.diff(quants)
-        flagged = k in (0, grid.size - 1) and bool(np.any(diffs > 1e-9) and np.any(diffs < -1e-9))
+    # probe beyond the grid: quantiles still rising -> no finite sup
+    tol = 1e-6
+    if probe[0] > quants[k] + tol and probe[1] > probe[0] + tol:
+        return CriticalValue(math.inf, sup_at=None)
+    diffs = np.diff(quants)
+    flagged = k in (0, grid.size - 1) and bool(np.any(diffs > 1e-9) and np.any(diffs < -1e-9))
     j = int(np.argmax(solved))  # a probe's quantile is reported with its own conflict
     return CriticalValue(float(solved[j]), sup_at=float(deltas[j]), flagged=flagged)
 

@@ -236,6 +236,11 @@ def test_log_density_matches_gaussian_kde(kde_samples, name):
     assert mass == pytest.approx(1.0, abs=1e-3)
 
 
+def test_empirical_dist_rejects_no_draws_before_any_summary():
+    with pytest.raises(ValueError, match="^an empirical distribution needs at least one draw, got 0$"):
+        EmpiricalDist.from_draws(np.array([]))
+
+
 @pytest.mark.parametrize("draws", [[2.5] * 10, [1.0]])
 def test_log_density_rejects_zero_spread(draws):
     with pytest.raises(ValueError, match="nonzero spread"):

@@ -209,6 +209,68 @@ def test_lockstep_critical_value_equals_per_conflict_quantiles(convention, estim
 CLI_IDS = [kind.id for kind in get_args(EstimatorConfig) if kind is not GeneralizedBorrow]
 
 
+# The sizes of the largest-quantile checks, each with its conflict bound.  At (1000, 100) and 0.5 the sups of
+# ttpool, alasso, ebpp, hdpp, ammse and lstp lie inside the grid, at 0.33 to 0.83 of the bound.
+_SUP_SIZES = {(1000, 100_000): 0.0636, (1000, 100): 0.5, (94, 20_000): 0.087, (300, 3000): 0.2}
+_INTERIOR_SUPS = ("ttpool", "alasso", "ebpp", "hdpp", "ammse", "lstp")
+
+
+def _sup_grids(delta0: float) -> dict[str, np.ndarray]:
+    """The sorted default grid over [0, delta0], the same reversed, and one with every conflict twice."""
+    grid = np.linspace(0.0, delta0, 41)
+    return {"sorted": grid, "reversed": grid[::-1], "tied": np.repeat(grid[::2], 2)}
+
+
+def _critical_value_oracle(spec, grid) -> tuple[float, float | None, bool]:
+    """``critical_value`` as every conflict's quantile gives it: ``max`` and ``argmax`` of one full solve.
+
+    The grid's quantiles, and AllDelta's two probes beyond it, are one ``_law.quantiles`` call, as
+    ``critical_value`` solved them before it solved only the conflicts that can reach the sup.
+    """
+    conv = spec.convention
+    grid = np.zeros(1) if isinstance(conv, DeltaZero) else grid
+    top = grid[-1] if grid[-1] > 0 else 1.0
+    deltas = np.append(grid, [2.0 * top, 4.0 * top]) if isinstance(conv, AllDelta) else grid
+    laws = _law.conditional_laws(spec.estimator, spec.n, spec.m, 0.0, deltas)
+    solved = _law.quantiles(laws, np.full(deltas.size, 1.0 - spec.alpha))
+    quants, probe = solved[: grid.size], solved[grid.size :]
+    k = int(np.argmax(quants))
+    flagged = False
+    if isinstance(conv, AllDelta):
+        if probe[0] > quants[k] + 1e-6 and probe[1] > probe[0] + 1e-6:
+            return math.inf, None, False
+        diffs = np.diff(quants)
+        flagged = k in (0, grid.size - 1) and bool(np.any(diffs > 1e-9) and np.any(diffs < -1e-9))
+    j = int(np.argmax(solved))
+    return float(solved[j]), float(deltas[j]), flagged
+
+
+@pytest.mark.parametrize("n, m", list(_SUP_SIZES))
+@pytest.mark.parametrize("name", CLI_IDS)
+def test_largest_quantile_is_the_max_and_first_argmax_of_the_full_solve_bit_for_bit(name, n, m):
+    config = config_from_id(name)
+    for order, grid in _sup_grids(_SUP_SIZES[n, m]).items():
+        laws = _law.conditional_laws(config, n, m, 0.0, grid)
+        for prob in (0.975, 0.5, 0.1):
+            full = _law.quantiles(laws, np.full(grid.size, prob))
+            value, k = _law.largest_quantile(laws, prob)
+            assert (value, k) == (full.max(), int(np.argmax(full))), (order, prob)
+            if (n, m, order, prob) == (1000, 100, "sorted", 0.975) and name in _INTERIOR_SUPS:
+                assert 0 < k < grid.size - 1, "the sup lies inside the grid"
+
+
+@pytest.mark.parametrize("convention", [DeltaZero(), AllDelta(), None], ids=["delta-zero", "all-delta", "delta-bounded"])
+@pytest.mark.parametrize("n, m", list(_SUP_SIZES))
+@pytest.mark.parametrize("name", CLI_IDS)
+def test_critical_value_equals_the_full_solve_oracle_bit_for_bit(name, n, m, convention):
+    delta0 = _SUP_SIZES[n, m]
+    convention = DeltaBounded(delta0) if convention is None else convention
+    for (order, grid), alpha in zip(_sup_grids(delta0).items(), (0.025, 0.5, 0.9)):
+        spec = spec_for(config_from_id(name), convention, alpha=alpha, n=n, m=m)
+        crit = critical_value(spec, grid)
+        assert (crit.value, crit.sup_at, crit.flagged) == _critical_value_oracle(spec, grid), (order, alpha)
+
+
 def _one_law_reference(config, n, m, shift, delta):
     """Weights and node means of one conflict's law, built with a scalar conflict throughout."""
     sd = math.sqrt(1.0 / n + 1.0 / m)
@@ -774,6 +836,7 @@ def test_critical_value_flag_is_reported():
         (lambda: SimPlan(100, 400, 0.0, math.inf, 10, 1, (AdaptiveMmse(),)), "delta"),
         (lambda: integrated_srmse(Mle(), NormalPrior(0.0, 1e-3), N, M, rel_tol=math.nan), "rel_tol"),
         (lambda: EmpiricalDist.from_draws(np.array([1.0, math.nan])), "draws"),
+        (lambda: EmpiricalDist.from_draws(np.array([1.0, 2.0, 4.0])).log_density(np.array([1.0, math.nan])), "grid"),
         (lambda: ks_distance(np.array([1.0, math.nan, 3.0]), np.array([1.0, 2.0, 3.0])), "draws"),
         # a conflict is named where the law's panels are laid, or where risk's tensor fails, with no check per call
         (lambda: power(spec_for(Mle(), DeltaZero()), 1.96, 0.0, math.nan), "conflict"),
@@ -787,7 +850,8 @@ def test_critical_value_flag_is_reported():
          "student-t-loc", "student-t-v", "point-mass", "pvalue-mle-theta0", "pvalue-pooled-theta0", "pvalue-dib-theta0",
          "p2-p3-theta-assumed", "p2-p3-delta0", "tipping-point-theta0", "delta-bounded-nan", "p2-p3-delta0-nan",
          "pvalue-conflict", "pvalue-delta0-inf", "tipping-point-bracket-nan", "tipping-point-bracket-inf",
-         "sim-plan-theta", "sim-plan-delta", "integrated-srmse-rel-tol", "from-draws", "ks-distance", "power-conflict",
+         "sim-plan-theta", "sim-plan-delta", "integrated-srmse-rel-tol", "from-draws", "log-density-grid", "ks-distance",
+         "power-conflict",
          "sampling-cdf-conflict", "null-quantile-conflict", "alasso-power-decay-conflict", "srmse-conflict",
          "srmse-curve-conflict"],
 )
